@@ -51,8 +51,10 @@ class TrafficReport:
     per_edge_load counts total traversals per undirected edge (only used
     edges appear); max_concurrent_per_edge is the peak number of messages
     crossing one edge in one step; contention_events counts (edge, step)
-    pairs contested by different rings; completed records that every node
-    ended holding every message of every class.
+    pairs contested by different rings. completed, that every node ends
+    holding every message of every class, is asserted rather than
+    simulated: each schedule runs on a Cycle, which is a ring, and m - 1
+    lock-step relays on a ring of m nodes deliver every message.
     """
 
     steps: int
@@ -62,49 +64,30 @@ class TrafficReport:
     completed: bool
 
 
-def _deliver_all(length: int, forward: bool) -> bool:
-    """Run the lock-step relay on one ring and confirm full delivery.
-
-    Messages are tracked by origin position; node p's holdings are a
-    bitmask. Each step every node forwards its newest message, so the
-    newest-message vector just rotates one position.
-    """
-    newest = list(range(length))
-    received = [1 << p for p in range(length)]
-    for _ in range(length - 1):
-        newest = newest[-1:] + newest[:-1] if forward else newest[1:] + newest[:1]
-        for p in range(length):
-            received[p] |= 1 << newest[p]
-    everything = (1 << length) - 1
-    return all(mask == everything for mask in received)
-
-
 def simulate_schedules(schedules: Sequence[RingSchedule]) -> TrafficReport:
     """Run any number of equal-length ring broadcasts concurrently.
 
     Each schedule keeps its ring saturated: all of its edges carry one
     message at every step, so an edge's load is steps times the number of
     rings traversing it, and an edge used by two or more rings is contested
-    at every step. Delivery itself is simulated message by message.
+    at every step. Delivery is asserted, not simulated (see TrafficReport).
     """
     if not schedules:
         raise LtqError("need at least one ring schedule")
     lengths = {len(s.ring) for s in schedules}
     if len(lengths) != 1:
         raise LtqError(f"rings must have equal length, got {sorted(lengths)}")
-    length = lengths.pop()
-    steps = length - 1
+    steps = lengths.pop() - 1
     multiplicity: Counter[Edge] = Counter()
     for schedule in schedules:
         multiplicity.update(schedule.ring_edges())
-    completed = all(_deliver_all(length, s.direction == "forward") for s in schedules)
     shared = sum(1 for count in multiplicity.values() if count > 1)
     return TrafficReport(
         steps=steps,
         per_edge_load={edge: steps * count for edge, count in multiplicity.items()},
         max_concurrent_per_edge=max(multiplicity.values()),
         contention_events=steps * shared,
-        completed=completed,
+        completed=True,
     )
 
 

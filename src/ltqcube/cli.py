@@ -14,8 +14,8 @@ from typing import Sequence
 
 from .broadcast import TrafficReport, simulate_ring_broadcast, simulate_split_broadcast
 from .construction import edh_cycles, edh_paths
-from .errors import LtqError
-from .topology import MAX_DIM, NodeLabel, edges, make_label
+from .errors import DimensionError, LtqError
+from .topology import NodeLabel, check_dim, edges, make_label
 from .verify import (
     ResidualAnalysis,
     enumerate_hamiltonian_cycles,
@@ -57,13 +57,18 @@ def parse_document(text: str) -> tuple[int, str, list[NodeLabel], list[NodeLabel
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise DocumentError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise DocumentError("top level must be an object")
+    version = doc.get("version")
+    if type(version) is not int or version != DOCUMENT_VERSION:
+        raise DocumentError(f"version must be {DOCUMENT_VERSION}, got {version!r}")
     dim = doc.get("dim")
-    if not isinstance(dim, int) or not 2 <= dim <= MAX_DIM:
-        raise DocumentError(f"dim must be an integer in [2, {MAX_DIM}], got {dim!r}")
+    try:
+        check_dim(dim)
+    except DimensionError as exc:
+        raise DocumentError(str(exc)) from exc
     kind = doc.get("kind")
     if kind not in ("paths", "cycles"):
         raise DocumentError(f"kind must be 'paths' or 'cycles', got {kind!r}")
@@ -96,9 +101,14 @@ def _emit(text: str, output: str | None) -> None:
 
 def _read_input(path: str | None) -> str:
     if path is None or path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"not UTF-8: {exc}") from exc
 
 
 def _render_edgelist(edge_set) -> str:

@@ -27,7 +27,15 @@ from .errors import (
     LtqError,
     OverlapError,
 )
-from .topology import Edge, NodeLabel, _adjacent_values, make_label, repeat_bits
+from .topology import (
+    Edge,
+    NodeLabel,
+    _adjacent_values,
+    check_dim,
+    make_label,
+    repeat_bits,
+    walk_edges,
+)
 
 _BASE_FIRST = (
     "0010", "0110", "0111", "0101", "0100", "1100", "1110", "1010",
@@ -39,30 +47,32 @@ _BASE_SECOND = (
 )
 
 
-def _check_nodes(nodes: tuple[NodeLabel, ...], *, closed: bool) -> None:
+def _check_nodes(nodes: tuple[NodeLabel, ...], *, closed: bool) -> list[int]:
+    """Check a non-empty node sequence and return its label values."""
     dim = nodes[0].dim
     for node in nodes:
         if node.dim != dim:
             raise DimensionError(f"mixed dimensions in sequence: {dim} and {node.dim}")
-    if len({node.value for node in nodes}) != len(nodes):
+    values = [node.value for node in nodes]
+    if len(set(values)) != len(values):
         raise OverlapError("sequence visits a node more than once")
-    for i in range(len(nodes) - 1):
-        if not _adjacent_values(dim, nodes[i].value, nodes[i + 1].value):
+    for i in range(len(values) - 1):
+        if not _adjacent_values(dim, values[i], values[i + 1]):
             raise AdjacencyError(
                 f"nodes {nodes[i].bits} and {nodes[i + 1].bits} (positions {i}, {i + 1}) "
                 "are not adjacent"
             )
-    if closed and not _adjacent_values(dim, nodes[-1].value, nodes[0].value):
+    if closed and not _adjacent_values(dim, values[-1], values[0]):
         raise AdjacencyError(f"closing edge {nodes[-1].bits} .. {nodes[0].bits} is not an edge")
+    return values
 
 
-def _edge_values(nodes: tuple[NodeLabel, ...], *, closed: bool) -> frozenset[tuple[int, int]]:
-    vals = [node.value for node in nodes]
-    if closed:
-        vals.append(vals[0])
-    return frozenset(
-        (u, v) if u < v else (v, u) for u, v in zip(vals, vals[1:])
-    )
+def _edge_objects(nodes: tuple[NodeLabel, ...], *, closed: bool) -> frozenset[Edge]:
+    if not nodes:
+        return frozenset()
+    dim = nodes[0].dim
+    pairs = walk_edges([node.value for node in nodes], closed=closed)
+    return frozenset(Edge(NodeLabel(dim, u), NodeLabel(dim, v)) for u, v in pairs)
 
 
 @dataclass(frozen=True)
@@ -105,15 +115,7 @@ class Path:
         return self.nodes[-1]
 
     def edge_set(self) -> frozenset[Edge]:
-        dim = self.dim if self.nodes else 0
-        return frozenset(
-            Edge(NodeLabel(dim, u), NodeLabel(dim, v)) for u, v in self._edge_values()
-        )
-
-    def _edge_values(self) -> frozenset[tuple[int, int]]:
-        if len(self.nodes) < 2:
-            return frozenset()
-        return _edge_values(self.nodes, closed=False)
+        return _edge_objects(self.nodes, closed=False)
 
 
 @dataclass(frozen=True)
@@ -132,8 +134,8 @@ class Cycle:
         nodes = tuple(self.nodes)
         if len(nodes) < 3:
             raise LtqError(f"a cycle needs at least 3 nodes, got {len(nodes)}")
-        _check_nodes(nodes, closed=True)
-        at = min(range(len(nodes)), key=lambda i: nodes[i].value)
+        values = _check_nodes(nodes, closed=True)
+        at = values.index(min(values))
         nodes = nodes[at:] + nodes[:at]
         if nodes[-1].value < nodes[1].value:
             nodes = nodes[:1] + nodes[:0:-1]
@@ -150,13 +152,7 @@ class Cycle:
         return self.nodes[0].dim
 
     def edge_set(self) -> frozenset[Edge]:
-        dim = self.dim
-        return frozenset(
-            Edge(NodeLabel(dim, u), NodeLabel(dim, v)) for u, v in self._edge_values()
-        )
-
-    def _edge_values(self) -> frozenset[tuple[int, int]]:
-        return _edge_values(self.nodes, closed=True)
+        return _edge_objects(self.nodes, closed=True)
 
 
 @dataclass(frozen=True)
@@ -183,7 +179,12 @@ class HamiltonianPair:
                 raise InvalidPairError(
                     f"member visits {len(member)} nodes, expected {1 << self.dim}"
                 )
-        if self.first._edge_values() & self.second._edge_values():
+        closed = isinstance(self.first, Cycle)
+        first, second = (
+            walk_edges([node.value for node in member.nodes], closed=closed)
+            for member in (self.first, self.second)
+        )
+        if not first.isdisjoint(second):
             raise InvalidPairError("pair members share an edge")
 
     @property
@@ -203,7 +204,8 @@ def reverse_path(p: Path) -> Path:
 def concat_paths(p: Path, q: Path) -> Path:
     """Join two node-disjoint paths through the edge from end(p) to start(q).
 
-    An empty path on either side is a neutral element.
+    An empty path on either side is a neutral element. Shared nodes raise
+    OverlapError from the joined Path's own validation.
     """
     if not q.nodes:
         return p
@@ -211,9 +213,6 @@ def concat_paths(p: Path, q: Path) -> Path:
         return q
     if p.dim != q.dim:
         raise DimensionError(f"cannot concatenate paths of dim {p.dim} and {q.dim}")
-    mine = {node.value for node in p.nodes}
-    if any(node.value in mine for node in q.nodes):
-        raise OverlapError("paths share nodes; concatenation needs disjoint node sets")
     if not _adjacent_values(p.dim, p.end.value, q.start.value):
         raise JunctionError(f"junction {p.end.bits} .. {q.start.bits} is not an edge")
     return Path(p.nodes + q.nodes)
@@ -225,9 +224,7 @@ def base_paths_ltq4() -> HamiltonianPair:
     First path runs 0010 -> 0000, second runs 0110 -> 0100; both visit all
     16 nodes of the 4-dimensional cube and share no edge.
     """
-    first = Path(tuple(make_label(4, b) for b in _BASE_FIRST))
-    second = Path(tuple(make_label(4, b) for b in _BASE_SECOND))
-    return HamiltonianPair(first, second, 4)
+    return edh_paths(4)
 
 
 def expected_endpoints(dim: int) -> tuple[NodeLabel, NodeLabel, NodeLabel, NodeLabel]:
@@ -248,39 +245,38 @@ def expected_endpoints(dim: int) -> tuple[NodeLabel, NodeLabel, NodeLabel, NodeL
     return labels[0], labels[1], labels[2], labels[3]
 
 
-def _prefixed(path: Path, lead: int, dim: int) -> Path:
-    top = lead << (dim - 1)
-    return Path(tuple(NodeLabel(dim, node.value | top) for node in path.nodes))
+def _constructed_pair(member: type[Path] | type[Cycle], dim: int) -> HamiltonianPair:
+    """Double both seed paths up to `dim` on plain label values, then wrap
+    each once into `member` (Path or Cycle) and the two into a pair.
 
-
-def _double_dimension(path: Path, dim: int) -> Path:
-    """Lift a (dim-1)-dimensional path into dimension `dim`.
-
-    The 0-half copy is followed by the reversed 1-half copy; the junction
-    is the twist edge joining the two copies' old end nodes.
-    """
-    lower = _prefixed(path, 0, dim)
-    upper = _prefixed(path, 1, dim)
-    return concat_paths(lower, reverse_path(upper))
-
-
-def edh_paths(dim: int) -> HamiltonianPair:
-    """Two edge-disjoint Hamiltonian paths of the dim-dimensional cube.
-
-    End nodes match `expected_endpoints(dim)`. Built iteratively from the
-    dimension-4 seed, reusing each level's paths for the next.
+    Level n lays the level n-1 path down in the 0-half and appends its
+    reversed copy from the 1-half; the junction is the twist edge between
+    the copies' old end nodes. No level is validated on its own: every
+    level's path is a prefix of the final one, so validating the final
+    path covers every junction.
     """
     if dim < 4:
         raise DimensionError(
             f"dim {dim} has no edge-disjoint Hamiltonian pair: every node of the"
             " 3-dimensional cube is incident to only three edges"
         )
-    pair = base_paths_ltq4()
-    first, second = pair.first, pair.second
-    for n in range(5, dim + 1):
-        first = _double_dimension(first, n)
-        second = _double_dimension(second, n)
-    return HamiltonianPair(first, second, dim)
+    check_dim(dim)
+    members = []
+    for seed in (_BASE_FIRST, _BASE_SECOND):
+        values = [int(bits, 2) for bits in seed]
+        for n in range(5, dim + 1):
+            values += [v | 1 << (n - 1) for v in reversed(values)]
+        members.append(member(tuple(NodeLabel(dim, v) for v in values)))
+    return HamiltonianPair(members[0], members[1], dim)
+
+
+def edh_paths(dim: int) -> HamiltonianPair:
+    """Two edge-disjoint Hamiltonian paths of the dim-dimensional cube.
+
+    End nodes match `expected_endpoints(dim)`. Built by doubling the
+    dimension-4 seed one dimension at a time.
+    """
+    return _constructed_pair(Path, dim)
 
 
 def edh_cycles(dim: int) -> HamiltonianPair:
@@ -290,5 +286,4 @@ def edh_cycles(dim: int) -> HamiltonianPair:
     the two closing edges are distinct and unused by either path, which the
     pair invariants re-verify on construction.
     """
-    paths = edh_paths(dim)
-    return HamiltonianPair(Cycle(paths.first.nodes), Cycle(paths.second.nodes), dim)
+    return _constructed_pair(Cycle, dim)

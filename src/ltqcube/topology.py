@@ -27,6 +27,12 @@ from .errors import AdjacencyError, DimensionError, LabelFormatError
 MAX_DIM = 30
 
 
+def check_dim(dim: int) -> None:
+    """Raise DimensionError unless `dim` is an integer in [2, MAX_DIM]."""
+    if not isinstance(dim, int) or not 2 <= dim <= MAX_DIM:
+        raise DimensionError(f"dim must be an integer in [2, {MAX_DIM}], got {dim!r}")
+
+
 @dataclass(frozen=True, order=True)
 class NodeLabel:
     """One node of a locally twisted cube: an unsigned value plus its bit width."""
@@ -35,8 +41,7 @@ class NodeLabel:
     value: int
 
     def __post_init__(self) -> None:
-        if not 2 <= self.dim <= MAX_DIM:
-            raise DimensionError(f"dim must be in [2, {MAX_DIM}], got {self.dim}")
+        check_dim(self.dim)
         if not 0 <= self.value < 1 << self.dim:
             raise LabelFormatError(f"value {self.value} out of range for dim {self.dim}")
 
@@ -76,8 +81,7 @@ class Edge:
 
 def make_label(dim: int, bits: str) -> NodeLabel:
     """Parse a binary string of exactly `dim` characters into a NodeLabel."""
-    if not 2 <= dim <= MAX_DIM:
-        raise DimensionError(f"dim must be in [2, {MAX_DIM}], got {dim}")
+    check_dim(dim)
     if len(bits) != dim:
         raise LabelFormatError(f"expected {dim} characters, got {len(bits)}: {bits!r}")
     if not set(bits) <= {"0", "1"}:
@@ -177,19 +181,31 @@ def is_adjacent(x: NodeLabel, y: NodeLabel) -> bool:
     return _adjacent_values(x.dim, x.value, y.value)
 
 
+def walk_edges(values: list[int], *, closed: bool) -> set[tuple[int, int]]:
+    """The (smaller, larger) value pair of every step of a walk over `values`.
+
+    With `closed`, the step from the last value back to the first counts
+    too. Adjacency is not checked.
+    """
+    successors = values[1:] + values[:1] if closed and len(values) > 1 else values[1:]
+    return {(u, v) if u < v else (v, u) for u, v in zip(values, successors)}
+
+
+def edge_pairs(dim: int) -> Iterator[tuple[int, int]]:
+    """Every edge of the dim-dimensional cube as a (smaller, larger) value pair."""
+    check_dim(dim)
+    for v in range(1 << dim):
+        for u in _neighbor_values(dim, v):
+            if u > v:
+                yield v, u
+
+
 def edges(dim: int) -> set[Edge]:
     """Every edge of the dim-dimensional cube, canonically ordered.
 
     The result has exactly dim * 2**(dim-1) members.
     """
-    if not 2 <= dim <= MAX_DIM:
-        raise DimensionError(f"dim must be in [2, {MAX_DIM}], got {dim}")
-    out: set[Edge] = set()
-    for v in range(1 << dim):
-        for u in _neighbor_values(dim, v):
-            if u > v:
-                out.add(Edge(NodeLabel(dim, v), NodeLabel(dim, u)))
-    return out
+    return {Edge(NodeLabel(dim, v), NodeLabel(dim, u)) for v, u in edge_pairs(dim)}
 
 
 def subcube_of(x: NodeLabel) -> int:
@@ -225,8 +241,7 @@ class LtqGraph:
     dim: int
 
     def __post_init__(self) -> None:
-        if not 2 <= self.dim <= MAX_DIM:
-            raise DimensionError(f"dim must be in [2, {MAX_DIM}], got {self.dim}")
+        check_dim(self.dim)
 
     @property
     def vertex_count(self) -> int:

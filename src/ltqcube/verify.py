@@ -16,7 +16,15 @@ from typing import Iterable, Iterator, Sequence
 
 from .construction import Cycle, HamiltonianPair, Path, edh_cycles
 from .errors import DimensionError, InvalidPairError, LtqError, OracleScopeError
-from .topology import MAX_DIM, Edge, NodeLabel, _adjacent_values, _neighbor_values, edges
+from .topology import (
+    Edge,
+    NodeLabel,
+    _adjacent_values,
+    _neighbor_values,
+    check_dim,
+    edge_pairs,
+    walk_edges,
+)
 
 #: Default node-expansion budget for the bounded third-cycle search.
 DEFAULT_SEARCH_BUDGET = 10_000_000
@@ -127,13 +135,6 @@ def is_hamiltonian_cycle(dim: int, c: Cycle | Sequence[NodeLabel]) -> bool:
     return all(c.passed for c in _sequence_checks(dim, _node_list(c), closed=True))
 
 
-def _edge_value_set(obj: Path | Cycle | Sequence[NodeLabel]) -> frozenset[tuple[int, int]]:
-    if isinstance(obj, (Path, Cycle)):
-        return obj._edge_values()
-    values = [n.value for n in obj]
-    return frozenset((u, v) if u < v else (v, u) for u, v in zip(values, values[1:]))
-
-
 def are_edge_disjoint(
     a: Path | Cycle | Sequence[NodeLabel], b: Path | Cycle | Sequence[NodeLabel]
 ) -> bool:
@@ -141,7 +142,8 @@ def are_edge_disjoint(
     nodes_a, nodes_b = _node_list(a), _node_list(b)
     if nodes_a and nodes_b and nodes_a[0].dim != nodes_b[0].dim:
         raise DimensionError("cannot compare walks of different dimensions")
-    return _edge_value_set(a).isdisjoint(_edge_value_set(b))
+    edges_a = walk_edges([n.value for n in nodes_a], closed=isinstance(a, Cycle))
+    return edges_a.isdisjoint(walk_edges([n.value for n in nodes_b], closed=isinstance(b, Cycle)))
 
 
 def verify_pair(
@@ -155,30 +157,21 @@ def verify_pair(
         raise LtqError(f"kind must be 'paths' or 'cycles', got {kind!r}")
     closed = kind == "cycles"
     checks: list[CheckResult] = []
+    edge_sets = []
     for tag, member in (("first", first), ("second", second)):
-        for check in _sequence_checks(dim, _node_list(member), closed=closed):
+        nodes = _node_list(member)
+        for check in _sequence_checks(dim, nodes, closed=closed):
             checks.append(CheckResult(f"{tag}: {check.name}", check.passed, check.detail))
-    first_edges = _edge_value_set(first) | (
-        _closure_edge(first) if closed else frozenset()
-    )
-    second_edges = _edge_value_set(second) | (
-        _closure_edge(second) if closed else frozenset()
-    )
-    shared = first_edges & second_edges
+        # a Cycle's closing edge is one of its edges whatever `kind` says
+        member_closed = closed or isinstance(member, Cycle)
+        edge_sets.append(walk_edges([n.value for n in nodes], closed=member_closed))
+    shared = edge_sets[0] & edge_sets[1]
     detail = ""
     if shared:
         u, v = sorted(shared)[0]
         detail = f"{len(shared)} shared, e.g. {NodeLabel(dim, u).bits} .. {NodeLabel(dim, v).bits}"
     checks.append(CheckResult("pair: edge-disjoint", not shared, detail))
     return VerificationReport(f"{kind} pair, dim {dim}", tuple(checks))
-
-
-def _closure_edge(obj: Path | Cycle | Sequence[NodeLabel]) -> frozenset[tuple[int, int]]:
-    nodes = _node_list(obj)
-    if isinstance(obj, Cycle) or len(nodes) < 2:
-        return frozenset()  # Cycle edge values already include the closure
-    u, v = nodes[-1].value, nodes[0].value
-    return frozenset({(u, v) if u < v else (v, u)})
 
 
 def _search_cycles(
@@ -259,8 +252,7 @@ def enumerate_hamiltonian_cycles(dim: int, limit: int | None = None) -> list[Cyc
     Exhaustive only for dim <= 4 (at most 16 nodes); beyond that an
     explicit `limit` is required and the enumeration stops early.
     """
-    if not 2 <= dim <= MAX_DIM:
-        raise DimensionError(f"dim must be in [2, {MAX_DIM}], got {dim}")
+    check_dim(dim)
     if dim > 4 and limit is None:
         raise OracleScopeError(
             f"exhaustive enumeration is guarded at dim <= 4; pass limit= for dim {dim}"
@@ -353,13 +345,15 @@ def residual_analysis(
         raise InvalidPairError("residual analysis needs a pair of cycles")
     if pair.dim != dim:
         raise DimensionError(f"pair dim {pair.dim} does not match {dim}")
-    used = pair.first._edge_values() | pair.second._edge_values()
-    unused = frozenset(e for e in edges(dim) if (e.a.value, e.b.value) not in used)
-    degree: Counter[int] = Counter()
-    for e in unused:
-        degree[e.a.value] += 1
-        degree[e.b.value] += 1
-    histogram = Counter(degree[v] for v in range(1 << dim))
+    used = walk_edges([n.value for n in pair.first.nodes], closed=True)
+    used |= walk_edges([n.value for n in pair.second.nodes], closed=True)
+    unused_pairs = [e for e in edge_pairs(dim) if e not in used]
+    degree = [0] * (1 << dim)
+    for u, v in unused_pairs:
+        degree[u] += 1
+        degree[v] += 1
+    histogram = Counter(degree)
+    unused = frozenset(Edge(NodeLabel(dim, u), NodeLabel(dim, v)) for u, v in unused_pairs)
     third = None
     if search_budget is not None:
         third = search_third_cycle(dim, unused, budget=search_budget)

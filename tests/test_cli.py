@@ -1,9 +1,17 @@
+import io
 import json
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ltqcube.cli import DocumentError, main, pair_document, parse_document, render_document
-from ltqcube.construction import edh_cycles
+from ltqcube.construction import edh_cycles, edh_paths
 
 
 def run(capsys, *argv):
@@ -43,6 +51,12 @@ def tampered_documents():
         "duplicate-a-node": with_first(duplicate),
         "break-the-closing-edge": with_first(break_closure),
     }
+
+
+def non_utf8_document():
+    """A valid dim-4 document with one byte of one label made invalid UTF-8."""
+    text = render_document(pair_document(edh_cycles(4))).encode()
+    return text.replace(b'"0010"', b'"00\xff0"', 1)
 
 
 class TestTopology:
@@ -143,6 +157,19 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", str(path))
         assert code == 3
 
+    def test_non_utf8_by_path_exits_3(self, capsys, tmp_path):
+        path = tmp_path / "latin.json"
+        path.write_bytes(non_utf8_document())
+        code, _, err = run(capsys, "verify", str(path))
+        assert code == 3
+        assert "not UTF-8" in err
+
+    def test_non_utf8_by_stdin_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(non_utf8_document())))
+        code, _, err = run(capsys, "verify")
+        assert code == 3
+        assert "not UTF-8" in err
+
     def test_missing_file_exits_3(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", str(tmp_path / "missing.json"))
         assert code == 3
@@ -173,6 +200,13 @@ class TestParseDocument:
     def test_rejects_bad_dim(self):
         doc = pair_document(edh_cycles(4))
         doc["dim"] = "four"
+        with pytest.raises(DocumentError):
+            parse_document(json.dumps(doc))
+
+    @pytest.mark.parametrize("version", [99, 0, "1", True, None])
+    def test_rejects_unknown_version(self, version):
+        doc = pair_document(edh_cycles(4))
+        doc["version"] = version
         with pytest.raises(DocumentError):
             parse_document(json.dumps(doc))
 
@@ -284,3 +318,52 @@ class TestExitCodeContract:
         failing.write_text(render_document(doc))
         failed, _, _ = run(capsys, "verify", str(failing))
         assert (ok, failed, refused, malformed) == (0, 1, 2, 3)
+
+
+VALID_BYTES = [
+    render_document(pair_document(build(4))).encode() for build in (edh_cycles, edh_paths)
+]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12,
+)
+LABEL_LISTS = st.lists(st.lists(st.text("01", min_size=1, max_size=6), max_size=20), max_size=3)
+FUZZ_INPUTS = st.one_of(
+    st.binary(),
+    JSON_VALUES.map(lambda v: json.dumps(v).encode()),
+    st.fixed_dictionaries(
+        {
+            "version": st.just(1) | JSON_VALUES,
+            "dim": st.integers(-1, 33) | JSON_VALUES,
+            "kind": st.sampled_from(["paths", "cycles"]) | JSON_VALUES,
+            "cycles": LABEL_LISTS | JSON_VALUES,
+        }
+    ).map(lambda doc: json.dumps(doc).encode()),
+    st.builds(
+        lambda doc, at, junk, cut: doc[:at] + junk + doc[at + cut :],
+        st.sampled_from(VALID_BYTES),
+        st.integers(0, min(len(doc) for doc in VALID_BYTES)),
+        st.binary(max_size=8),
+        st.integers(0, 8),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=FUZZ_INPUTS, by_stdin=st.booleans())
+@example(data=VALID_BYTES[0], by_stdin=True)
+@example(data=non_utf8_document(), by_stdin=False)
+@example(data=b"[" * 100_000, by_stdin=True)
+def test_verify_any_bytes_exits_0_1_or_3(data, by_stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(out), redirect_stderr(err):
+        if by_stdin:
+            with mock.patch.object(sys, "stdin", io.TextIOWrapper(io.BytesIO(data))):
+                code = main(["verify"])
+        else:
+            path = Path(tmp) / "doc.json"
+            path.write_bytes(data)
+            code = main(["verify", str(path)])
+    assert code in (0, 1, 3)
+    assert "Traceback" not in err.getvalue()

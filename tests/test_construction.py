@@ -2,7 +2,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ltqcube import construction
 from ltqcube import (
+    MAX_DIM,
     Cycle,
     DimensionError,
     HamiltonianPair,
@@ -206,6 +208,24 @@ class TestConstructedPaths:
     def test_below_dim_4(self):
         with pytest.raises(DimensionError):
             edh_paths(3)
+
+
+class TestValidateOnce:
+    """The doubling runs unchecked on label values; only its result is checked."""
+
+    @pytest.mark.parametrize("at", [0, 7, 14])
+    @pytest.mark.parametrize("build", [edh_paths, edh_cycles])
+    def test_broken_seed_is_caught(self, monkeypatch, build, at):
+        seed = list(FIRST_SEED)
+        seed[at], seed[at + 1] = seed[at + 1], seed[at]
+        monkeypatch.setattr(construction, "_BASE_FIRST", tuple(seed))
+        with pytest.raises(LtqError):
+            build(6)
+
+    @pytest.mark.parametrize("build", [edh_paths, edh_cycles])
+    def test_dim_above_max_refused_before_building(self, build):
+        with pytest.raises(DimensionError):
+            build(MAX_DIM + 1)
 
 
 class TestConstructedCycles:
