@@ -1,7 +1,8 @@
 """Command-line surface: deterministic, scriptable exports and reports.
 
 Exit codes: 0 success, 1 verification failure, 2 domain refusal (bad
-dimension, guarded oracle scope, bad flags), 3 malformed input document.
+dimension, guarded oracle scope, bad flags, an --output path that cannot be
+written), 3 malformed or unreadable input document.
 All human-facing node labels are fixed-width binary strings.
 """
 
@@ -95,8 +96,12 @@ def _emit(text: str, output: str | None) -> None:
     if output is None or output == "-":
         sys.stdout.write(text)
     else:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            # the input was fine; the --output flag names a place we cannot write
+            raise LtqError(f"cannot write --output: {exc}") from exc
 
 
 def _read_input(path: str | None) -> str:
@@ -236,6 +241,9 @@ def _residual_payload(analysis: ResidualAnalysis) -> tuple[dict, list[str]]:
         if analysis.third_cycle_found is None
         else [n.bits for n in analysis.third_cycle_found.nodes],
     }
+    if analysis.search_budget is not None:
+        payload["search_verdict"] = analysis.search_verdict
+        payload["search_expansions"] = analysis.search_expansions
     lines = [
         f"dim {analysis.dim}: {len(analysis.unused_edges)} of "
         f"{analysis.dim << (analysis.dim - 1)} edges unused by the cycle pair",
@@ -244,16 +252,22 @@ def _residual_payload(analysis: ResidualAnalysis) -> tuple[dict, list[str]]:
     ]
     if analysis.search_budget is None:
         lines.append("third-cycle search: not requested")
-    elif analysis.third_cycle_found is None:
-        lines.append(
-            f"third-cycle search: none found within budget {analysis.search_budget}"
-            " (not a non-existence proof)"
-        )
     else:
-        lines.append(
-            "third-cycle search: found "
-            + " -> ".join(n.bits for n in analysis.third_cycle_found.nodes)
+        head = (
+            f"third-cycle search: {analysis.search_verdict} ({analysis.search_expansions}"
+            f" of {analysis.search_budget} expansions)"
         )
+        if analysis.search_verdict == "refuted":
+            lines.append(
+                f"{head}: the residual of this pair holds no Hamiltonian cycle"
+                " (says nothing about other pairs or LTQ_n)"
+            )
+        elif analysis.search_verdict == "budget exhausted":
+            lines.append(f"{head}: none found (not a non-existence proof)")
+        else:
+            lines.append(
+                f"{head} " + " -> ".join(n.bits for n in analysis.third_cycle_found.nodes)
+            )
     return payload, lines
 
 

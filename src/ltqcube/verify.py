@@ -179,71 +179,84 @@ def _search_cycles(
     *,
     limit: int | None = None,
     budget: int | None = None,
-) -> tuple[list[tuple[int, ...]], bool]:
+) -> tuple[list[tuple[int, ...]], bool, int]:
     """Backtracking Hamiltonian-cycle search over an integer adjacency map.
 
-    Anchored at the smallest node, extending toward the smallest unvisited
-    neighbor first, so the output order is deterministic. Each undirected
-    cycle is emitted exactly once, oriented with its second node smaller
-    than its last. A branch is pruned when some unvisited node retains
-    fewer than two usable connections (unvisited nodes, the current tail,
-    or the anchor). Returns (cycles, exhausted); `exhausted` is True when
-    the node-expansion budget ran out before the search space did.
+    Node values index flat arrays, and every neighbor list must be free of
+    duplicates. Anchored at the smallest node, extending toward the smallest
+    unvisited neighbor first, so the output order is deterministic. Each
+    undirected cycle is emitted exactly once, oriented with its second node
+    smaller than its last.
+
+    A branch is pruned when some unvisited node keeps fewer than two
+    available neighbors (unvisited nodes, the current tail, or the anchor).
+    Each node holds a counter of its available neighbors. Extending the path
+    from tail t removes only t from the available set (nothing when t is the
+    anchor), so only t's neighbors lose a count, and only they can newly
+    fail the rule; every other unvisited node passed it on an earlier step.
+    A push therefore costs O(degree), and the decrements are undone when the
+    branch is pruned or backtracked. A graph with a node of degree < 2 has
+    no Hamiltonian cycle and is answered without searching.
+
+    Returns (cycles, exhausted, expansions). `exhausted` is True when the
+    node-expansion budget ran out before the search space did; when it is
+    False and `limit` was not reached, `cycles` is every cycle there is.
     """
     n = len(adjacency)
     found: list[tuple[int, ...]] = []
-    if n < 3:
-        return found, False
-    order = {v: tuple(sorted(ws)) for v, ws in adjacency.items()}
-    adj_mask = {v: sum(1 << w for w in ws) for v, ws in order.items()}
-    full_mask = sum(1 << v for v in order)
-    anchor = min(order)
-    anchor_bit = 1 << anchor
+    if n < 3 or any(len(ws) < 2 for ws in adjacency.values()):
+        return found, False, 0
+    size = max(adjacency) + 1
+    order: list[tuple[int, ...]] = [()] * size
+    for v, ws in adjacency.items():
+        order[v] = tuple(sorted(ws))
+    available = [len(ws) for ws in order]
+    visited = bytearray(size)
+    anchor = min(adjacency)
 
+    visited[anchor] = 1
     path = [anchor]
-    visited = anchor_bit
-    unvisited = set(order)
-    unvisited.discard(anchor)
     stack: list[Iterator[int]] = [iter(order[anchor])]
     expansions = 0
     exhausted = False
-
-    def viable(tail: int) -> bool:
-        avail = (full_mask & ~visited) | (1 << tail) | anchor_bit
-        return all((adj_mask[u] & avail).bit_count() >= 2 for u in unvisited)
-
     while stack:
         step = next(stack[-1], None)
         if step is None:
             stack.pop()
             if stack:
-                done = path.pop()
-                visited ^= 1 << done
-                unvisited.add(done)
+                visited[path.pop()] = 0
+                if path[-1] != anchor:
+                    for u in order[path[-1]]:
+                        available[u] += 1
             continue
-        if visited >> step & 1:
+        if visited[step]:
             continue
-        expansions += 1
-        if budget is not None and expansions > budget:
+        if budget is not None and expansions >= budget:
             exhausted = True
             break
+        expansions += 1
+        tail = path[-1]
         path.append(step)
         if len(path) == n:
-            if adj_mask[step] & anchor_bit and path[1] < path[-1]:
+            if anchor in order[step] and path[1] < step:
                 found.append(tuple(path))
                 if limit is not None and len(found) >= limit:
                     break
             path.pop()
             continue
-        visited |= 1 << step
-        unvisited.discard(step)
-        if viable(step):
-            stack.append(iter(order[step]))
-        else:
-            path.pop()
-            visited ^= 1 << step
-            unvisited.add(step)
-    return found, exhausted
+        visited[step] = 1
+        if tail != anchor:
+            lost = order[tail]
+            for u in lost:
+                available[u] -= 1
+            if any(available[u] < 2 and not visited[u] for u in lost):
+                for u in lost:
+                    available[u] += 1
+                visited[step] = 0
+                path.pop()
+                continue
+        stack.append(iter(order[step]))
+    return found, exhausted, expansions
 
 
 def enumerate_hamiltonian_cycles(dim: int, limit: int | None = None) -> list[Cycle]:
@@ -260,7 +273,7 @@ def enumerate_hamiltonian_cycles(dim: int, limit: int | None = None) -> list[Cyc
     if limit is not None and limit < 1:
         raise LtqError(f"limit must be >= 1, got {limit}")
     adjacency = {v: _neighbor_values(dim, v) for v in range(1 << dim)}
-    raw, _ = _search_cycles(adjacency, limit=limit)
+    raw, _, _ = _search_cycles(adjacency, limit=limit)
     return [Cycle(tuple(NodeLabel(dim, v) for v in cycle)) for cycle in raw]
 
 
@@ -317,13 +330,23 @@ def exists_two_edge_disjoint_hc(dim: int) -> PairExistence:
 
 @dataclass(frozen=True)
 class ResidualAnalysis:
-    """What remains of the cube once both constructed cycles are removed."""
+    """What remains of the cube once both constructed cycles are removed.
+
+    When a third-cycle search ran, `search_verdict` says how strong its
+    answer is: "found" (a cycle is in `third_cycle_found`), "refuted" (the
+    whole search space was covered, or some node has residual degree < 2,
+    so the residual of this pair holds no Hamiltonian cycle; this says
+    nothing about other pairs or about LTQ_n itself) or "budget exhausted"
+    (no answer). `search_expansions` counts the nodes the search expanded.
+    """
 
     dim: int
     unused_edges: frozenset[Edge]
     degree_histogram: dict[int, int] = field(compare=False)
     third_cycle_found: Cycle | None = None
     search_budget: int | None = None
+    search_verdict: str | None = None
+    search_expansions: int | None = None
 
     def __post_init__(self) -> None:
         expected = (self.dim << (self.dim - 1)) - (1 << (self.dim + 1))
@@ -354,10 +377,32 @@ def residual_analysis(
         degree[v] += 1
     histogram = Counter(degree)
     unused = frozenset(Edge(NodeLabel(dim, u), NodeLabel(dim, v)) for u, v in unused_pairs)
-    third = None
-    if search_budget is not None:
-        third = search_third_cycle(dim, unused, budget=search_budget)
-    return ResidualAnalysis(dim, unused, dict(histogram), third, search_budget)
+    if search_budget is None:
+        return ResidualAnalysis(dim, unused, dict(histogram))
+    third, verdict, expansions = _bounded_cycle_search(dim, unused_pairs, search_budget)
+    return ResidualAnalysis(
+        dim, unused, dict(histogram), third, search_budget, verdict, expansions
+    )
+
+
+def _bounded_cycle_search(
+    dim: int, pairs: Iterable[tuple[int, int]], budget: int
+) -> tuple[Cycle | None, str, int]:
+    """Search distinct edges (u, v) for a Hamiltonian cycle of all 2^dim nodes.
+
+    Returns (cycle or None, verdict, expansions), the verdict being one of
+    "found", "refuted" or "budget exhausted".
+    """
+    if budget <= 0:
+        raise LtqError(f"budget must be positive, got {budget}")
+    adjacency: dict[int, list[int]] = {v: [] for v in range(1 << dim)}
+    for u, v in pairs:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    raw, exhausted, expansions = _search_cycles(adjacency, limit=1, budget=budget)
+    if raw:
+        return Cycle(tuple(NodeLabel(dim, v) for v in raw[0])), "found", expansions
+    return None, "budget exhausted" if exhausted else "refuted", expansions
 
 
 def search_third_cycle(
@@ -367,20 +412,13 @@ def search_third_cycle(
     given residual edges.
 
     Returns the first cycle found within the node-expansion budget, else
-    None. No result is not a non-existence proof, except trivially: any
-    node of residual degree < 2 rules a cycle out immediately.
+    None. None means one of two things, which `residual_analysis` reports
+    as its `search_verdict`: the search covered its whole space (or some
+    node has residual degree < 2), which refutes a Hamiltonian cycle in
+    these edges, or the budget ran out first, which proves nothing.
     """
-    if budget <= 0:
-        raise LtqError(f"budget must be positive, got {budget}")
-    adjacency: dict[int, list[int]] = {v: [] for v in range(1 << dim)}
-    for e in set(residual):
+    residual = set(residual)
+    for e in residual:
         if e.dim != dim:
             raise DimensionError(f"residual edge of dim {e.dim} in a dim-{dim} search")
-        adjacency[e.a.value].append(e.b.value)
-        adjacency[e.b.value].append(e.a.value)
-    if any(len(ws) < 2 for ws in adjacency.values()):
-        return None
-    raw, _ = _search_cycles(adjacency, limit=1, budget=budget)
-    if not raw:
-        return None
-    return Cycle(tuple(NodeLabel(dim, v) for v in raw[0]))
+    return _bounded_cycle_search(dim, ((e.a.value, e.b.value) for e in residual), budget)[0]

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import sys
@@ -10,8 +11,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ltqcube.cli import DocumentError, main, pair_document, parse_document, render_document
+from ltqcube.cli import (
+    DocumentError,
+    _residual_payload,
+    main,
+    pair_document,
+    parse_document,
+    render_document,
+)
 from ltqcube.construction import edh_cycles, edh_paths
+from ltqcube.verify import residual_analysis
 
 
 def run(capsys, *argv):
@@ -95,6 +104,13 @@ class TestTopology:
         assert code == 0 and out == ""
         assert len(target.read_text().splitlines()) == 4
 
+    def test_unwritable_output_exits_2(self, capsys, tmp_path):
+        target = tmp_path / "no-such-dir" / "pair.json"
+        code, out, err = run(capsys, "construct", "--dim", "4", "--output", str(target))
+        assert code == 2 and out == ""
+        assert "cannot write --output" in err
+        assert not target.parent.exists()
+
 
 class TestConstruct:
     def test_dim_4_cycles_json(self, capsys):
@@ -173,6 +189,11 @@ class TestVerify:
     def test_missing_file_exits_3(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", str(tmp_path / "missing.json"))
         assert code == 3
+
+    def test_unreadable_input_path_exits_3(self, capsys, tmp_path):
+        code, _, err = run(capsys, "verify", str(tmp_path))
+        assert code == 3
+        assert "i/o error" in err
 
     def test_report_json_format(self, capsys, tmp_path):
         path = tmp_path / "pair.json"
@@ -304,6 +325,47 @@ class TestResidual:
         report = json.loads(out)
         assert report["unused_edges"] == 64
         assert report["search_budget"] == 100000
+        assert report["search_verdict"] == "refuted"
+        assert report["search_expansions"] == 14
+
+    def test_no_search_no_verdict_keys(self, capsys):
+        _, out, _ = run(capsys, "residual", "--dim", "6", "--format", "report-json")
+        assert "search_verdict" not in json.loads(out)
+        _, out, _ = run(capsys, "residual", "--dim", "6")
+        assert out.splitlines()[-1] == "third-cycle search: not requested"
+
+    def test_dim_7_refuted(self, capsys):
+        code, out, _ = run(capsys, "residual", "--dim", "7", "--budget", "1000000")
+        assert code == 0
+        assert out.splitlines()[-1] == (
+            "third-cycle search: refuted (628 of 1000000 expansions): the residual of this"
+            " pair holds no Hamiltonian cycle (says nothing about other pairs or LTQ_n)"
+        )
+
+    def test_found_line_renders_the_cycle(self):
+        # no constructed residual is known to hold a third cycle, so stand
+        # one of the pair's own cycles in for a found one
+        pair = edh_cycles(6)
+        analysis = dataclasses.replace(
+            residual_analysis(6, pair, search_budget=100),
+            third_cycle_found=pair.first,
+            search_verdict="found",
+            search_expansions=63,
+        )
+        payload, lines = _residual_payload(analysis)
+        assert lines[-1] == "third-cycle search: found (63 of 100 expansions) " + " -> ".join(
+            n.bits for n in pair.first.nodes
+        )
+        assert payload["search_verdict"] == "found"
+        assert payload["third_cycle"] == [n.bits for n in pair.first.nodes]
+
+    def test_dim_8_budget_exhausted(self, capsys):
+        code, out, _ = run(capsys, "residual", "--dim", "8", "--budget", "500")
+        assert code == 0
+        assert out.splitlines()[-1] == (
+            "third-cycle search: budget exhausted (500 of 500 expansions): none found"
+            " (not a non-existence proof)"
+        )
 
 
 class TestExitCodeContract:

@@ -1,6 +1,8 @@
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ltqcube import (
     Cycle,
@@ -24,7 +26,8 @@ from ltqcube import (
     search_third_cycle,
     verify_pair,
 )
-from ltqcube.topology import _adjacent_values
+from ltqcube.topology import _adjacent_values, _neighbor_values, edge_pairs
+from ltqcube.verify import _bounded_cycle_search, _search_cycles
 
 # Found by depth-first search: a Hamiltonian path of the dim-4 cube whose
 # end nodes 0000 and 1111 are NOT adjacent, so only the closing-edge check
@@ -253,6 +256,122 @@ class TestResidual:
             residual_analysis(5, edh_cycles(6))
 
 
+def search_cycles_full_rescan(adjacency, *, limit=None, budget=None):
+    """The third-cycle search as it was before availability counters: after
+    every push, rescan every unvisited node for two available neighbors.
+
+    Kept verbatim as an independent oracle for `_search_cycles`, which must
+    walk the same search tree. Only the return differs: the expansion count
+    is added, less the one that tripped the budget (it was never performed).
+    """
+    n = len(adjacency)
+    found = []
+    if n < 3:
+        return found, False, 0
+    order = {v: tuple(sorted(ws)) for v, ws in adjacency.items()}
+    adj_mask = {v: sum(1 << w for w in ws) for v, ws in order.items()}
+    full_mask = sum(1 << v for v in order)
+    anchor = min(order)
+    anchor_bit = 1 << anchor
+
+    path = [anchor]
+    visited = anchor_bit
+    unvisited = set(order)
+    unvisited.discard(anchor)
+    stack = [iter(order[anchor])]
+    expansions = 0
+    exhausted = False
+
+    def viable(tail):
+        avail = (full_mask & ~visited) | (1 << tail) | anchor_bit
+        return all((adj_mask[u] & avail).bit_count() >= 2 for u in unvisited)
+
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+            if stack:
+                done = path.pop()
+                visited ^= 1 << done
+                unvisited.add(done)
+            continue
+        if visited >> step & 1:
+            continue
+        expansions += 1
+        if budget is not None and expansions > budget:
+            exhausted = True
+            break
+        path.append(step)
+        if len(path) == n:
+            if adj_mask[step] & anchor_bit and path[1] < path[-1]:
+                found.append(tuple(path))
+                if limit is not None and len(found) >= limit:
+                    break
+            path.pop()
+            continue
+        visited |= 1 << step
+        unvisited.discard(step)
+        if viable(step):
+            stack.append(iter(order[step]))
+        else:
+            path.pop()
+            visited ^= 1 << step
+            unvisited.add(step)
+    return found, exhausted, expansions - exhausted
+
+
+def adjacency_of(dim, pairs):
+    adjacency = {v: [] for v in range(1 << dim)}
+    for u, v in pairs:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    return adjacency
+
+
+def residual_adjacency(dim):
+    unused = residual_analysis(dim, edh_cycles(dim)).unused_edges
+    return adjacency_of(dim, ((e.a.value, e.b.value) for e in unused))
+
+
+class TestSearchTreeUnchanged:
+    """`_search_cycles` against the full-rescan oracle: equal cycles, in equal
+    order, equal `exhausted` and equal expansion counts."""
+
+    @pytest.mark.parametrize(
+        "dim,limit,budget",
+        [(dim, limit, None) for dim in (2, 3, 4) for limit in (None, 1, 7)]
+        + [(5, 1, None), (5, 50, None), (5, None, 20_000)],
+    )
+    def test_full_cube(self, dim, limit, budget):
+        adjacency = {v: _neighbor_values(dim, v) for v in range(1 << dim)}
+        expected = search_cycles_full_rescan(adjacency, limit=limit, budget=budget)
+        assert _search_cycles(adjacency, limit=limit, budget=budget) == expected
+
+    @pytest.mark.parametrize("dim", [6, 7, 8])
+    @pytest.mark.parametrize("budget", [50, 1_000, 75_000])
+    def test_constructed_residual(self, dim, budget):
+        adjacency = residual_adjacency(dim)
+        expected = search_cycles_full_rescan(adjacency, limit=1, budget=budget)
+        assert _search_cycles(adjacency, limit=1, budget=budget) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        dropped=st.sets(st.integers(0, 31), max_size=12),
+        limit=st.none() | st.integers(1, 5),
+        budget=st.none() | st.integers(1, 3_000),
+    )
+    def test_edge_subsets_of_ltq4(self, dropped, limit, budget):
+        kept = (e for i, e in enumerate(sorted(edge_pairs(4))) if i not in dropped)
+        adjacency = adjacency_of(4, kept)
+        got = _search_cycles(adjacency, limit=limit, budget=budget)
+        if min(len(ws) for ws in adjacency.values()) < 2:
+            # answered without searching; the oracle must agree there is no cycle
+            assert got == ([], False, 0)
+            assert search_cycles_full_rescan(adjacency, limit=limit, budget=budget)[0] == []
+        else:
+            assert got == search_cycles_full_rescan(adjacency, limit=limit, budget=budget)
+
+
 class TestThirdCycleSearch:
     def test_empty_residual_no_result(self):
         analysis = residual_analysis(4, edh_cycles(4), search_budget=1000)
@@ -286,6 +405,36 @@ class TestThirdCycleSearch:
     def test_budget_exhaustion_is_quiet(self):
         assert search_third_cycle(7, residual_analysis(7, edh_cycles(7)).unused_edges,
                                   budget=50) is None
+
+
+class TestSearchVerdict:
+    @pytest.mark.parametrize("dim,expansions", [(4, 0), (5, 0), (6, 14), (7, 628)])
+    def test_small_residuals_are_refuted(self, dim, expansions):
+        # dims 4 and 5 have residual degree < 2 and are answered at once;
+        # dims 6 and 7 finish the whole search far below the budget
+        analysis = residual_analysis(dim, edh_cycles(dim), search_budget=1_000_000)
+        assert analysis.third_cycle_found is None
+        assert analysis.search_verdict == "refuted"
+        assert analysis.search_expansions == expansions
+
+    def test_dim_8_budget_exhausted(self):
+        analysis = residual_analysis(8, edh_cycles(8), search_budget=1_000)
+        assert analysis.third_cycle_found is None
+        assert analysis.search_verdict == "budget exhausted"
+        assert analysis.search_expansions == 1_000
+
+    def test_found_on_the_full_cube(self):
+        cycle, verdict, expansions = _bounded_cycle_search(4, edge_pairs(4), 1_000)
+        assert verdict == "found" and is_hamiltonian_cycle(4, cycle)
+        assert 0 < expansions <= 1_000
+
+    def test_no_search_no_verdict(self):
+        analysis = residual_analysis(6, edh_cycles(6))
+        assert analysis.search_verdict is None and analysis.search_expansions is None
+
+    def test_budget_checked_before_searching(self):
+        with pytest.raises(LtqError):
+            residual_analysis(6, edh_cycles(6), search_budget=0)
 
 
 class TestVerifyPairReport:
