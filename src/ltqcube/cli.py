@@ -11,12 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .broadcast import TrafficReport, simulate_ring_broadcast, simulate_split_broadcast
 from .construction import edh_cycles, edh_paths
 from .errors import DimensionError, LtqError
-from .topology import NodeLabel, check_dim, edges, make_label
+from .topology import NodeLabel, check_dim, edge_pairs, make_label
 from .verify import (
     ResidualAnalysis,
     enumerate_hamiltonian_cycles,
@@ -116,16 +116,11 @@ def _read_input(path: str | None) -> str:
         raise DocumentError(f"not UTF-8: {exc}") from exc
 
 
-def _render_edgelist(edge_set) -> str:
-    lines = sorted(f"{e.a.bits} {e.b.bits}" for e in edge_set)
-    return "\n".join(lines) + "\n"
-
-
-def _render_dot(dim: int, edge_set) -> str:
-    lines = [f"graph ltq_{dim} {{"]
-    lines.extend(f'  "{e.a.bits}" -- "{e.b.bits}";' for e in sorted(edge_set))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+def _edge_lines(dim: int, pairs: Iterable[tuple[int, int]], template: str) -> list[str]:
+    """One line per (smaller, larger) value pair, in ascending order, with
+    both labels rendered as fixed-width binary strings."""
+    width = f"0{dim}b"
+    return [template.format(format(u, width), format(v, width)) for u, v in sorted(pairs)]
 
 
 def _render_report(payload: dict, text_lines: list[str], fmt: str) -> str:
@@ -135,11 +130,11 @@ def _render_report(payload: dict, text_lines: list[str], fmt: str) -> str:
 
 
 def cmd_topology(args: argparse.Namespace) -> int:
-    edge_set = edges(args.dim)
+    template = '  "{}" -- "{}";' if args.format == "dot" else "{} {}"
+    lines = _edge_lines(args.dim, edge_pairs(args.dim), template)
     if args.format == "dot":
-        _emit(_render_dot(args.dim, edge_set), args.output)
-    else:
-        _emit(_render_edgelist(edge_set), args.output)
+        lines = [f"graph ltq_{args.dim} {{", *lines, "}"]
+    _emit("\n".join(lines) + "\n", args.output)
     return EXIT_OK
 
 
@@ -235,7 +230,9 @@ def _residual_payload(analysis: ResidualAnalysis) -> tuple[dict, list[str]]:
         "unused_edges": len(analysis.unused_edges),
         "edges_total": analysis.dim << (analysis.dim - 1),
         "degree_histogram": {str(k): v for k, v in sorted(analysis.degree_histogram.items())},
-        "unused_edge_list": sorted(str(e) for e in analysis.unused_edges),
+        # residual_analysis stores an EdgeSet, whose pairs render without
+        # building an Edge for each
+        "unused_edge_list": _edge_lines(analysis.dim, analysis.unused_edges.pairs, "{} {}"),
         "search_budget": analysis.search_budget,
         "third_cycle": None
         if analysis.third_cycle_found is None

@@ -18,6 +18,7 @@ oracle the closed form is tested against.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Set
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -200,12 +201,54 @@ def edge_pairs(dim: int) -> Iterator[tuple[int, int]]:
                 yield v, u
 
 
-def edges(dim: int) -> set[Edge]:
-    """Every edge of the dim-dimensional cube, canonically ordered.
+class EdgeSet(Set):
+    """A read-only set of edges of one cube, stored as (smaller, larger) value pairs.
 
-    The result has exactly dim * 2**(dim-1) members.
+    Size and membership are answered from the pairs; an `Edge` is built only
+    when the set is iterated. It equals, and hashes like, a frozenset of the
+    same edges, and `-`, `&` and `|` return frozensets of `Edge`. The pairs
+    are trusted to be adjacent and ordered; each `Edge` validates its own.
     """
-    return {Edge(NodeLabel(dim, v), NodeLabel(dim, u)) for v, u in edge_pairs(dim)}
+
+    __slots__ = ("dim", "pairs")
+
+    def __init__(self, dim: int, pairs: Iterable[tuple[int, int]]) -> None:
+        check_dim(dim)
+        self.dim = dim
+        self.pairs = frozenset(pairs)
+
+    def __len__(self) -> int:
+        return len(self.pairs)
+
+    def __contains__(self, edge: object) -> bool:
+        return (
+            isinstance(edge, Edge)
+            and edge.dim == self.dim
+            and (edge.a.value, edge.b.value) in self.pairs
+        )
+
+    def __iter__(self) -> Iterator[Edge]:
+        dim = self.dim
+        for u, v in self.pairs:
+            yield Edge(NodeLabel(dim, u), NodeLabel(dim, v))
+
+    @classmethod
+    def _from_iterable(cls, it: Iterable[Edge]) -> frozenset[Edge]:
+        return frozenset(it)
+
+    __hash__ = Set._hash
+
+    def __repr__(self) -> str:
+        return f"EdgeSet(dim={self.dim}, {len(self.pairs)} edges)"
+
+
+def edges(dim: int) -> Set[Edge]:
+    """Every edge of the dim-dimensional cube, each stored smaller value first.
+
+    The result is a read-only `EdgeSet` of exactly dim * 2**(dim-1) members;
+    `len` and `in` build no objects, and each `Edge` is built when iterated.
+    """
+    return EdgeSet(dim, edge_pairs(dim))
 
 
 def subcube_of(x: NodeLabel) -> int:
@@ -265,5 +308,5 @@ class LtqGraph:
             raise DimensionError(f"label dim {x.dim} does not match graph dim {self.dim}")
         return is_adjacent(x, y)
 
-    def edges(self) -> set[Edge]:
+    def edges(self) -> Set[Edge]:
         return edges(self.dim)

@@ -10,6 +10,7 @@ the open question of a third edge-disjoint cycle.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Set
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
@@ -18,6 +19,7 @@ from .construction import Cycle, HamiltonianPair, Path, edh_cycles
 from .errors import DimensionError, InvalidPairError, LtqError, OracleScopeError
 from .topology import (
     Edge,
+    EdgeSet,
     NodeLabel,
     _adjacent_values,
     _neighbor_values,
@@ -338,10 +340,14 @@ class ResidualAnalysis:
     so the residual of this pair holds no Hamiltonian cycle; this says
     nothing about other pairs or about LTQ_n itself) or "budget exhausted"
     (no answer). `search_expansions` counts the nodes the search expanded.
+
+    `unused_edges` is a read-only set that `residual_analysis` fills with an
+    `EdgeSet`: `len` and `in` build no objects, and each `Edge` is built when
+    the set is iterated.
     """
 
     dim: int
-    unused_edges: frozenset[Edge]
+    unused_edges: Set[Edge]
     degree_histogram: dict[int, int] = field(compare=False)
     third_cycle_found: Cycle | None = None
     search_budget: int | None = None
@@ -364,6 +370,8 @@ def residual_analysis(
     """Edges unused by a verified cycle pair, their degrees, and optionally
     a bounded hunt for a third edge-disjoint Hamiltonian cycle among them.
     """
+    if search_budget is not None and search_budget <= 0:
+        raise LtqError(f"budget must be positive, got {search_budget}")
     if pair.kind != "cycles":
         raise InvalidPairError("residual analysis needs a pair of cycles")
     if pair.dim != dim:
@@ -376,7 +384,7 @@ def residual_analysis(
         degree[u] += 1
         degree[v] += 1
     histogram = Counter(degree)
-    unused = frozenset(Edge(NodeLabel(dim, u), NodeLabel(dim, v)) for u, v in unused_pairs)
+    unused = EdgeSet(dim, unused_pairs)
     if search_budget is None:
         return ResidualAnalysis(dim, unused, dict(histogram))
     third, verdict, expansions = _bounded_cycle_search(dim, unused_pairs, search_budget)

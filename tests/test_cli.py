@@ -20,6 +20,7 @@ from ltqcube.cli import (
     render_document,
 )
 from ltqcube.construction import edh_cycles, edh_paths
+from ltqcube.topology import Edge, NodeLabel, edge_pairs
 from ltqcube.verify import residual_analysis
 
 
@@ -110,6 +111,32 @@ class TestTopology:
         assert code == 2 and out == ""
         assert "cannot write --output" in err
         assert not target.parent.exists()
+
+
+class TestEdgeRenderingPinned:
+    """Edge lists render from value pairs; the bytes equal a rendering built
+    from one Edge object per edge."""
+
+    @staticmethod
+    def edge_objects(dim):
+        return frozenset(Edge(NodeLabel(dim, u), NodeLabel(dim, v)) for u, v in edge_pairs(dim))
+
+    @pytest.mark.parametrize("dim", range(2, 11))
+    def test_topology(self, capsys, dim):
+        every = self.edge_objects(dim)
+        edgelist = "\n".join(sorted(f"{e.a.bits} {e.b.bits}" for e in every)) + "\n"
+        dot_edges = [f'  "{e.a.bits}" -- "{e.b.bits}";' for e in sorted(every)]
+        dot = "\n".join([f"graph ltq_{dim} {{", *dot_edges, "}"]) + "\n"
+        assert run(capsys, "topology", "--dim", str(dim)) == (0, edgelist, "")
+        assert run(capsys, "topology", "--dim", str(dim), "--format", "dot") == (0, dot, "")
+
+    @pytest.mark.parametrize("dim", range(4, 10))
+    def test_residual_unused_edge_list(self, capsys, dim):
+        pair = edh_cycles(dim)
+        unused = self.edge_objects(dim) - pair.first.edge_set() - pair.second.edge_set()
+        code, out, _ = run(capsys, "residual", "--dim", str(dim), "--format", "report-json")
+        assert code == 0
+        assert json.loads(out)["unused_edge_list"] == sorted(str(e) for e in unused)
 
 
 class TestConstruct:

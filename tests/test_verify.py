@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ltqcube.verify as verify_module
 from ltqcube import (
     Cycle,
     DimensionError,
@@ -435,6 +436,17 @@ class TestSearchVerdict:
     def test_budget_checked_before_searching(self):
         with pytest.raises(LtqError):
             residual_analysis(6, edh_cycles(6), search_budget=0)
+
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_bad_budget_refused_before_the_residual_is_built(self, monkeypatch, budget):
+        pair = edh_cycles(6)
+
+        def no_residual(dim):
+            raise AssertionError("the residual was built before the budget was checked")
+
+        monkeypatch.setattr(verify_module, "edge_pairs", no_residual)
+        with pytest.raises(LtqError, match=f"budget must be positive, got {budget}"):
+            residual_analysis(6, pair, search_budget=budget)
 
 
 class TestVerifyPairReport:
