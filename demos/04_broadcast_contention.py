@@ -2,7 +2,6 @@
 """All-to-all broadcast on rings: one ring, two disjoint rings, two clashing ones."""
 
 from ltqcube import (
-    RingSchedule,
     edges,
     edh_cycles,
     simulate_ring_broadcast,
@@ -30,11 +29,7 @@ print("\nSplitting the traffic across both edge-disjoint rings:")
 show("split across the pair", simulate_split_broadcast(pair), 5)
 
 print("\nWhat contention would look like: run the SAME ring twice, concurrently.")
-clashing = [
-    RingSchedule(pair.first, "forward", "half-0"),
-    RingSchedule(pair.first, "forward", "half-1"),
-]
-show("same ring twice", simulate_schedules(clashing), 5)
+show("same ring twice", simulate_schedules([pair.first, pair.first]), 5)
 
 print("\nZero contention holds at every dimension the pair exists:")
 for dim in range(4, 11):

@@ -22,26 +22,7 @@ from typing import Mapping, Sequence
 
 from .construction import Cycle, HamiltonianPair
 from .errors import InvalidPairError, LtqError
-from .topology import Edge
-
-_DIRECTIONS = ("forward", "backward")
-
-
-@dataclass(frozen=True)
-class RingSchedule:
-    """One ring's role in a broadcast: the cycle, a direction, a message class."""
-
-    ring: Cycle
-    direction: str = "forward"
-    message_class: str = "payload"
-
-    def __post_init__(self) -> None:
-        if self.direction not in _DIRECTIONS:
-            raise LtqError(f"direction must be one of {_DIRECTIONS}, got {self.direction!r}")
-
-    def ring_edges(self) -> list[Edge]:
-        nodes = self.ring.nodes
-        return [Edge(nodes[i], nodes[(i + 1) % len(nodes)]) for i in range(len(nodes))]
+from .topology import Edge, NodeLabel
 
 
 @dataclass(frozen=True)
@@ -52,9 +33,9 @@ class TrafficReport:
     edges appear); max_concurrent_per_edge is the peak number of messages
     crossing one edge in one step; contention_events counts (edge, step)
     pairs contested by different rings. completed, that every node ends
-    holding every message of every class, is asserted rather than
-    simulated: each schedule runs on a Cycle, which is a ring, and m - 1
-    lock-step relays on a ring of m nodes deliver every message.
+    holding every message of every ring, is asserted rather than
+    simulated: each ring is a Cycle, and m - 1 lock-step relays on a ring
+    of m nodes deliver every message.
     """
 
     steps: int
@@ -64,27 +45,34 @@ class TrafficReport:
     completed: bool
 
 
-def simulate_schedules(schedules: Sequence[RingSchedule]) -> TrafficReport:
+def simulate_schedules(rings: Sequence[Cycle]) -> TrafficReport:
     """Run any number of equal-length ring broadcasts concurrently.
 
-    Each schedule keeps its ring saturated: all of its edges carry one
-    message at every step, so an edge's load is steps times the number of
-    rings traversing it, and an edge used by two or more rings is contested
-    at every step. Delivery is asserted, not simulated (see TrafficReport).
+    Each ring stays saturated: all of its edges carry one message at every
+    step, so an edge's load is steps times the number of rings traversing
+    it, and an edge used by two or more rings is contested at every step.
+    Edges are counted as label-value pairs and keyed by `Edge` only in
+    `per_edge_load`. Delivery is asserted, not simulated (see TrafficReport).
     """
-    if not schedules:
-        raise LtqError("need at least one ring schedule")
-    lengths = {len(s.ring) for s in schedules}
+    if not rings:
+        raise LtqError("need at least one ring")
+    lengths = {len(ring) for ring in rings}
     if len(lengths) != 1:
         raise LtqError(f"rings must have equal length, got {sorted(lengths)}")
+    dims = {ring.dim for ring in rings}
+    if len(dims) != 1:
+        raise LtqError(f"rings must have equal dimension, got {sorted(dims)}")
     steps = lengths.pop() - 1
-    multiplicity: Counter[Edge] = Counter()
-    for schedule in schedules:
-        multiplicity.update(schedule.ring_edges())
+    multiplicity: Counter[tuple[int, int]] = Counter()
+    for ring in rings:
+        multiplicity.update(ring.edge_pairs())
+    label = {v: NodeLabel(rings[0].dim, v) for v in set().union(*(r.values for r in rings))}
     shared = sum(1 for count in multiplicity.values() if count > 1)
     return TrafficReport(
         steps=steps,
-        per_edge_load={edge: steps * count for edge, count in multiplicity.items()},
+        per_edge_load={
+            Edge(label[u], label[v]): steps * count for (u, v), count in multiplicity.items()
+        },
         max_concurrent_per_edge=max(multiplicity.values()),
         contention_events=steps * shared,
         completed=True,
@@ -93,7 +81,7 @@ def simulate_schedules(schedules: Sequence[RingSchedule]) -> TrafficReport:
 
 def simulate_ring_broadcast(ring: Cycle) -> TrafficReport:
     """All-to-all broadcast on a single ring: len(ring) - 1 steps, even load."""
-    return simulate_schedules([RingSchedule(ring)])
+    return simulate_schedules([ring])
 
 
 def simulate_split_broadcast(pair: HamiltonianPair) -> TrafficReport:
@@ -104,9 +92,4 @@ def simulate_split_broadcast(pair: HamiltonianPair) -> TrafficReport:
     """
     if pair.kind != "cycles":
         raise InvalidPairError("split broadcast needs a pair of cycles")
-    return simulate_schedules(
-        [
-            RingSchedule(pair.first, "forward", "half-0"),
-            RingSchedule(pair.second, "forward", "half-1"),
-        ]
-    )
+    return simulate_schedules(pair.members)

@@ -14,7 +14,7 @@ import sys
 from typing import Iterable, Sequence
 
 from .broadcast import TrafficReport, simulate_ring_broadcast, simulate_split_broadcast
-from .construction import edh_cycles, edh_paths
+from .construction import Cycle, Path, edh_cycles, edh_paths
 from .errors import DimensionError, LtqError
 from .topology import NodeLabel, check_dim, edge_pairs, make_label
 from .verify import (
@@ -37,12 +37,18 @@ class DocumentError(ValueError):
     """A cycles-json document that cannot be parsed; maps to exit 3."""
 
 
+def _bits(walk: Path | Cycle) -> list[str]:
+    """A walk's labels as fixed-width binary strings, read from its values."""
+    width = f"0{walk.dim}b"
+    return [format(v, width) for v in walk.values]
+
+
 def pair_document(pair) -> dict:
     return {
         "version": DOCUMENT_VERSION,
         "dim": pair.dim,
         "kind": pair.kind,
-        "cycles": [[node.bits for node in member.nodes] for member in pair.members],
+        "cycles": [_bits(member) for member in pair.members],
     }
 
 
@@ -159,13 +165,13 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             "mode": "enumerate",
             "exhaustive": args.limit is None,
             "count": len(cycles),
-            "cycles": [[n.bits for n in c.nodes] for c in cycles],
+            "cycles": [_bits(c) for c in cycles],
         }
         lines = [
             f"dim {args.dim}: {len(cycles)} Hamiltonian cycle(s)"
             + ("" if args.limit is None else f" (stopped at limit {args.limit})"),
         ]
-        lines.extend(" -> ".join(n.bits for n in c.nodes) for c in cycles[:8])
+        lines.extend(" -> ".join(_bits(c)) for c in cycles[:8])
         if len(cycles) > 8:
             lines.append(f"... {len(cycles) - 8} more")
     else:
@@ -177,13 +183,13 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             "certificates": list(result.certificates),
             "witness": None
             if result.witness is None
-            else [[n.bits for n in m.nodes] for m in result.witness.members],
+            else [_bits(m) for m in result.witness.members],
         }
         lines = [f"dim {args.dim}: two edge-disjoint Hamiltonian cycles exist: {result.exists}"]
         lines.extend(f"  - {c}" for c in result.certificates)
         if result.witness is not None:
             for member in result.witness.members:
-                lines.append("  witness: " + " -> ".join(n.bits for n in member.nodes))
+                lines.append("  witness: " + " -> ".join(_bits(member)))
     _emit(_render_report(payload, lines, args.format), args.output)
     return EXIT_OK
 
@@ -200,7 +206,6 @@ def _traffic_payload(dim: int, mode: str, report: TrafficReport) -> tuple[dict, 
         "max_concurrent_per_edge": report.max_concurrent_per_edge,
         "contention_events": report.contention_events,
         "completed": report.completed,
-        "per_edge_load": {str(edge): load for edge, load in report.per_edge_load.items()},
     }
     lines = [
         f"dim {dim}, {mode} broadcast: {report.steps} steps",
@@ -220,6 +225,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     else:
         report = simulate_split_broadcast(pair)
     payload, lines = _traffic_payload(args.dim, args.mode, report)
+    if args.format == "report-json":  # report-text never prints the loads
+        payload["per_edge_load"] = {str(edge): n for edge, n in report.per_edge_load.items()}
     _emit(_render_report(payload, lines, args.format), args.output)
     return EXIT_OK
 
@@ -230,13 +237,10 @@ def _residual_payload(analysis: ResidualAnalysis) -> tuple[dict, list[str]]:
         "unused_edges": len(analysis.unused_edges),
         "edges_total": analysis.dim << (analysis.dim - 1),
         "degree_histogram": {str(k): v for k, v in sorted(analysis.degree_histogram.items())},
-        # residual_analysis stores an EdgeSet, whose pairs render without
-        # building an Edge for each
-        "unused_edge_list": _edge_lines(analysis.dim, analysis.unused_edges.pairs, "{} {}"),
         "search_budget": analysis.search_budget,
         "third_cycle": None
         if analysis.third_cycle_found is None
-        else [n.bits for n in analysis.third_cycle_found.nodes],
+        else _bits(analysis.third_cycle_found),
     }
     if analysis.search_budget is not None:
         payload["search_verdict"] = analysis.search_verdict
@@ -262,9 +266,7 @@ def _residual_payload(analysis: ResidualAnalysis) -> tuple[dict, list[str]]:
         elif analysis.search_verdict == "budget exhausted":
             lines.append(f"{head}: none found (not a non-existence proof)")
         else:
-            lines.append(
-                f"{head} " + " -> ".join(n.bits for n in analysis.third_cycle_found.nodes)
-            )
+            lines.append(f"{head} " + " -> ".join(_bits(analysis.third_cycle_found)))
     return payload, lines
 
 
@@ -272,6 +274,8 @@ def cmd_residual(args: argparse.Namespace) -> int:
     pair = edh_cycles(args.dim)
     analysis = residual_analysis(args.dim, pair, search_budget=args.budget)
     payload, lines = _residual_payload(analysis)
+    if args.format == "report-json":  # report-text never prints the list
+        payload["unused_edge_list"] = _edge_lines(args.dim, analysis.unused_edges.pairs, "{} {}")
     _emit(_render_report(payload, lines, args.format), args.output)
     return EXIT_OK
 

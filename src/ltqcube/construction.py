@@ -13,17 +13,24 @@ and each start/end pair is itself a twist edge, so closing both paths
 yields two edge-disjoint Hamiltonian cycles for every n >= 4. Dimension 3
 admits no such pair: each node has only three incident edges and two
 edge-disjoint cycles would need four.
+
+The doubling runs on plain integer labels. `Path` and `Cycle` hold the
+dimension plus a tuple of label values (`values`); each member is validated
+once, by `from_values`, and the package reads its edges as value pairs
+(`edge_pairs()`). `nodes` builds the `NodeLabel`s only when it is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Iterator, KeysView
 
 from .errors import (
     AdjacencyError,
     DimensionError,
     InvalidPairError,
     JunctionError,
+    LabelFormatError,
     LtqError,
     OverlapError,
 )
@@ -47,79 +54,108 @@ _BASE_SECOND = (
 )
 
 
-def _check_nodes(nodes: tuple[NodeLabel, ...], *, closed: bool) -> list[int]:
-    """Check a non-empty node sequence and return its label values."""
-    dim = nodes[0].dim
-    for node in nodes:
-        if node.dim != dim:
-            raise DimensionError(f"mixed dimensions in sequence: {dim} and {node.dim}")
-    values = [node.value for node in nodes]
+def _check_values(dim: int, values: list[int], *, closed: bool) -> None:
+    """Validate a walk once: in-range, distinct, consecutively adjacent values."""
+    if values and not 0 <= min(values) <= max(values) < 1 << dim:
+        raise LabelFormatError(f"label values out of range for dim {dim}")
     if len(set(values)) != len(values):
         raise OverlapError("sequence visits a node more than once")
+    width = f"0{dim}b"
     for i in range(len(values) - 1):
         if not _adjacent_values(dim, values[i], values[i + 1]):
             raise AdjacencyError(
-                f"nodes {nodes[i].bits} and {nodes[i + 1].bits} (positions {i}, {i + 1}) "
-                "are not adjacent"
+                f"nodes {values[i]:{width}} and {values[i + 1]:{width}} "
+                f"(positions {i}, {i + 1}) are not adjacent"
             )
     if closed and not _adjacent_values(dim, values[-1], values[0]):
-        raise AdjacencyError(f"closing edge {nodes[-1].bits} .. {nodes[0].bits} is not an edge")
-    return values
+        raise AdjacencyError(
+            f"closing edge {values[-1]:{width}} .. {values[0]:{width}} is not an edge"
+        )
 
 
-def _edge_objects(nodes: tuple[NodeLabel, ...], *, closed: bool) -> frozenset[Edge]:
-    if not nodes:
-        return frozenset()
-    dim = nodes[0].dim
-    pairs = walk_edges([node.value for node in nodes], closed=closed)
-    return frozenset(Edge(NodeLabel(dim, u), NodeLabel(dim, v)) for u, v in pairs)
+@dataclass(frozen=True, init=False)
+class _Walk:
+    """What Path and Cycle share: a dimension and a tuple of label values.
+    NodeLabels are built only when `nodes`, iteration or `edge_set()` ask."""
+
+    _dim: int | None
+    values: tuple[int, ...]
+    _closed = False
+
+    def __init__(self, nodes: Iterable[NodeLabel]) -> None:
+        nodes = tuple(nodes)
+        self._store(nodes[0].dim if nodes else None, [node.value for node in nodes], nodes)
+
+    @classmethod
+    def from_values(cls, dim: int, values: Iterable[int]) -> Path | Cycle:
+        """Build from plain label values; the validation is that of `cls(nodes)`."""
+        check_dim(dim)
+        walk = cls.__new__(cls)
+        walk._store(dim, list(values), ())
+        return walk
+
+    def _store(self, dim: int | None, values: list[int], nodes: tuple[NodeLabel, ...]) -> None:
+        if self._closed and len(values) < 3:
+            raise LtqError(f"a cycle needs at least 3 nodes, got {len(values)}")
+        for node in nodes:
+            if node.dim != dim:
+                raise DimensionError(f"mixed dimensions in sequence: {dim} and {node.dim}")
+        _check_values(dim, values, closed=self._closed)
+        if self._closed:  # rotate after validating, so errors name input positions
+            at = values.index(min(values))
+            values = values[at:] + values[:at]
+            if values[-1] < values[1]:
+                values = values[:1] + values[:0:-1]
+        object.__setattr__(self, "_dim", dim if values else None)
+        object.__setattr__(self, "values", tuple(values))
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __iter__(self) -> Iterator[NodeLabel]:
+        return (NodeLabel(self._dim, v) for v in self.values)
+
+    @property
+    def nodes(self) -> tuple[NodeLabel, ...]:
+        """The labels in order, built anew on each read."""
+        return tuple(self)
+
+    @property
+    def dim(self) -> int:
+        if self._dim is None:
+            raise LtqError("empty path has no dimension")
+        return self._dim
+
+    def edge_pairs(self) -> KeysView[tuple[int, int]]:
+        """Every edge walked, as a (smaller, larger) label-value pair."""
+        return walk_edges(self.values, closed=self._closed)
+
+    def edge_set(self) -> frozenset[Edge]:
+        dim = self._dim
+        return frozenset(Edge(NodeLabel(dim, u), NodeLabel(dim, v)) for u, v in self.edge_pairs())
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(_Walk):
     """A sequence of distinct, consecutively adjacent nodes.
 
     The empty path is allowed as a concatenation identity; it has no
     dimension and no end nodes.
     """
 
-    nodes: tuple[NodeLabel, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "nodes", tuple(self.nodes))
-        if self.nodes:
-            _check_nodes(self.nodes, closed=False)
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-    def __iter__(self):
-        return iter(self.nodes)
-
-    @property
-    def dim(self) -> int:
-        if not self.nodes:
-            raise LtqError("empty path has no dimension")
-        return self.nodes[0].dim
-
     @property
     def start(self) -> NodeLabel:
-        if not self.nodes:
+        if not self.values:
             raise LtqError("empty path has no start")
-        return self.nodes[0]
+        return NodeLabel(self._dim, self.values[0])
 
     @property
     def end(self) -> NodeLabel:
-        if not self.nodes:
+        if not self.values:
             raise LtqError("empty path has no end")
-        return self.nodes[-1]
-
-    def edge_set(self) -> frozenset[Edge]:
-        return _edge_objects(self.nodes, closed=False)
+        return NodeLabel(self._dim, self.values[-1])
 
 
-@dataclass(frozen=True)
-class Cycle:
+class Cycle(_Walk):
     """A closed tour of at least three distinct nodes, stored canonically.
 
     Canonical form: the rotation starts at the minimum-value node, and of
@@ -128,31 +164,7 @@ class Cycle:
     object, so value comparison and golden files are stable.
     """
 
-    nodes: tuple[NodeLabel, ...]
-
-    def __post_init__(self) -> None:
-        nodes = tuple(self.nodes)
-        if len(nodes) < 3:
-            raise LtqError(f"a cycle needs at least 3 nodes, got {len(nodes)}")
-        values = _check_nodes(nodes, closed=True)
-        at = values.index(min(values))
-        nodes = nodes[at:] + nodes[:at]
-        if nodes[-1].value < nodes[1].value:
-            nodes = nodes[:1] + nodes[:0:-1]
-        object.__setattr__(self, "nodes", nodes)
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-    def __iter__(self):
-        return iter(self.nodes)
-
-    @property
-    def dim(self) -> int:
-        return self.nodes[0].dim
-
-    def edge_set(self) -> frozenset[Edge]:
-        return _edge_objects(self.nodes, closed=True)
+    _closed = True
 
 
 @dataclass(frozen=True)
@@ -179,12 +191,7 @@ class HamiltonianPair:
                 raise InvalidPairError(
                     f"member visits {len(member)} nodes, expected {1 << self.dim}"
                 )
-        closed = isinstance(self.first, Cycle)
-        first, second = (
-            walk_edges([node.value for node in member.nodes], closed=closed)
-            for member in (self.first, self.second)
-        )
-        if not first.isdisjoint(second):
+        if not self.first.edge_pairs().isdisjoint(self.second.edge_pairs()):
             raise InvalidPairError("pair members share an edge")
 
     @property
@@ -198,7 +205,7 @@ class HamiltonianPair:
 
 def reverse_path(p: Path) -> Path:
     """The same path traversed end to start; the edge set is unchanged."""
-    return Path(p.nodes[::-1])
+    return Path.from_values(p.dim, p.values[::-1]) if p.values else p
 
 
 def concat_paths(p: Path, q: Path) -> Path:
@@ -207,15 +214,15 @@ def concat_paths(p: Path, q: Path) -> Path:
     An empty path on either side is a neutral element. Shared nodes raise
     OverlapError from the joined Path's own validation.
     """
-    if not q.nodes:
+    if not q.values:
         return p
-    if not p.nodes:
+    if not p.values:
         return q
     if p.dim != q.dim:
         raise DimensionError(f"cannot concatenate paths of dim {p.dim} and {q.dim}")
-    if not _adjacent_values(p.dim, p.end.value, q.start.value):
+    if not _adjacent_values(p.dim, p.values[-1], q.values[0]):
         raise JunctionError(f"junction {p.end.bits} .. {q.start.bits} is not an edge")
-    return Path(p.nodes + q.nodes)
+    return Path.from_values(p.dim, p.values + q.values)
 
 
 def base_paths_ltq4() -> HamiltonianPair:
@@ -247,7 +254,8 @@ def expected_endpoints(dim: int) -> tuple[NodeLabel, NodeLabel, NodeLabel, NodeL
 
 def _constructed_pair(member: type[Path] | type[Cycle], dim: int) -> HamiltonianPair:
     """Double both seed paths up to `dim` on plain label values, then wrap
-    each once into `member` (Path or Cycle) and the two into a pair.
+    each once through `member.from_values` (Path or Cycle) and the two into
+    a pair.
 
     Level n lays the level n-1 path down in the 0-half and appends its
     reversed copy from the 1-half; the junction is the twist edge between
@@ -266,7 +274,7 @@ def _constructed_pair(member: type[Path] | type[Cycle], dim: int) -> Hamiltonian
         values = [int(bits, 2) for bits in seed]
         for n in range(5, dim + 1):
             values += [v | 1 << (n - 1) for v in reversed(values)]
-        members.append(member(tuple(NodeLabel(dim, v) for v in values)))
+        members.append(member.from_values(dim, values))
     return HamiltonianPair(members[0], members[1], dim)
 
 

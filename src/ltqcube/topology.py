@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Set
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, KeysView, Sequence
 
 from .errors import AdjacencyError, DimensionError, LabelFormatError
 
@@ -182,14 +182,15 @@ def is_adjacent(x: NodeLabel, y: NodeLabel) -> bool:
     return _adjacent_values(x.dim, x.value, y.value)
 
 
-def walk_edges(values: list[int], *, closed: bool) -> set[tuple[int, int]]:
+def walk_edges(values: Sequence[int], *, closed: bool) -> KeysView[tuple[int, int]]:
     """The (smaller, larger) value pair of every step of a walk over `values`.
 
     With `closed`, the step from the last value back to the first counts
-    too. Adjacency is not checked.
+    too. Adjacency is not checked. The set-like result iterates in walk order,
+    in which building one object per edge runs much faster than in hash order.
     """
     successors = values[1:] + values[:1] if closed and len(values) > 1 else values[1:]
-    return {(u, v) if u < v else (v, u) for u, v in zip(values, successors)}
+    return dict.fromkeys((u, v) if u < v else (v, u) for u, v in zip(values, successors)).keys()
 
 
 def edge_pairs(dim: int) -> Iterator[tuple[int, int]]:

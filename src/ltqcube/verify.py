@@ -69,39 +69,43 @@ class VerificationReport:
         }
 
 
-def _node_list(obj: Path | Cycle | Sequence[NodeLabel]) -> tuple[NodeLabel, ...]:
+def _raw(obj: Path | Cycle | Sequence[NodeLabel]) -> tuple[Sequence[int], Sequence[int]]:
+    """Each label's dimension and value, in walk order; a Path or Cycle builds no NodeLabel."""
     if isinstance(obj, (Path, Cycle)):
-        return obj.nodes
-    return tuple(obj)
+        return (obj.dim,) * len(obj) if obj.values else (), obj.values
+    nodes = tuple(obj)
+    return [n.dim for n in nodes], [n.value for n in nodes]
 
 
-def _sequence_checks(dim: int, nodes: tuple[NodeLabel, ...], *, closed: bool) -> list[CheckResult]:
+def _sequence_checks(
+    dim: int, dims: Sequence[int], values: Sequence[int], *, closed: bool
+) -> list[CheckResult]:
     checks = []
     expected = 1 << dim
     checks.append(
-        CheckResult("node count", len(nodes) == expected, f"{len(nodes)} of {expected}")
+        CheckResult("node count", len(values) == expected, f"{len(values)} of {expected}")
     )
-    bad_dim = [n for n in nodes if n.dim != dim]
+    bad_dim = len(dims) - dims.count(dim)
     checks.append(
         CheckResult(
             "label dimensions",
             not bad_dim,
-            "" if not bad_dim else f"{len(bad_dim)} labels of wrong dim",
+            "" if not bad_dim else f"{bad_dim} labels of wrong dim",
         )
     )
     if bad_dim:
         return checks
-    values = [n.value for n in nodes]
+    bits = f"0{dim}b"
     dupes = [v for v, c in Counter(values).items() if c > 1]
     checks.append(
         CheckResult(
             "nodes distinct",
             not dupes,
-            "" if not dupes else f"repeated: {NodeLabel(dim, dupes[0]).bits}",
+            "" if not dupes else f"repeated: {dupes[0]:{bits}}",
         )
     )
     broken = [
-        i for i in range(len(nodes) - 1) if not _adjacent_values(dim, values[i], values[i + 1])
+        i for i in range(len(values) - 1) if not _adjacent_values(dim, values[i], values[i + 1])
     ]
     checks.append(
         CheckResult(
@@ -109,16 +113,17 @@ def _sequence_checks(dim: int, nodes: tuple[NodeLabel, ...], *, closed: bool) ->
             not broken,
             ""
             if not broken
-            else f"{nodes[broken[0]].bits} .. {nodes[broken[0] + 1].bits} at position {broken[0]}",
+            else f"{values[broken[0]]:{bits}} .. {values[broken[0] + 1]:{bits}}"
+            f" at position {broken[0]}",
         )
     )
     if closed:
-        closes = len(nodes) >= 3 and _adjacent_values(dim, values[-1], values[0])
+        closes = len(values) >= 3 and _adjacent_values(dim, values[-1], values[0])
         checks.append(
             CheckResult(
                 "closing edge",
                 closes,
-                "" if closes else f"{nodes[-1].bits} .. {nodes[0].bits} is not an edge",
+                "" if closes else f"{values[-1]:{bits}} .. {values[0]:{bits}} is not an edge",
             )
         )
     return checks
@@ -129,23 +134,23 @@ def is_hamiltonian_path(dim: int, p: Path | Sequence[NodeLabel]) -> bool:
 
     Never raises on well-typed input; broken sequences simply fail.
     """
-    return all(c.passed for c in _sequence_checks(dim, _node_list(p), closed=False))
+    return all(c.passed for c in _sequence_checks(dim, *_raw(p), closed=False))
 
 
 def is_hamiltonian_cycle(dim: int, c: Cycle | Sequence[NodeLabel]) -> bool:
     """As `is_hamiltonian_path`, plus the closing edge back to the start."""
-    return all(c.passed for c in _sequence_checks(dim, _node_list(c), closed=True))
+    return all(c.passed for c in _sequence_checks(dim, *_raw(c), closed=True))
 
 
 def are_edge_disjoint(
     a: Path | Cycle | Sequence[NodeLabel], b: Path | Cycle | Sequence[NodeLabel]
 ) -> bool:
     """True iff the two walks share no edge, regardless of direction."""
-    nodes_a, nodes_b = _node_list(a), _node_list(b)
-    if nodes_a and nodes_b and nodes_a[0].dim != nodes_b[0].dim:
+    (dims_a, values_a), (dims_b, values_b) = _raw(a), _raw(b)
+    if dims_a and dims_b and dims_a[0] != dims_b[0]:
         raise DimensionError("cannot compare walks of different dimensions")
-    edges_a = walk_edges([n.value for n in nodes_a], closed=isinstance(a, Cycle))
-    return edges_a.isdisjoint(walk_edges([n.value for n in nodes_b], closed=isinstance(b, Cycle)))
+    edges_a = walk_edges(values_a, closed=isinstance(a, Cycle))
+    return edges_a.isdisjoint(walk_edges(values_b, closed=isinstance(b, Cycle)))
 
 
 def verify_pair(
@@ -161,17 +166,17 @@ def verify_pair(
     checks: list[CheckResult] = []
     edge_sets = []
     for tag, member in (("first", first), ("second", second)):
-        nodes = _node_list(member)
-        for check in _sequence_checks(dim, nodes, closed=closed):
+        dims, values = _raw(member)
+        for check in _sequence_checks(dim, dims, values, closed=closed):
             checks.append(CheckResult(f"{tag}: {check.name}", check.passed, check.detail))
         # a Cycle's closing edge is one of its edges whatever `kind` says
         member_closed = closed or isinstance(member, Cycle)
-        edge_sets.append(walk_edges([n.value for n in nodes], closed=member_closed))
+        edge_sets.append(walk_edges(values, closed=member_closed))
     shared = edge_sets[0] & edge_sets[1]
     detail = ""
     if shared:
         u, v = sorted(shared)[0]
-        detail = f"{len(shared)} shared, e.g. {NodeLabel(dim, u).bits} .. {NodeLabel(dim, v).bits}"
+        detail = f"{len(shared)} shared, e.g. {u:0{dim}b} .. {v:0{dim}b}"
     checks.append(CheckResult("pair: edge-disjoint", not shared, detail))
     return VerificationReport(f"{kind} pair, dim {dim}", tuple(checks))
 
@@ -276,7 +281,7 @@ def enumerate_hamiltonian_cycles(dim: int, limit: int | None = None) -> list[Cyc
         raise LtqError(f"limit must be >= 1, got {limit}")
     adjacency = {v: _neighbor_values(dim, v) for v in range(1 << dim)}
     raw, _, _ = _search_cycles(adjacency, limit=limit)
-    return [Cycle(tuple(NodeLabel(dim, v) for v in cycle)) for cycle in raw]
+    return [Cycle.from_values(dim, cycle) for cycle in raw]
 
 
 @dataclass(frozen=True)
@@ -376,8 +381,7 @@ def residual_analysis(
         raise InvalidPairError("residual analysis needs a pair of cycles")
     if pair.dim != dim:
         raise DimensionError(f"pair dim {pair.dim} does not match {dim}")
-    used = walk_edges([n.value for n in pair.first.nodes], closed=True)
-    used |= walk_edges([n.value for n in pair.second.nodes], closed=True)
+    used = walk_edges(pair.first.values, closed=True) | walk_edges(pair.second.values, closed=True)
     unused_pairs = [e for e in edge_pairs(dim) if e not in used]
     degree = [0] * (1 << dim)
     for u, v in unused_pairs:
@@ -409,7 +413,7 @@ def _bounded_cycle_search(
         adjacency[v].append(u)
     raw, exhausted, expansions = _search_cycles(adjacency, limit=1, budget=budget)
     if raw:
-        return Cycle(tuple(NodeLabel(dim, v) for v in raw[0])), "found", expansions
+        return Cycle.from_values(dim, raw[0]), "found", expansions
     return None, "budget exhausted" if exhausted else "refuted", expansions
 
 
@@ -425,8 +429,9 @@ def search_third_cycle(
     node has residual degree < 2), which refutes a Hamiltonian cycle in
     these edges, or the budget ran out first, which proves nothing.
     """
-    residual = set(residual)
+    pairs: set[tuple[int, int]] = set()
     for e in residual:
         if e.dim != dim:
             raise DimensionError(f"residual edge of dim {e.dim} in a dim-{dim} search")
-    return _bounded_cycle_search(dim, ((e.a.value, e.b.value) for e in residual), budget)[0]
+        pairs.add((e.a.value, e.b.value))
+    return _bounded_cycle_search(dim, pairs, budget)[0]

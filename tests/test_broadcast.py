@@ -5,7 +5,6 @@ from ltqcube import (
     HamiltonianPair,
     InvalidPairError,
     LtqError,
-    RingSchedule,
     edges,
     edh_cycles,
     edh_paths,
@@ -73,31 +72,21 @@ class TestSplitBroadcast:
 class TestScheduleEngine:
     def test_same_ring_twice_contends_every_step(self):
         ring = edh_cycles(4).first
-        report = simulate_schedules(
-            [RingSchedule(ring, "forward", "a"), RingSchedule(ring, "forward", "b")]
-        )
+        report = simulate_schedules([ring, ring])
         assert report.max_concurrent_per_edge == 2
         assert report.contention_events == 15 * 16
         assert set(report.per_edge_load.values()) == {30}
         assert report.completed
 
-    def test_backward_direction_same_loads(self):
-        ring = edh_cycles(4).first
-        forward = simulate_schedules([RingSchedule(ring, "forward")])
-        backward = simulate_schedules([RingSchedule(ring, "backward")])
-        assert forward.per_edge_load == backward.per_edge_load
-        assert backward.completed
-
-    def test_rejects_direction_typo(self):
-        with pytest.raises(LtqError):
-            RingSchedule(small_ring(), "clockwise")
-
     def test_rejects_empty(self):
         with pytest.raises(LtqError):
             simulate_schedules([])
 
+    def test_rejects_mixed_dimensions(self):
+        other = Cycle(tuple(make_label(5, b) for b in ("00000", "00001", "00011", "00010")))
+        with pytest.raises(LtqError):
+            simulate_schedules([small_ring(), other])
+
     def test_rejects_mixed_lengths(self):
         with pytest.raises(LtqError):
-            simulate_schedules(
-                [RingSchedule(small_ring()), RingSchedule(edh_cycles(4).first)]
-            )
+            simulate_schedules([small_ring(), edh_cycles(4).first])

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ltqcube import cli
 from ltqcube.cli import (
     DocumentError,
     _residual_payload,
@@ -137,6 +138,104 @@ class TestEdgeRenderingPinned:
         code, out, _ = run(capsys, "residual", "--dim", str(dim), "--format", "report-json")
         assert code == 0
         assert json.loads(out)["unused_edge_list"] == sorted(str(e) for e in unused)
+
+
+class TestRingRenderingPinned:
+    """Rings render from label values; the bytes equal a rendering built from
+    the NodeLabels of `member.nodes` and from one Edge object per ring step."""
+
+    @pytest.mark.parametrize("kind", ["cycles", "paths"])
+    @pytest.mark.parametrize("dim", range(4, 13))
+    def test_construct(self, capsys, dim, kind):
+        pair = edh_cycles(dim) if kind == "cycles" else edh_paths(dim)
+        cycles = [[n.bits for n in member.nodes] for member in pair.members]
+        doc = {"version": 1, "dim": dim, "kind": kind, "cycles": cycles}
+        expected = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert run(capsys, "construct", "--dim", str(dim), "--kind", kind) == (0, expected, "")
+
+    @pytest.mark.parametrize("mode", ["single", "split"])
+    @pytest.mark.parametrize("dim", range(4, 10))
+    def test_simulate_report_json(self, capsys, dim, mode):
+        pair = edh_cycles(dim)
+        steps = (1 << dim) - 1
+        loads = {}
+        for ring in pair.members[: 1 if mode == "single" else 2]:
+            nodes = ring.nodes
+            for i, node in enumerate(nodes):
+                edge = Edge(node, nodes[(i + 1) % len(nodes)])
+                loads[edge] = loads.get(edge, 0) + steps
+        payload = {
+            "dim": dim,
+            "mode": mode,
+            "steps": steps,
+            "edges_used": len(loads),
+            "edges_total": dim << (dim - 1),
+            "distinct_loads": sorted(set(loads.values())),
+            "max_concurrent_per_edge": max(loads.values()) // steps,
+            "contention_events": steps * sum(1 for load in loads.values() if load > steps),
+            "completed": True,
+            "per_edge_load": {str(edge): load for edge, load in loads.items()},
+        }
+        expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        argv = ["simulate", "--dim", str(dim), "--mode", mode, "--format", "report-json"]
+        assert run(capsys, *argv) == (0, expected, "")
+
+
+class TestNoNodeLabels:
+    """Construction, the residual and the construct command run on label
+    values: not one NodeLabel is built."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        count = []
+        original = NodeLabel.__post_init__
+
+        def counting(self):
+            count.append(self)
+            original(self)
+
+        monkeypatch.setattr(NodeLabel, "__post_init__", counting)
+        return count
+
+    def test_construction_and_residual(self, built):
+        edh_paths(10)
+        pair = edh_cycles(10)
+        residual_analysis(10, pair)
+        assert built == []
+
+    def test_construct_command(self, built, capsys):
+        assert run(capsys, "construct", "--dim", "10")[0] == 0
+        assert built == []
+
+    def test_reading_nodes_builds_them(self, built):
+        cycle = edh_cycles(4).first
+        built.clear()
+        assert len(cycle.nodes) == 16
+        assert len(built) == 16
+
+
+class TestUnreadOutputIsNotRendered:
+    """report-text never prints the edge lists, so they are not rendered."""
+
+    def test_residual_text_renders_no_edge_list(self, capsys, monkeypatch):
+        expected = run(capsys, "residual", "--dim", "8")
+
+        def refuse(*args):
+            raise AssertionError("edge list rendered for report-text")
+
+        monkeypatch.setattr(cli, "_edge_lines", refuse)
+        assert run(capsys, "residual", "--dim", "8") == expected
+        assert expected[0] == 0
+
+    def test_simulate_text_renders_no_edge_loads(self, capsys, monkeypatch):
+        expected = run(capsys, "simulate", "--dim", "8")
+
+        def refuse(self):
+            raise AssertionError("edge rendered for report-text")
+
+        monkeypatch.setattr(Edge, "__str__", refuse)
+        assert run(capsys, "simulate", "--dim", "8") == expected
+        assert expected[0] == 0
 
 
 class TestConstruct:

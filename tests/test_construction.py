@@ -10,6 +10,7 @@ from ltqcube import (
     HamiltonianPair,
     InvalidPairError,
     JunctionError,
+    LabelFormatError,
     LtqError,
     OverlapError,
     Path,
@@ -85,6 +86,47 @@ class TestCycleType:
         # 0000..0100 is a fine open path but 0100 is not adjacent to 0001
         with pytest.raises(LtqError):
             Cycle(tuple(make_label(4, b) for b in ("0001", "0000", "0100")))
+
+
+class TestFromValues:
+    """`from_values` takes plain label values and validates like the NodeLabel constructor."""
+
+    @pytest.mark.parametrize("kind", [Path, Cycle])
+    @pytest.mark.parametrize("bits", [
+        ("0000", "0001", "0011", "0010"),
+        ("0011", "0001", "0000", "0010"),
+        ("0000", "0101"),
+        ("0000", "0001", "0000"),
+        ("0001", "0000", "0100"),
+        ("0000", "0001"),
+    ])
+    def test_same_object_or_same_error(self, kind, bits):
+        def outcome(build):
+            try:
+                return build()
+            except LtqError as exc:
+                return type(exc), str(exc)
+
+        by_labels = outcome(lambda: kind(tuple(make_label(4, b) for b in bits)))
+        by_values = outcome(lambda: kind.from_values(4, [int(b, 2) for b in bits]))
+        assert by_values == by_labels
+        if isinstance(by_values, kind):
+            assert by_values.values == tuple(n.value for n in by_labels.nodes)
+
+    @pytest.mark.parametrize("values", [[0, 1, 16], [-1, 0]])
+    def test_rejects_values_out_of_range(self, values):
+        with pytest.raises(LabelFormatError):
+            Path.from_values(4, values)
+
+    def test_rejects_bad_dim(self):
+        with pytest.raises(DimensionError):
+            Path.from_values(MAX_DIM + 1, [0, 1])
+
+    def test_empty_path_has_no_dim(self):
+        empty = Path.from_values(4, [])
+        assert empty == Path(())
+        with pytest.raises(LtqError):
+            empty.dim
 
 
 class TestReverseAndConcat:

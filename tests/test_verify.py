@@ -22,12 +22,13 @@ from ltqcube import (
     is_hamiltonian_cycle,
     is_hamiltonian_path,
     make_label,
+    neighbors_recursive,
     residual_analysis,
     reverse_path,
     search_third_cycle,
     verify_pair,
 )
-from ltqcube.topology import _adjacent_values, _neighbor_values, edge_pairs
+from ltqcube.topology import NodeLabel, _adjacent_values, _neighbor_values, edge_pairs
 from ltqcube.verify import _bounded_cycle_search, _search_cycles
 
 # Found by depth-first search: a Hamiltonian path of the dim-4 cube whose
@@ -255,6 +256,62 @@ class TestResidual:
     def test_dim_mismatch(self):
         with pytest.raises(DimensionError):
             residual_analysis(5, edh_cycles(6))
+
+
+def highest_bit(edge):
+    """k: the highest bit in which the two labels of an edge differ."""
+    u, v = edge
+    return (u ^ v).bit_length() - 1
+
+
+def ring_pairs(pair):
+    """Every edge of both members, as (smaller, larger) label values."""
+    used = set()
+    for member in pair.members:
+        values = [node.value for node in member]
+        used |= {(min(e), max(e)) for e in zip(values, values[1:] + values[:1])}
+    return used
+
+
+class TestResidualSplitsOnBits0And2:
+    """The constructed pair uses every edge with k in {0, 2, 3}, so every
+    residual edge flips bit 1 only or has k >= 4: bits 0 and 2 never change
+    along the residual, which therefore has at least four components and no
+    Hamiltonian cycle. Counted here directly, with no verdict code."""
+
+    @pytest.mark.parametrize("dim", range(4, 15))
+    def test_pair_uses_every_edge_with_k_0_2_or_3(self, dim):
+        low = {e for e in edge_pairs(dim) if highest_bit(e) in (0, 2, 3)}
+        assert len(low) == 3 << (dim - 1)
+        assert low <= ring_pairs(edh_cycles(dim))
+
+    @pytest.mark.parametrize("dim", range(5, 11))
+    def test_residual_keeps_bits_0_and_2_and_falls_apart(self, dim):
+        pair = edh_cycles(dim)
+        every = {
+            (min(x, y.value), max(x, y.value))
+            for x in range(1 << dim)
+            for y in neighbors_recursive(NodeLabel(dim, x))
+        }
+        residual = every - ring_pairs(pair)
+        assert residual == residual_analysis(dim, pair).unused_edges.pairs
+        assert all((u ^ v) & 0b101 == 0 for u, v in residual)
+
+        root = list(range(1 << dim))
+
+        def find(v):
+            while root[v] != v:
+                root[v] = root[root[v]]
+                v = root[v]
+            return v
+
+        for u, v in residual:
+            root[find(u)] = find(v)
+        components = {}
+        for v in range(1 << dim):
+            components.setdefault(find(v), set()).add(v & 0b101)
+        assert len(components) >= 4
+        assert all(len(bits) == 1 for bits in components.values())
 
 
 def search_cycles_full_rescan(adjacency, *, limit=None, budget=None):
