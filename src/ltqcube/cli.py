@@ -16,13 +16,13 @@ from typing import Iterable, Sequence
 from .broadcast import TrafficReport, simulate_ring_broadcast, simulate_split_broadcast
 from .construction import Cycle, Path, edh_cycles, edh_paths
 from .errors import DimensionError, LtqError
-from .topology import NodeLabel, check_dim, edge_pairs, make_label
+from .topology import check_dim, edge_pairs, make_label
 from .verify import (
     ResidualAnalysis,
+    _verify_values,
     enumerate_hamiltonian_cycles,
     exists_two_edge_disjoint_hc,
     residual_analysis,
-    verify_pair,
 )
 
 EXIT_OK = 0
@@ -56,8 +56,9 @@ def render_document(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def parse_document(text: str) -> tuple[int, str, list[NodeLabel], list[NodeLabel]]:
-    """Decode a cycles-json document into (dim, kind, first, second).
+def parse_document(text: str) -> tuple[int, str, list[int], list[int]]:
+    """Decode a cycles-json document into (dim, kind, first, second), each
+    member a list of label values.
 
     Structural problems raise DocumentError; semantic problems (duplicate
     or misordered labels) are left for the checkers.
@@ -82,19 +83,23 @@ def parse_document(text: str) -> tuple[int, str, list[NodeLabel], list[NodeLabel
     arrays = doc.get("cycles")
     if not isinstance(arrays, list) or len(arrays) != 2:
         raise DocumentError("'cycles' must be an array of exactly two label arrays")
-    members: list[list[NodeLabel]] = []
+    members = []
     for index, labels in enumerate(arrays):
         if not isinstance(labels, list) or not labels:
             raise DocumentError(f"member {index} must be a non-empty array of labels")
-        nodes = []
-        for label in labels:
-            if not isinstance(label, str):
-                raise DocumentError(f"member {index} holds a non-string label: {label!r}")
-            try:
-                nodes.append(make_label(dim, label))
-            except LtqError as exc:
-                raise DocumentError(f"member {index}: {exc}") from exc
-        members.append(nodes)
+        # one C-speed pass per property; a bad member is then read label by
+        # label, so that its first bad label is the one reported
+        if set(map(type, labels)) != {str} or set(map(len, labels)) != {dim} or (
+            not set("".join(labels)) <= {"0", "1"}
+        ):
+            for label in labels:
+                if not isinstance(label, str):
+                    raise DocumentError(f"member {index} holds a non-string label: {label!r}")
+                try:
+                    make_label(dim, label)
+                except LtqError as exc:
+                    raise DocumentError(f"member {index}: {exc}") from exc
+        members.append([int(label, 2) for label in labels])
     return dim, kind, members[0], members[1]
 
 
@@ -152,7 +157,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     dim, kind, first, second = parse_document(_read_input(args.input))
-    report = verify_pair(dim, first, second, kind)
+    report = _verify_values(dim, kind, first, second)
     _emit(_render_report(report.to_dict(), report.lines(), args.format), args.output)
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 

@@ -203,29 +203,40 @@ def edge_pairs(dim: int) -> Iterator[tuple[int, int]]:
 
 
 class EdgeSet(Set):
-    """A read-only set of edges of one cube, stored as (smaller, larger) value pairs.
+    """A read-only set of edges of one cube: every edge of the dim-cube
+    except a `removed` set of (smaller, larger) value pairs.
 
-    Size and membership are answered from the pairs; an `Edge` is built only
-    when the set is iterated. It equals, and hashes like, a frozenset of the
-    same edges, and `-`, `&` and `|` return frozensets of `Edge`. The pairs
-    are trusted to be adjacent and ordered; each `Edge` validates its own.
+    `len` and `in` are answered from that description alone. The members'
+    pairs are enumerated once, when `.pairs` or iteration first asks, and an
+    `Edge` is built per pair when iterated. It equals and hashes like the
+    frozenset of the same edges; `-`, `&` and `|` return frozensets of `Edge`.
+    The removed pairs are trusted to be distinct edges of the cube.
     """
 
-    __slots__ = ("dim", "pairs")
+    __slots__ = ("dim", "_removed", "_pairs")
 
-    def __init__(self, dim: int, pairs: Iterable[tuple[int, int]]) -> None:
+    def __init__(self, dim: int, removed: Iterable[tuple[int, int]] = ()) -> None:
         check_dim(dim)
         self.dim = dim
-        self.pairs = frozenset(pairs)
+        self._removed = frozenset(removed)
+        self._pairs: frozenset[tuple[int, int]] | None = None
+
+    @property
+    def pairs(self) -> frozenset[tuple[int, int]]:
+        """The members as value pairs, enumerated on first read."""
+        if self._pairs is None:
+            removed = self._removed
+            self._pairs = frozenset(e for e in edge_pairs(self.dim) if e not in removed)
+        return self._pairs
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return (self.dim << (self.dim - 1)) - len(self._removed)
 
     def __contains__(self, edge: object) -> bool:
         return (
             isinstance(edge, Edge)
             and edge.dim == self.dim
-            and (edge.a.value, edge.b.value) in self.pairs
+            and (edge.a.value, edge.b.value) not in self._removed
         )
 
     def __iter__(self) -> Iterator[Edge]:
@@ -240,16 +251,17 @@ class EdgeSet(Set):
     __hash__ = Set._hash
 
     def __repr__(self) -> str:
-        return f"EdgeSet(dim={self.dim}, {len(self.pairs)} edges)"
+        return f"EdgeSet(dim={self.dim}, {len(self)} edges)"
 
 
 def edges(dim: int) -> Set[Edge]:
     """Every edge of the dim-dimensional cube, each stored smaller value first.
 
-    The result is a read-only `EdgeSet` of exactly dim * 2**(dim-1) members;
-    `len` and `in` build no objects, and each `Edge` is built when iterated.
+    The result is a read-only `EdgeSet` of exactly dim * 2**(dim-1) members.
+    `len` and `in` are answered from the dimension alone; the edges are
+    enumerated only when iterated or when `.pairs` is read.
     """
-    return EdgeSet(dim, edge_pairs(dim))
+    return EdgeSet(dim)
 
 
 def subcube_of(x: NodeLabel) -> int:

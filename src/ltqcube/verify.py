@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Set
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Iterator, Sequence
 
 from .construction import Cycle, HamiltonianPair, Path, edh_cycles
@@ -24,7 +24,6 @@ from .topology import (
     _adjacent_values,
     _neighbor_values,
     check_dim,
-    edge_pairs,
     walk_edges,
 )
 
@@ -162,16 +161,27 @@ def verify_pair(
     """Run every checker over a claimed Hamiltonian pair and report by name."""
     if kind not in ("paths", "cycles"):
         raise LtqError(f"kind must be 'paths' or 'cycles', got {kind!r}")
+    return _verify_members(dim, kind, [(*_raw(m), isinstance(m, Cycle)) for m in (first, second)])
+
+
+def _verify_values(
+    dim: int, kind: str, first: Sequence[int], second: Sequence[int]
+) -> VerificationReport:
+    """`verify_pair` over two walks given as label values of dimension `dim`."""
+    return _verify_members(dim, kind, [((dim,) * len(m), m, False) for m in (first, second)])
+
+
+def _verify_members(dim: int, kind: str, members: Sequence[tuple]) -> VerificationReport:
+    """The checks of `verify_pair` over each member's (label dimensions,
+    label values, whether it is a Cycle); `kind` is 'paths' or 'cycles'."""
     closed = kind == "cycles"
     checks: list[CheckResult] = []
     edge_sets = []
-    for tag, member in (("first", first), ("second", second)):
-        dims, values = _raw(member)
+    for tag, (dims, values, is_cycle) in zip(("first", "second"), members):
         for check in _sequence_checks(dim, dims, values, closed=closed):
             checks.append(CheckResult(f"{tag}: {check.name}", check.passed, check.detail))
         # a Cycle's closing edge is one of its edges whatever `kind` says
-        member_closed = closed or isinstance(member, Cycle)
-        edge_sets.append(walk_edges(values, closed=member_closed))
+        edge_sets.append(walk_edges(values, closed=closed or is_cycle))
     shared = edge_sets[0] & edge_sets[1]
     detail = ""
     if shared:
@@ -346,9 +356,11 @@ class ResidualAnalysis:
     nothing about other pairs or about LTQ_n itself) or "budget exhausted"
     (no answer). `search_expansions` counts the nodes the search expanded.
 
-    `unused_edges` is a read-only set that `residual_analysis` fills with an
-    `EdgeSet`: `len` and `in` build no objects, and each `Edge` is built when
-    the set is iterated.
+    `unused_edges` is an `EdgeSet` of the cube minus the ring edges. Its size
+    is *derived* (the cube's edges minus the distinct ring edges, exact for
+    validated rings); `degree_histogram` is *measured* (dim minus the ring
+    edges at each node). A pair sharing an edge fails both checks below. The
+    unused edges are enumerated only when iterated or `.pairs` is read.
     """
 
     dim: int
@@ -374,6 +386,7 @@ def residual_analysis(
 ) -> ResidualAnalysis:
     """Edges unused by a verified cycle pair, their degrees, and optionally
     a bounded hunt for a third edge-disjoint Hamiltonian cycle among them.
+    Without a search the work is O(2**dim), over the two rings only.
     """
     if search_budget is not None and search_budget <= 0:
         raise LtqError(f"budget must be positive, got {search_budget}")
@@ -381,20 +394,19 @@ def residual_analysis(
         raise InvalidPairError("residual analysis needs a pair of cycles")
     if pair.dim != dim:
         raise DimensionError(f"pair dim {pair.dim} does not match {dim}")
-    used = walk_edges(pair.first.values, closed=True) | walk_edges(pair.second.values, closed=True)
-    unused_pairs = [e for e in edge_pairs(dim) if e not in used]
-    degree = [0] * (1 << dim)
-    for u, v in unused_pairs:
-        degree[u] += 1
-        degree[v] += 1
-    histogram = Counter(degree)
-    unused = EdgeSet(dim, unused_pairs)
+    first, second = (walk_edges(member.values, closed=True) for member in pair.members)
+    used = frozenset(chain(first, second))
+    degree = [dim] * (1 << dim)
+    # distinct ring edges in walk order, far more cache-friendly than hash order
+    for u, v in chain(first, (e for e in second if e not in first)):
+        degree[u] -= 1
+        degree[v] -= 1
+    histogram = dict(Counter(degree))
+    unused = EdgeSet(dim, used)
     if search_budget is None:
-        return ResidualAnalysis(dim, unused, dict(histogram))
-    third, verdict, expansions = _bounded_cycle_search(dim, unused_pairs, search_budget)
-    return ResidualAnalysis(
-        dim, unused, dict(histogram), third, search_budget, verdict, expansions
-    )
+        return ResidualAnalysis(dim, unused, histogram)
+    third, verdict, expansions = _bounded_cycle_search(dim, unused.pairs, search_budget)
+    return ResidualAnalysis(dim, unused, histogram, third, search_budget, verdict, expansions)
 
 
 def _bounded_cycle_search(

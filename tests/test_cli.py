@@ -207,6 +207,13 @@ class TestNoNodeLabels:
         assert run(capsys, "construct", "--dim", "10")[0] == 0
         assert built == []
 
+    def test_verify_command(self, built, capsys, tmp_path):
+        path = tmp_path / "pair.json"
+        path.write_text(render_document(pair_document(edh_cycles(10))))
+        built.clear()
+        assert run(capsys, "verify", str(path))[0] == 0
+        assert built == []
+
     def test_reading_nodes_builds_them(self, built):
         cycle = edh_cycles(4).first
         built.clear()
@@ -362,6 +369,31 @@ class TestParseDocument:
         dim, kind, first, second = parse_document(render_document(doc))
         assert (dim, kind) == (5, "cycles")
         assert len(first) == len(second) == 32
+
+    def test_returns_label_values(self):
+        pair = edh_paths(6)
+        _, kind, first, second = parse_document(render_document(pair_document(pair)))
+        assert kind == "paths"
+        assert (first, second) == (list(pair.first.values), list(pair.second.values))
+
+    @pytest.mark.parametrize(
+        "labels,message",
+        [
+            (["0000", 5, "00x0"], "member 1 holds a non-string label: 5"),
+            (["0000", "00x0", 5], "member 1: label must contain only 0 and 1: '00x0'"),
+            (["0000", "000", "00x0"], "member 1: expected 4 characters, got 3: '000'"),
+            (["0000", "00 1", "000"], "member 1: label must contain only 0 and 1: '00 1'"),
+            (["0000", "0b11", "0_11"], "member 1: label must contain only 0 and 1: '0b11'"),
+            (["0000", "+011"], "member 1: label must contain only 0 and 1: '+011'"),
+            (["0000", ["0001"]], "member 1 holds a non-string label: ['0001']"),
+        ],
+    )
+    def test_reports_the_first_bad_label(self, labels, message):
+        doc = pair_document(edh_cycles(4))
+        doc["cycles"][1] = labels
+        with pytest.raises(DocumentError) as caught:
+            parse_document(json.dumps(doc))
+        assert str(caught.value) == message
 
 
 class TestOracle:

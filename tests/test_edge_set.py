@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ltqcube.topology as topology_module
 from ltqcube import (
     Edge,
+    InvalidPairError,
     NodeLabel,
     Path,
     edges,
@@ -20,7 +22,7 @@ from ltqcube import (
     enumerate_hamiltonian_cycles,
     residual_analysis,
 )
-from ltqcube.topology import EdgeSet, edge_pairs
+from ltqcube.topology import EdgeSet, _neighbor_values, edge_pairs
 
 
 def eager(dim, pairs):
@@ -44,7 +46,7 @@ def walk_edge_sets(dim):
 def cases():
     for dim in range(2, 9):
         yield pytest.param(dim, lambda d: (edges(d), eager(d, edge_pairs(d))), id=f"edges-{dim}")
-    for dim in range(4, 9):
+    for dim in range(4, 11):
         yield pytest.param(
             dim,
             lambda d: (
@@ -84,6 +86,7 @@ def test_matches_the_eager_reference(dim, build):
     assert_same_set(lazy, ref, [*walk_edge_sets(dim), frozenset(), ref])
     for edge in ref:
         assert edge in lazy
+    assert lazy.pairs == {(edge.a.value, edge.b.value) for edge in ref}
 
 
 @pytest.mark.parametrize("dim,build", cases())
@@ -105,8 +108,9 @@ def test_residual_analysis_compares_and_hashes_as_before(dim):
 
 
 def test_empty_sets_of_different_dims_are_equal_like_frozensets():
-    assert EdgeSet(4, ()) == EdgeSet(5, ()) == frozenset()
-    assert hash(EdgeSet(4, ())) == hash(frozenset())
+    empty4, empty5 = EdgeSet(4, edge_pairs(4)), EdgeSet(5, edge_pairs(5))
+    assert empty4 == empty5 == frozenset()
+    assert hash(empty4) == hash(frozenset())
 
 
 LTQ5_PAIRS = sorted(edge_pairs(5))
@@ -116,9 +120,9 @@ LTQ5_EDGES = eager(5, LTQ5_PAIRS)
 @settings(max_examples=100, deadline=None)
 @given(st.sets(st.sampled_from(LTQ5_PAIRS)), st.sets(st.sampled_from(LTQ5_PAIRS)))
 def test_drawn_subsets_of_ltq5(chosen, other):
-    lazy, ref = EdgeSet(5, chosen), eager(5, chosen)
+    lazy, ref = EdgeSet(5, set(LTQ5_PAIRS) - chosen), eager(5, chosen)
     assert_same_set(lazy, ref, [eager(5, other), LTQ5_EDGES, frozenset()])
-    assert (lazy == EdgeSet(5, other)) == (ref == eager(5, other))
+    assert (lazy == EdgeSet(5, set(LTQ5_PAIRS) - other)) == (ref == eager(5, other))
     for edge in LTQ5_EDGES:
         assert (edge in lazy) == (edge in ref)
 
@@ -158,3 +162,78 @@ class TestNoEdgeObjects:
     def test_iteration_builds_them(self, built):
         assert len(list(edges(4))) == 32
         assert len(built) == 32
+
+
+class TestNoEnumeration:
+    """Size, degrees and membership of the residual, and of the whole cube,
+    are answered with the enumeration of the cube's edges patched to raise."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_enumeration(self, monkeypatch):
+        def refuse(dim, *args):
+            raise AssertionError(f"the dim-{dim} cube's edges were enumerated")
+
+        # the enumeration and the neighbor rule it walks, wherever it is called from
+        monkeypatch.setattr(topology_module, "edge_pairs", refuse)
+        monkeypatch.setattr(topology_module, "_neighbor_values", refuse)
+
+    @pytest.mark.parametrize("dim", range(4, 17))
+    def test_residual_analysis_without_search(self, dim):
+        pair = edh_cycles(dim)
+        analysis = residual_analysis(dim, pair)
+        unused = analysis.unused_edges
+        assert len(unused) == (dim << (dim - 1)) - (1 << (dim + 1))
+        assert analysis.degree_histogram == {dim - 4: 1 << dim}
+        # each canonical ring starts at node 0, so its ring neighbors are the
+        # second and the last value
+        ring = {v for member in pair.members for v in (member.values[1], member.values[-1])}
+        assert len(ring) == 4
+        for v in _neighbor_values(dim, 0):
+            edge = Edge(NodeLabel(dim, 0), NodeLabel(dim, v))
+            assert (edge in unused) == (v not in ring)
+        foreign = Edge(NodeLabel(dim + 1, 0), NodeLabel(dim + 1, 1))
+        assert foreign not in unused
+
+    def test_edges_of_dim_20(self):
+        every = edges(20)
+        assert len(every) == 20 << 19
+        assert Edge(NodeLabel(20, 0), NodeLabel(20, 1)) in every
+        assert Edge(NodeLabel(20, 5), NodeLabel(20, 5 ^ 3 << 18)) in every
+        assert Edge(NodeLabel(19, 0), NodeLabel(19, 1)) not in every
+
+    def test_the_guard_is_real(self):
+        with pytest.raises(AssertionError, match="enumerated"):
+            residual_analysis(6, edh_cycles(6)).unused_edges.pairs
+        with pytest.raises(AssertionError, match="enumerated"):
+            list(edges(4))
+
+
+class TestDerivedCountIsACheck:
+    """The residual's size is derived from the number of distinct ring
+    edges, so rings that share an edge leave it too large and are refused.
+    The pair is tampered with after it was built and validated."""
+
+    @staticmethod
+    def tampered(dim, values):
+        pair = edh_cycles(dim)
+        object.__setattr__(pair.second, "values", tuple(values))
+        return pair
+
+    @pytest.mark.parametrize("dim", range(4, 11))
+    def test_second_ring_replaced_by_the_first(self, dim):
+        pair = self.tampered(dim, edh_cycles(dim).first.values)
+        with pytest.raises(InvalidPairError, match="residual has"):
+            residual_analysis(dim, pair)
+
+    def test_fewest_shared_edges(self):
+        first = edh_cycles(4).first
+        # the Hamiltonian cycles of LTQ_4 that share an edge with the first
+        # ring share at least two
+        shared, other = min(
+            (len(c.edge_pairs() & first.edge_pairs()), c.values)
+            for c in enumerate_hamiltonian_cycles(4)
+            if not c.edge_pairs().isdisjoint(first.edge_pairs())
+        )
+        assert shared == 2
+        with pytest.raises(InvalidPairError, match="residual has 2 edges, expected 0"):
+            residual_analysis(4, self.tampered(4, other))

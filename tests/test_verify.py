@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import ltqcube.verify as verify_module
+import ltqcube.topology as topology_module
 from ltqcube import (
     Cycle,
     DimensionError,
@@ -501,7 +501,7 @@ class TestSearchVerdict:
         def no_residual(dim):
             raise AssertionError("the residual was built before the budget was checked")
 
-        monkeypatch.setattr(verify_module, "edge_pairs", no_residual)
+        monkeypatch.setattr(topology_module, "edge_pairs", no_residual)
         with pytest.raises(LtqError, match=f"budget must be positive, got {budget}"):
             residual_analysis(6, pair, search_budget=budget)
 
