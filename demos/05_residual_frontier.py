@@ -3,10 +3,11 @@
 
 Whether LTQ_n has more than two edge-disjoint Hamiltonian cycles is not
 settled here; this script only looks at what THIS pair leaves behind. A
-"refuted" verdict means the search covered its whole space: the residual of
-this pair holds no Hamiltonian cycle. It says nothing about other pairs or
-about LTQ_n. "budget exhausted" proves nothing by itself; the closing lines
-show why the residual holds no Hamiltonian cycle at any dim >= 5.
+"refuted" verdict means the residual of this pair holds no Hamiltonian
+cycle: the search covered its whole space, or, before expanding a node, it
+found a node of degree < 2 or a disconnected residual. It says nothing about
+other pairs or about LTQ_n. "budget exhausted" proves nothing by itself; the
+closing lines show why the residual is disconnected at every dim >= 5.
 """
 
 import time
@@ -33,13 +34,14 @@ for dim, budget in ((5, 10_000), (6, 1_000_000), (7, 2_000_000), (8, 400_000)):
     if analysis.third_cycle_found is not None:
         print("    " + " -> ".join(str(n) for n in analysis.third_cycle_found.nodes))
 
-print("\ndims 5-7 are refuted for this pair. At dim 8 the budget runs out, but")
-print("that is a limit of the search, not an open case. The pair uses every edge")
-print("whose labels differ highest in bit 0, 2 or 3, so no residual edge changes")
-print("bit 0 or bit 2 of a label:")
+print("\ndims 5-8 are refuted for this pair before any expansion: dim 5 leaves")
+print("nodes of degree 1, and from dim 6 on the residual is disconnected. The")
+print("pair uses every edge whose labels differ highest in bit 0, 2 or 3, so no")
+print("residual edge changes bit 0 or bit 2 of a label:")
 for dim in range(5, 11):
     unused = residual_analysis(dim, edh_cycles(dim)).unused_edges
     kept = all((edge.a.value ^ edge.b.value) & 0b101 == 0 for edge in unused)
     print(f"  dim {dim:2d}: bits 0 and 2 constant along every residual edge: {kept}")
 print("So the residual splits into at least four components, one per value of")
-print("those two bits, and holds no Hamiltonian cycle at any dim >= 5.")
+print("those two bits, and holds no Hamiltonian cycle at any dim >= 5: every")
+print("search on it is refuted with 0 expansions, whatever its budget.")

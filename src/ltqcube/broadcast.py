@@ -17,8 +17,9 @@ contention event; with edge-disjoint rings there are none, which
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Mapping, ValuesView
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Sequence
 
 from .construction import Cycle, HamiltonianPair
 from .errors import InvalidPairError, LtqError
@@ -30,12 +31,14 @@ class TrafficReport:
     """Outcome of one simulated broadcast.
 
     per_edge_load counts total traversals per undirected edge (only used
-    edges appear); max_concurrent_per_edge is the peak number of messages
-    crossing one edge in one step; contention_events counts (edge, step)
-    pairs contested by different rings. completed, that every node ends
-    holding every message of every ring, is asserted rather than
-    simulated: each ring is a Cycle, and m - 1 lock-step relays on a ring
-    of m nodes deliver every message.
+    edges appear). It is a read-only mapping over label-value pairs: `len`,
+    `values()`, `in` and lookup build no `Edge`; iteration and `items()`
+    build the keys, in ring order. max_concurrent_per_edge is the peak
+    number of messages crossing one edge in one step; contention_events
+    counts (edge, step) pairs contested by different rings. completed, that
+    every node ends holding every message of every ring, is asserted rather
+    than simulated: each ring is a Cycle, and m - 1 lock-step relays on a
+    ring of m nodes deliver every message.
     """
 
     steps: int
@@ -45,14 +48,56 @@ class TrafficReport:
     completed: bool
 
 
+class _EdgeLoads(Mapping):
+    """`Edge` -> load, held as multiplicities of (smaller, larger) value pairs
+    in ring order, each load being `steps` times the multiplicity."""
+
+    def __init__(self, dim: int, steps: int, counts: Mapping[tuple[int, int], int]) -> None:
+        self._dim, self._steps, self._counts = dim, steps, counts
+
+    def __len__(self) -> int:
+        return len(self._counts)
+
+    def __getitem__(self, edge: object) -> int:
+        if isinstance(edge, Edge) and edge.dim == self._dim:
+            count = self._counts.get((edge.a.value, edge.b.value))
+            if count is not None:
+                return self._steps * count
+        raise KeyError(edge)
+
+    def __iter__(self) -> Iterator[Edge]:
+        dim, label = self._dim, {}  # one NodeLabel per node
+        for u, v in self._counts:
+            if u not in label:
+                label[u] = NodeLabel(dim, u)
+            if v not in label:
+                label[v] = NodeLabel(dim, v)
+            yield Edge(label[u], label[v])
+
+    def values(self) -> ValuesView[int]:
+        return _Loads(self)
+
+    def __repr__(self) -> str:
+        return f"<per-edge loads of {len(self)} dim-{self._dim} edges>"
+
+
+class _Loads(ValuesView):
+    """The loads of an `_EdgeLoads`, read from its counts without its keys."""
+
+    def __iter__(self) -> Iterator[int]:
+        steps = self._mapping._steps
+        return (steps * count for count in self._mapping._counts.values())
+
+
 def simulate_schedules(rings: Sequence[Cycle]) -> TrafficReport:
     """Run any number of equal-length ring broadcasts concurrently.
 
     Each ring stays saturated: all of its edges carry one message at every
     step, so an edge's load is steps times the number of rings traversing
     it, and an edge used by two or more rings is contested at every step.
-    Edges are counted as label-value pairs and keyed by `Edge` only in
-    `per_edge_load`. Delivery is asserted, not simulated (see TrafficReport).
+    Edges are counted as label-value pairs; `per_edge_load` reads those
+    counts and builds an `Edge` key only when iterated. Delivery is
+    asserted, not simulated (see TrafficReport).
     """
     if not rings:
         raise LtqError("need at least one ring")
@@ -66,13 +111,10 @@ def simulate_schedules(rings: Sequence[Cycle]) -> TrafficReport:
     multiplicity: Counter[tuple[int, int]] = Counter()
     for ring in rings:
         multiplicity.update(ring.edge_pairs())
-    label = {v: NodeLabel(rings[0].dim, v) for v in set().union(*(r.values for r in rings))}
     shared = sum(1 for count in multiplicity.values() if count > 1)
     return TrafficReport(
         steps=steps,
-        per_edge_load={
-            Edge(label[u], label[v]): steps * count for (u, v), count in multiplicity.items()
-        },
+        per_edge_load=_EdgeLoads(dims.pop(), steps, multiplicity),
         max_concurrent_per_edge=max(multiplicity.values()),
         contention_events=steps * shared,
         completed=True,

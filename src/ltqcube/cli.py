@@ -129,9 +129,11 @@ def _read_input(path: str | None) -> str:
 
 def _edge_lines(dim: int, pairs: Iterable[tuple[int, int]], template: str) -> list[str]:
     """One line per (smaller, larger) value pair, in ascending order, with
-    both labels rendered as fixed-width binary strings."""
+    both labels rendered as fixed-width binary strings, each of the 2**dim
+    labels formatted once."""
     width = f"0{dim}b"
-    return [template.format(format(u, width), format(v, width)) for u, v in sorted(pairs)]
+    bits = [format(v, width) for v in range(1 << dim)]
+    return [template.format(bits[u], bits[v]) for u, v in sorted(pairs)]
 
 
 def _render_report(payload: dict, text_lines: list[str], fmt: str) -> str:

@@ -210,16 +210,18 @@ class EdgeSet(Set):
     pairs are enumerated once, when `.pairs` or iteration first asks, and an
     `Edge` is built per pair when iterated. It equals and hashes like the
     frozenset of the same edges; `-`, `&` and `|` return frozensets of `Edge`.
+    Two `EdgeSet`s compare their descriptions, and the hash is computed once.
     The removed pairs are trusted to be distinct edges of the cube.
     """
 
-    __slots__ = ("dim", "_removed", "_pairs")
+    __slots__ = ("dim", "_removed", "_pairs", "_hash_cache")
 
     def __init__(self, dim: int, removed: Iterable[tuple[int, int]] = ()) -> None:
         check_dim(dim)
         self.dim = dim
         self._removed = frozenset(removed)
         self._pairs: frozenset[tuple[int, int]] | None = None
+        self._hash_cache: int | None = None
 
     @property
     def pairs(self) -> frozenset[tuple[int, int]]:
@@ -248,7 +250,17 @@ class EdgeSet(Set):
     def _from_iterable(cls, it: Iterable[Edge]) -> frozenset[Edge]:
         return frozenset(it)
 
-    __hash__ = Set._hash
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EdgeSet):
+            return Set.__eq__(self, other)
+        if self.dim == other.dim:
+            return self._removed == other._removed
+        return len(self) == len(other) == 0  # no edge of one dim is in another
+
+    def __hash__(self) -> int:
+        if self._hash_cache is None:
+            self._hash_cache = Set._hash(self)
+        return self._hash_cache
 
     def __repr__(self) -> str:
         return f"EdgeSet(dim={self.dim}, {len(self)} edges)"

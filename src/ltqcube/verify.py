@@ -212,8 +212,12 @@ def _search_cycles(
     anchor), so only t's neighbors lose a count, and only they can newly
     fail the rule; every other unvisited node passed it on an earlier step.
     A push therefore costs O(degree), and the decrements are undone when the
-    branch is pruned or backtracked. A graph with a node of degree < 2 has
-    no Hamiltonian cycle and is answered without searching.
+    branch is pruned or backtracked.
+
+    Two kinds of graph have no Hamiltonian cycle and are answered without
+    searching, with no cycle and 0 expansions: one with a node of degree
+    < 2, and a disconnected one, which one traversal from the anchor finds.
+    On every other graph the search tree is the same as without that check.
 
     Returns (cycles, exhausted, expansions). `exhausted` is True when the
     node-expansion budget ran out before the search space did; when it is
@@ -223,13 +227,22 @@ def _search_cycles(
     found: list[tuple[int, ...]] = []
     if n < 3 or any(len(ws) < 2 for ws in adjacency.values()):
         return found, False, 0
+    anchor = min(adjacency)
+    reached = {anchor}
+    frontier = [anchor]
+    while frontier:
+        for w in adjacency[frontier.pop()]:
+            if w not in reached:
+                reached.add(w)
+                frontier.append(w)
+    if len(reached) < n:
+        return found, False, 0
     size = max(adjacency) + 1
     order: list[tuple[int, ...]] = [()] * size
     for v, ws in adjacency.items():
         order[v] = tuple(sorted(ws))
     available = [len(ws) for ws in order]
     visited = bytearray(size)
-    anchor = min(adjacency)
 
     visited[anchor] = 1
     path = [anchor]
@@ -351,10 +364,13 @@ class ResidualAnalysis:
 
     When a third-cycle search ran, `search_verdict` says how strong its
     answer is: "found" (a cycle is in `third_cycle_found`), "refuted" (the
-    whole search space was covered, or some node has residual degree < 2,
-    so the residual of this pair holds no Hamiltonian cycle; this says
-    nothing about other pairs or about LTQ_n itself) or "budget exhausted"
-    (no answer). `search_expansions` counts the nodes the search expanded.
+    residual of this pair holds no Hamiltonian cycle; this says nothing
+    about other pairs or about LTQ_n itself) or "budget exhausted" (no
+    answer). "refuted" comes either from a search that covered its whole
+    space or, with 0 expansions, from a residual that some node of degree
+    < 2 or a split into components rules out; the constructed pair's
+    residual is disconnected at every dim >= 5. `search_expansions` counts
+    the nodes the search expanded.
 
     `unused_edges` is an `EdgeSet` of the cube minus the ring edges. Its size
     is *derived* (the cube's edges minus the distinct ring edges, exact for
@@ -437,9 +453,10 @@ def search_third_cycle(
 
     Returns the first cycle found within the node-expansion budget, else
     None. None means one of two things, which `residual_analysis` reports
-    as its `search_verdict`: the search covered its whole space (or some
-    node has residual degree < 2), which refutes a Hamiltonian cycle in
-    these edges, or the budget ran out first, which proves nothing.
+    as its `search_verdict`: a Hamiltonian cycle in these edges is refuted,
+    by a search that covered its whole space or, before any search, by a
+    node of residual degree < 2 or a residual that is not connected; or
+    the budget ran out first, which proves nothing.
     """
     pairs: set[tuple[int, int]] = set()
     for e in residual:

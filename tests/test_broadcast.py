@@ -2,9 +2,11 @@ import pytest
 
 from ltqcube import (
     Cycle,
+    Edge,
     HamiltonianPair,
     InvalidPairError,
     LtqError,
+    NodeLabel,
     edges,
     edh_cycles,
     edh_paths,
@@ -90,3 +92,43 @@ class TestScheduleEngine:
     def test_rejects_mixed_lengths(self):
         with pytest.raises(LtqError):
             simulate_schedules([small_ring(), edh_cycles(4).first])
+
+
+class TestPerEdgeLoad:
+    """per_edge_load answers as the dict keyed by one Edge per ring step did."""
+
+    @staticmethod
+    def reference(rings, steps):
+        loads = {}
+        for ring in rings:
+            nodes = ring.nodes
+            for i, node in enumerate(nodes):
+                edge = Edge(node, nodes[(i + 1) % len(nodes)])
+                loads[edge] = loads.get(edge, 0) + steps
+        return loads
+
+    @pytest.mark.parametrize("twice", [False, True])
+    def test_matches_a_dict_of_edges(self, twice):
+        pair = edh_cycles(5)
+        rings = [pair.first, pair.first] if twice else list(pair.members)
+        loads = simulate_schedules(rings).per_edge_load
+        expected = self.reference(rings, 31)
+        assert len(loads) == len(expected)
+        assert list(loads.items()) == list(expected.items())  # ring order
+        assert loads == expected
+        assert sorted(loads.values()) == sorted(expected.values())
+        assert (62 if twice else 31) in loads.values() and 0 not in loads.values()
+        for edge in edges(5):
+            assert (edge in loads) == (edge in expected)
+            assert loads.get(edge) == expected.get(edge)
+
+    def test_foreign_keys_are_missing(self):
+        loads = simulate_split_broadcast(edh_cycles(5)).per_edge_load
+        for probe in (Edge(NodeLabel(6, 0), NodeLabel(6, 1)), (0, 1), NodeLabel(5, 0), None):
+            assert probe not in loads
+            with pytest.raises(KeyError):
+                loads[probe]
+
+    def test_one_label_per_node(self):
+        keys = list(simulate_split_broadcast(edh_cycles(5)).per_edge_load)
+        assert len({id(label) for edge in keys for label in (edge.a, edge.b)}) == 32

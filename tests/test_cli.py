@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ltqcube import cli
+from ltqcube.broadcast import simulate_split_broadcast
 from ltqcube.cli import (
     DocumentError,
     _residual_payload,
@@ -22,7 +23,7 @@ from ltqcube.cli import (
 )
 from ltqcube.construction import edh_cycles, edh_paths
 from ltqcube.topology import Edge, NodeLabel, edge_pairs
-from ltqcube.verify import residual_analysis
+from ltqcube.verify import _bounded_cycle_search, residual_analysis
 
 
 def run(capsys, *argv):
@@ -219,6 +220,37 @@ class TestNoNodeLabels:
         built.clear()
         assert len(cycle.nodes) == 16
         assert len(built) == 16
+
+
+class TestNoEdgeObjects:
+    """The broadcast report answers its size and loads from value pairs, and
+    report-text simulate builds no Edge."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        count = []
+        original = Edge.__post_init__
+
+        def counting(self):
+            count.append(self)
+            original(self)
+
+        monkeypatch.setattr(Edge, "__post_init__", counting)
+        return count
+
+    def test_split_broadcast(self, built):
+        report = simulate_split_broadcast(edh_cycles(10))
+        assert len(report.per_edge_load) == 2 << 10
+        assert set(report.per_edge_load.values()) == {(1 << 10) - 1}
+        assert built == []
+
+    def test_simulate_command(self, built, capsys):
+        assert run(capsys, "simulate", "--dim", "10")[0] == 0
+        assert built == []
+
+    def test_report_json_builds_them(self, built, capsys):
+        assert run(capsys, "simulate", "--dim", "4", "--format", "report-json")[0] == 0
+        assert len(built) == 32
 
 
 class TestUnreadOutputIsNotRendered:
@@ -484,7 +516,7 @@ class TestResidual:
         assert report["unused_edges"] == 64
         assert report["search_budget"] == 100000
         assert report["search_verdict"] == "refuted"
-        assert report["search_expansions"] == 14
+        assert report["search_expansions"] == 0
 
     def test_no_search_no_verdict_keys(self, capsys):
         _, out, _ = run(capsys, "residual", "--dim", "6", "--format", "report-json")
@@ -496,7 +528,7 @@ class TestResidual:
         code, out, _ = run(capsys, "residual", "--dim", "7", "--budget", "1000000")
         assert code == 0
         assert out.splitlines()[-1] == (
-            "third-cycle search: refuted (628 of 1000000 expansions): the residual of this"
+            "third-cycle search: refuted (0 of 1000000 expansions): the residual of this"
             " pair holds no Hamiltonian cycle (says nothing about other pairs or LTQ_n)"
         )
 
@@ -517,13 +549,34 @@ class TestResidual:
         assert payload["search_verdict"] == "found"
         assert payload["third_cycle"] == [n.bits for n in pair.first.nodes]
 
-    def test_dim_8_budget_exhausted(self, capsys):
+    def test_dim_8_refuted(self, capsys):
         code, out, _ = run(capsys, "residual", "--dim", "8", "--budget", "500")
         assert code == 0
         assert out.splitlines()[-1] == (
+            "third-cycle search: refuted (0 of 500 expansions): the residual of this"
+            " pair holds no Hamiltonian cycle (says nothing about other pairs or LTQ_n)"
+        )
+
+    def test_budget_exhausted_line(self):
+        # every constructed residual from dim 5 on is disconnected and refuted,
+        # so stand a search of the connected cube minus the first ring in
+        pair = edh_cycles(8)
+        first = pair.first.edge_pairs()
+        _, verdict, expansions = _bounded_cycle_search(
+            8, (e for e in edge_pairs(8) if e not in first), 500
+        )
+        analysis = dataclasses.replace(
+            residual_analysis(8, pair, search_budget=500),
+            search_verdict=verdict,
+            search_expansions=expansions,
+        )
+        payload, lines = _residual_payload(analysis)
+        assert lines[-1] == (
             "third-cycle search: budget exhausted (500 of 500 expansions): none found"
             " (not a non-existence proof)"
         )
+        assert payload["search_verdict"] == "budget exhausted"
+        assert payload["third_cycle"] is None
 
 
 class TestExitCodeContract:

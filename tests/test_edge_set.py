@@ -194,6 +194,12 @@ class TestNoEnumeration:
         foreign = Edge(NodeLabel(dim + 1, 0), NodeLabel(dim + 1, 1))
         assert foreign not in unused
 
+    def test_residual_analyses_compare_equal(self):
+        pair = edh_cycles(14)
+        assert residual_analysis(14, pair) == residual_analysis(14, pair)
+        assert edges(14) == EdgeSet(14, ()) != edges(13)
+        assert residual_analysis(14, pair).unused_edges != edges(14)
+
     def test_edges_of_dim_20(self):
         every = edges(20)
         assert len(every) == 20 << 19

@@ -386,6 +386,21 @@ def adjacency_of(dim, pairs):
     return adjacency
 
 
+def connected(adjacency):
+    """Whether a union-find over the adjacency map ends with one root."""
+    root = {v: v for v in adjacency}
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for u, ws in adjacency.items():
+        for w in ws:
+            root[find(u)] = find(w)
+    return len({find(v) for v in adjacency}) == 1
+
+
 def residual_adjacency(dim):
     unused = residual_analysis(dim, edh_cycles(dim)).unused_edges
     return adjacency_of(dim, ((e.a.value, e.b.value) for e in unused))
@@ -408,7 +423,11 @@ class TestSearchTreeUnchanged:
     @pytest.mark.parametrize("dim", [6, 7, 8])
     @pytest.mark.parametrize("budget", [50, 1_000, 75_000])
     def test_constructed_residual(self, dim, budget):
-        adjacency = residual_adjacency(dim)
+        # the residual itself is disconnected and answered without searching,
+        # so the trees are compared on the connected cube minus the first ring
+        assert _search_cycles(residual_adjacency(dim), limit=1, budget=budget) == ([], False, 0)
+        first = edh_cycles(dim).first.edge_pairs()
+        adjacency = adjacency_of(dim, (e for e in edge_pairs(dim) if e not in first))
         expected = search_cycles_full_rescan(adjacency, limit=1, budget=budget)
         assert _search_cycles(adjacency, limit=1, budget=budget) == expected
 
@@ -422,12 +441,21 @@ class TestSearchTreeUnchanged:
         kept = (e for i, e in enumerate(sorted(edge_pairs(4))) if i not in dropped)
         adjacency = adjacency_of(4, kept)
         got = _search_cycles(adjacency, limit=limit, budget=budget)
-        if min(len(ws) for ws in adjacency.values()) < 2:
+        if min(len(ws) for ws in adjacency.values()) < 2 or not connected(adjacency):
             # answered without searching; the oracle must agree there is no cycle
             assert got == ([], False, 0)
             assert search_cycles_full_rescan(adjacency, limit=limit, budget=budget)[0] == []
         else:
             assert got == search_cycles_full_rescan(adjacency, limit=limit, budget=budget)
+
+    def test_two_halves_of_ltq4(self):
+        # every edge whose labels differ highest in bit 3 dropped: two
+        # 3-regular copies of LTQ_3, so no node has degree < 2
+        adjacency = adjacency_of(4, (e for e in edge_pairs(4) if highest_bit(e) != 3))
+        assert {len(ws) for ws in adjacency.values()} == {3}
+        assert not connected(adjacency)
+        assert _search_cycles(adjacency) == ([], False, 0)
+        assert search_cycles_full_rescan(adjacency)[0] == []
 
 
 class TestThirdCycleSearch:
@@ -466,20 +494,31 @@ class TestThirdCycleSearch:
 
 
 class TestSearchVerdict:
-    @pytest.mark.parametrize("dim,expansions", [(4, 0), (5, 0), (6, 14), (7, 628)])
+    @pytest.mark.parametrize("dim,expansions", [(4, 0), (5, 0), (6, 0), (7, 0)])
     def test_small_residuals_are_refuted(self, dim, expansions):
-        # dims 4 and 5 have residual degree < 2 and are answered at once;
-        # dims 6 and 7 finish the whole search far below the budget
+        # dims 4 and 5 have residual degree < 2, and from dim 6 on the
+        # residual is disconnected: each is answered before any search
         analysis = residual_analysis(dim, edh_cycles(dim), search_budget=1_000_000)
         assert analysis.third_cycle_found is None
         assert analysis.search_verdict == "refuted"
         assert analysis.search_expansions == expansions
 
-    def test_dim_8_budget_exhausted(self):
+    def test_dim_8_refuted(self):
         analysis = residual_analysis(8, edh_cycles(8), search_budget=1_000)
         assert analysis.third_cycle_found is None
-        assert analysis.search_verdict == "budget exhausted"
-        assert analysis.search_expansions == 1_000
+        assert analysis.search_verdict == "refuted"
+        assert analysis.search_expansions == 0
+
+    @pytest.mark.parametrize("dim", range(5, 13))
+    def test_refuted_before_any_search(self, dim):
+        analysis = residual_analysis(dim, edh_cycles(dim), search_budget=1)
+        assert analysis.search_verdict == "refuted"
+        assert analysis.search_expansions == 0
+
+    def test_budget_exhausted_on_a_connected_graph(self):
+        first = edh_cycles(8).first.edge_pairs()
+        kept = (e for e in edge_pairs(8) if e not in first)
+        assert _bounded_cycle_search(8, kept, 500) == (None, "budget exhausted", 500)
 
     def test_found_on_the_full_cube(self):
         cycle, verdict, expansions = _bounded_cycle_search(4, edge_pairs(4), 1_000)
