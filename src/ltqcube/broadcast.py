@@ -23,7 +23,7 @@ from typing import Iterator, Sequence
 
 from .construction import Cycle, HamiltonianPair
 from .errors import InvalidPairError, LtqError
-from .topology import Edge, NodeLabel
+from .topology import Edge, _edges_of
 
 
 @dataclass(frozen=True)
@@ -66,13 +66,7 @@ class _EdgeLoads(Mapping):
         raise KeyError(edge)
 
     def __iter__(self) -> Iterator[Edge]:
-        dim, label = self._dim, {}  # one NodeLabel per node
-        for u, v in self._counts:
-            if u not in label:
-                label[u] = NodeLabel(dim, u)
-            if v not in label:
-                label[v] = NodeLabel(dim, v)
-            yield Edge(label[u], label[v])
+        return _edges_of(self._dim, self._counts)
 
     def values(self) -> ValuesView[int]:
         return _Loads(self)

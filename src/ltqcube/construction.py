@@ -38,6 +38,8 @@ from .topology import (
     Edge,
     NodeLabel,
     _adjacent_values,
+    _edges_of,
+    _labels,
     check_dim,
     make_label,
     repeat_bits,
@@ -113,7 +115,7 @@ class _Walk:
         return len(self.values)
 
     def __iter__(self) -> Iterator[NodeLabel]:
-        return (NodeLabel(self._dim, v) for v in self.values)
+        return _labels(self._dim, self.values)
 
     @property
     def nodes(self) -> tuple[NodeLabel, ...]:
@@ -131,8 +133,7 @@ class _Walk:
         return walk_edges(self.values, closed=self._closed)
 
     def edge_set(self) -> frozenset[Edge]:
-        dim = self._dim
-        return frozenset(Edge(NodeLabel(dim, u), NodeLabel(dim, v)) for u, v in self.edge_pairs())
+        return frozenset(_edges_of(self._dim, self.edge_pairs()))
 
 
 class Path(_Walk):
@@ -146,13 +147,13 @@ class Path(_Walk):
     def start(self) -> NodeLabel:
         if not self.values:
             raise LtqError("empty path has no start")
-        return NodeLabel(self._dim, self.values[0])
+        return NodeLabel._trusted((self._dim, self.values[0]))
 
     @property
     def end(self) -> NodeLabel:
         if not self.values:
             raise LtqError("empty path has no end")
-        return NodeLabel(self._dim, self.values[-1])
+        return NodeLabel._trusted((self._dim, self.values[-1]))
 
 
 class Cycle(_Walk):

@@ -8,6 +8,11 @@ copies, one holding the labels with leading bit 0 and one with leading
 bit 1, joined by a twist edge from each node 0 b_{n-2} .. b_0 to
 1 (b_{n-2} xor b_0) b_{n-3} .. b_0.
 
+A node is a `NodeLabel`, the tuple `(dim, value)` (`len` 2) of the bit
+width and the label read as an unsigned integer. `NodeLabel(dim, value)`
+and `make_label(dim, bits)` validate it once; where the dimension and the
+value are already proven, the package builds labels with no further check.
+
 Two neighbor routines are provided. `neighbors` applies the closed-form
 rule the recursion unfolds to: flip bit 0, flip bit 1, or, for any
 k >= 2, flip bit k and replace bit k-1 with b_{k-1} xor b_0. It answers
@@ -20,6 +25,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Set
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import Iterator, KeysView, Sequence
 
 from .errors import AdjacencyError, DimensionError, LabelFormatError
@@ -34,25 +41,80 @@ def check_dim(dim: int) -> None:
         raise DimensionError(f"dim must be an integer in [2, {MAX_DIM}], got {dim!r}")
 
 
-@dataclass(frozen=True, order=True)
-class NodeLabel:
-    """One node of a locally twisted cube: an unsigned value plus its bit width."""
+def _ordering(op, symbol: str):
+    """A NodeLabel comparison that orders only against another NodeLabel."""
 
-    dim: int
-    value: int
+    def compare(self, other):
+        if other.__class__ is self.__class__:
+            return op(self, other)
+        if isinstance(other, tuple):  # else tuple's reflected `op` would answer
+            raise TypeError(
+                f"'{symbol}' not supported between instances of 'NodeLabel'"
+                f" and {type(other).__name__!r}"
+            )
+        return NotImplemented
 
-    def __post_init__(self) -> None:
-        check_dim(self.dim)
-        if not 0 <= self.value < 1 << self.dim:
-            raise LabelFormatError(f"value {self.value} out of range for dim {self.dim}")
+    return compare
+
+
+class NodeLabel(tuple):
+    """One node of a locally twisted cube: the tuple `(dim, value)` of a bit
+    width and an unsigned value, validated when built.
+
+    It equals, orders and hashes like that tuple, but only against another
+    NodeLabel: `NodeLabel(4, 3) != (4, 3)`, and ordering against a tuple
+    raises TypeError.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, dim: int, value: int) -> NodeLabel:
+        check_dim(dim)
+        if not 0 <= value < 1 << dim:
+            raise LabelFormatError(f"value {value} out of range for dim {dim}")
+        return tuple.__new__(cls, (dim, value))
+
+    #: `NodeLabel._trusted((dim, value))` builds the label with no check, for a
+    #: pair the caller has already proven valid; `_labels` maps it over many.
+    _trusted = classmethod(tuple.__new__)
+
+    dim = property(itemgetter(0), doc="The bit width.")
+    value = property(itemgetter(1), doc="The label as an unsigned integer.")
+
+    def __getnewargs__(self) -> tuple[int, int]:
+        return tuple(self)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return tuple.__eq__(self, other)
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __ne__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return tuple.__ne__(self, other)
+        return True if isinstance(other, tuple) else NotImplemented
+
+    __lt__ = _ordering(tuple.__lt__, "<")
+    __le__ = _ordering(tuple.__le__, "<=")
+    __gt__ = _ordering(tuple.__gt__, ">")
+    __ge__ = _ordering(tuple.__ge__, ">=")
+    __hash__ = tuple.__hash__
 
     @property
     def bits(self) -> str:
         """Binary rendering, exactly `dim` characters, most significant bit first."""
-        return format(self.value, f"0{self.dim}b")
+        return format(self[1], f"0{self[0]}b")
+
+    def __repr__(self) -> str:
+        return f"NodeLabel(dim={self[0]}, value={self[1]})"
 
     def __str__(self) -> str:
         return self.bits
+
+
+def _labels(dim: int, values: Iterable[int]) -> Iterator[NodeLabel]:
+    """A NodeLabel per value, unchecked: `dim` and every value are proven valid."""
+    return map(NodeLabel._trusted, zip(repeat(dim), values))
 
 
 @dataclass(frozen=True, order=True)
@@ -85,9 +147,9 @@ def make_label(dim: int, bits: str) -> NodeLabel:
     check_dim(dim)
     if len(bits) != dim:
         raise LabelFormatError(f"expected {dim} characters, got {len(bits)}: {bits!r}")
-    if not set(bits) <= {"0", "1"}:
+    if bits.strip("01"):
         raise LabelFormatError(f"label must contain only 0 and 1: {bits!r}")
-    return NodeLabel(dim, int(bits, 2))
+    return NodeLabel._trusted((dim, int(bits, 2)))
 
 
 def repeat_bits(pattern: str, times: int) -> str:
@@ -113,7 +175,7 @@ def cross_neighbor(x: NodeLabel) -> NodeLabel:
     """
     if x.dim < 3:
         raise DimensionError("the twist rule needs dim >= 3; LTQ_2 edges are fixed")
-    return NodeLabel(x.dim, _cross_value(x.dim, x.value))
+    return NodeLabel._trusted((x.dim, _cross_value(x.dim, x.value)))
 
 
 def _neighbor_values(dim: int, value: int) -> list[int]:
@@ -143,7 +205,8 @@ def neighbors(x: NodeLabel) -> set[NodeLabel]:
     For dim 2 the rule degenerates to flipping either bit, which is exactly
     the four-cycle adjacency of LTQ_2.
     """
-    return {NodeLabel(x.dim, v) for v in _neighbor_values(x.dim, x.value)}
+    dim = x.dim
+    return set(_labels(dim, _neighbor_values(dim, x.value)))
 
 
 #: The four defining edges of LTQ_2.
@@ -242,9 +305,7 @@ class EdgeSet(Set):
         )
 
     def __iter__(self) -> Iterator[Edge]:
-        dim = self.dim
-        for u, v in self.pairs:
-            yield Edge(NodeLabel(dim, u), NodeLabel(dim, v))
+        return _edges_of(self.dim, self.pairs)
 
     @classmethod
     def _from_iterable(cls, it: Iterable[Edge]) -> frozenset[Edge]:
@@ -264,6 +325,15 @@ class EdgeSet(Set):
 
     def __repr__(self) -> str:
         return f"EdgeSet(dim={self.dim}, {len(self)} edges)"
+
+
+def _edges_of(dim: int, pairs: Iterable[tuple[int, int]]) -> Iterator[Edge]:
+    """An `Edge` per (smaller, larger) pair of adjacent values of the proven
+    dimension `dim`, in the order given, with one NodeLabel per node."""
+    nodes = dict.fromkeys(chain.from_iterable(pairs))
+    label = dict(zip(nodes, _labels(dim, nodes)))
+    for u, v in pairs:
+        yield Edge(label[u], label[v])
 
 
 def edges(dim: int) -> Set[Edge]:
@@ -320,8 +390,7 @@ class LtqGraph:
         return self.dim << (self.dim - 1)
 
     def vertices(self) -> Iterator[NodeLabel]:
-        for v in range(1 << self.dim):
-            yield NodeLabel(self.dim, v)
+        return _labels(self.dim, range(1 << self.dim))
 
     def neighbors(self, x: NodeLabel) -> set[NodeLabel]:
         if x.dim != self.dim:

@@ -13,6 +13,7 @@ from collections import Counter
 from collections.abc import Set
 from dataclasses import dataclass, field
 from itertools import chain, combinations
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .construction import Cycle, HamiltonianPair, Path, edh_cycles
@@ -73,7 +74,7 @@ def _raw(obj: Path | Cycle | Sequence[NodeLabel]) -> tuple[Sequence[int], Sequen
     if isinstance(obj, (Path, Cycle)):
         return (obj.dim,) * len(obj) if obj.values else (), obj.values
     nodes = tuple(obj)
-    return [n.dim for n in nodes], [n.value for n in nodes]
+    return list(map(itemgetter(0), nodes)), list(map(itemgetter(1), nodes))
 
 
 def _sequence_checks(
@@ -457,7 +458,14 @@ def search_third_cycle(
     by a search that covered its whole space or, before any search, by a
     node of residual degree < 2 or a residual that is not connected; or
     the budget ran out first, which proves nothing.
+
+    An `EdgeSet`, such as `ResidualAnalysis.unused_edges`, is read through
+    its value pairs, so no `Edge` is built.
     """
+    if isinstance(residual, EdgeSet):
+        if residual.dim != dim:
+            raise DimensionError(f"residual edge of dim {residual.dim} in a dim-{dim} search")
+        return _bounded_cycle_search(dim, residual.pairs, budget)[0]
     pairs: set[tuple[int, int]] = set()
     for e in residual:
         if e.dim != dim:

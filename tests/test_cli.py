@@ -22,7 +22,7 @@ from ltqcube.cli import (
     render_document,
 )
 from ltqcube.construction import edh_cycles, edh_paths
-from ltqcube.topology import Edge, NodeLabel, edge_pairs
+from ltqcube.topology import Edge, NodeLabel, edge_pairs, make_label
 from ltqcube.verify import _bounded_cycle_search, residual_analysis
 
 
@@ -188,14 +188,23 @@ class TestNoNodeLabels:
 
     @pytest.fixture
     def built(self, monkeypatch):
+        """Every NodeLabel built, by the validating constructor or the
+        private one for values already checked."""
         count = []
-        original = NodeLabel.__post_init__
+        new, trusted = NodeLabel.__new__, NodeLabel._trusted
 
-        def counting(self):
-            count.append(self)
-            original(self)
+        def counting_new(cls, *args, **kwargs):
+            label = new(cls, *args, **kwargs)
+            count.append(label)
+            return label
 
-        monkeypatch.setattr(NodeLabel, "__post_init__", counting)
+        def counting_trusted(cls, pair):
+            label = trusted(pair)
+            count.append(label)
+            return label
+
+        monkeypatch.setattr(NodeLabel, "__new__", staticmethod(counting_new))
+        monkeypatch.setattr(NodeLabel, "_trusted", classmethod(counting_trusted))
         return count
 
     def test_construction_and_residual(self, built):
@@ -220,6 +229,11 @@ class TestNoNodeLabels:
         built.clear()
         assert len(cycle.nodes) == 16
         assert len(built) == 16
+
+    def test_the_count_sees_both_constructors(self, built):
+        NodeLabel(4, 3)
+        make_label(4, "0011")
+        assert len(built) == 2
 
 
 class TestNoEdgeObjects:

@@ -21,6 +21,7 @@ from ltqcube import (
     edh_paths,
     enumerate_hamiltonian_cycles,
     residual_analysis,
+    search_third_cycle,
 )
 from ltqcube.topology import EdgeSet, _neighbor_values, edge_pairs
 
@@ -162,6 +163,12 @@ class TestNoEdgeObjects:
     def test_iteration_builds_them(self, built):
         assert len(list(edges(4))) == 32
         assert len(built) == 32
+
+    @pytest.mark.parametrize("dim", [6, 7, 8])
+    def test_third_cycle_search_over_an_edge_set(self, built, dim):
+        unused = residual_analysis(dim, edh_cycles(dim)).unused_edges
+        assert search_third_cycle(dim, unused, budget=1000) is None
+        assert built == []
 
 
 class TestNoEnumeration:

@@ -1,3 +1,7 @@
+import copy
+import operator
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -51,6 +55,95 @@ class TestMakeLabel:
             NodeLabel(31, 0)
         with pytest.raises(LabelFormatError):
             NodeLabel(4, 16)
+
+
+class TestNodeLabelContract:
+    """The public behaviour of a label, pinned whatever its representation."""
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        label = NodeLabel(4, 3)
+        back = pickle.loads(pickle.dumps(label, protocol))
+        assert back == label and type(back) is NodeLabel and repr(back) == repr(label)
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy])
+    def test_copy_round_trip(self, clone):
+        label = NodeLabel(9, 300)
+        back = clone(label)
+        assert back == label and type(back) is NodeLabel and back.bits == label.bits
+
+    def test_unequal_to_a_plain_tuple(self):
+        assert NodeLabel(4, 3) != (4, 3)
+        assert (4, 3) != NodeLabel(4, 3)
+        assert not NodeLabel(4, 3) == (4, 3)
+        assert NodeLabel(4, 3) == NodeLabel(4, 3) and not NodeLabel(4, 3) != NodeLabel(4, 3)
+
+    def test_unordered_against_a_plain_tuple(self):
+        for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError):
+                compare(NodeLabel(4, 3), (4, 5))
+            with pytest.raises(TypeError):
+                compare((4, 5), NodeLabel(4, 3))
+
+    def test_orders_by_dim_then_value(self):
+        assert NodeLabel(4, 3) < NodeLabel(4, 5) <= NodeLabel(4, 5) < NodeLabel(5, 0)
+        assert NodeLabel(5, 0) > NodeLabel(4, 15) >= NodeLabel(4, 15)
+
+    @pytest.mark.parametrize("dim", [2, 5, 16, 30])
+    def test_hash_is_that_of_the_pair(self, dim):
+        for value in (0, 1, (1 << dim) - 1):
+            assert hash(NodeLabel(dim, value)) == hash((dim, value))
+
+    def test_renderings(self):
+        label = NodeLabel(4, 3)
+        assert repr(label) == "NodeLabel(dim=4, value=3)"
+        assert label.bits == str(label) == f"{label}" == "0011"
+        assert (label.dim, label.value) == (4, 3)
+        assert NodeLabel(dim=6, value=5) == NodeLabel(6, 5)
+
+    @pytest.mark.parametrize("args,error,message", [
+        ((1, 0), DimensionError, "dim must be an integer in [2, 30], got 1"),
+        ((31, 0), DimensionError, "dim must be an integer in [2, 30], got 31"),
+        (("4", 0), DimensionError, "dim must be an integer in [2, 30], got '4'"),
+        ((4.0, 0), DimensionError, "dim must be an integer in [2, 30], got 4.0"),
+        ((True, 0), DimensionError, "dim must be an integer in [2, 30], got True"),
+        ((4, 16), LabelFormatError, "value 16 out of range for dim 4"),
+        ((4, -1), LabelFormatError, "value -1 out of range for dim 4"),
+        ((2, 4), LabelFormatError, "value 4 out of range for dim 2"),
+    ])
+    def test_constructor_messages(self, args, error, message):
+        with pytest.raises(error) as caught:
+            NodeLabel(*args)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("args,error,message", [
+        ((1, "0"), DimensionError, "dim must be an integer in [2, 30], got 1"),
+        ((31, "0" * 31), DimensionError, "dim must be an integer in [2, 30], got 31"),
+        ((1, "01x"), DimensionError, "dim must be an integer in [2, 30], got 1"),
+        ((4, "001"), LabelFormatError, "expected 4 characters, got 3: '001'"),
+        ((4, "0x1"), LabelFormatError, "expected 4 characters, got 3: '0x1'"),
+        ((4, ""), LabelFormatError, "expected 4 characters, got 0: ''"),
+        ((4, "00x1"), LabelFormatError, "label must contain only 0 and 1: '00x1'"),
+        ((4, "0 01"), LabelFormatError, "label must contain only 0 and 1: '0 01'"),
+        ((4, "  01"), LabelFormatError, "label must contain only 0 and 1: '  01'"),
+        ((4, "0_01"), LabelFormatError, "label must contain only 0 and 1: '0_01'"),
+        ((4, "\uff12\uff10\uff11\uff10"), LabelFormatError,
+         "label must contain only 0 and 1: '\uff12\uff10\uff11\uff10'"),
+        ((2, "-1"), LabelFormatError, "label must contain only 0 and 1: '-1'"),
+    ])
+    def test_make_label_messages(self, args, error, message):
+        with pytest.raises(error) as caught:
+            make_label(*args)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_labels_built_in_bulk_agree(self, dim):
+        # vertices() builds its labels without checking them one by one
+        for value, built in enumerate(LtqGraph(dim).vertices()):
+            checked = NodeLabel(dim, value)
+            assert built == checked and type(built) is NodeLabel
+            assert hash(built) == hash(checked) and repr(built) == repr(checked)
+            assert make_label(dim, checked.bits) == checked
 
 
 class TestRepeatBits:

@@ -28,7 +28,7 @@ from ltqcube import (
     search_third_cycle,
     verify_pair,
 )
-from ltqcube.topology import NodeLabel, _adjacent_values, _neighbor_values, edge_pairs
+from ltqcube.topology import EdgeSet, NodeLabel, _adjacent_values, _neighbor_values, edge_pairs
 from ltqcube.verify import _bounded_cycle_search, _search_cycles
 
 # Found by depth-first search: a Hamiltonian path of the dim-4 cube whose
@@ -489,8 +489,15 @@ class TestThirdCycleSearch:
             search_third_cycle(4, edges(4), budget=0)
 
     def test_budget_exhaustion_is_quiet(self):
-        assert search_third_cycle(7, residual_analysis(7, edh_cycles(7)).unused_edges,
-                                  budget=50) is None
+        # LTQ_7 minus one ring is connected and 5-regular, so the search
+        # really runs and stops at its budget
+        graph = EdgeSet(7, removed=edh_cycles(7).first.edge_pairs())
+        assert search_third_cycle(7, graph, budget=50) is None
+        assert _bounded_cycle_search(7, graph.pairs, 50) == (None, "budget exhausted", 50)
+
+    def test_edge_set_of_another_dim_refused(self):
+        with pytest.raises(DimensionError, match=r"^residual edge of dim 5 in a dim-6 search$"):
+            search_third_cycle(6, edges(5), budget=10)
 
 
 class TestSearchVerdict:
