@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 verification failure, 2 domain refusal (bad
 dimension, guarded oracle scope, bad flags, an --output path that cannot be
-written), 3 malformed or unreadable input document.
+written, a run that exhausts memory), 3 malformed or unreadable input document.
 All human-facing node labels are fixed-width binary strings.
 """
 
@@ -351,6 +351,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_MALFORMED
     except LtqError as exc:
         print(f"ltqcube: {exc}", file=sys.stderr)
+        return EXIT_REFUSED
+    except MemoryError:
+        print(f"ltqcube: out of memory running {args.command}", file=sys.stderr)
         return EXIT_REFUSED
 
 

@@ -14,6 +14,19 @@ yields two edge-disjoint Hamiltonian cycles for every n >= 4. Dimension 3
 admits no such pair: each node has only three incident edges and two
 edge-disjoint cycles would need four.
 
+Unrolled, the doubling is the reflected Gray code over the seed. Position i
+of a member of the dim-n pair of paths holds
+
+    gray(i >> 4) << 4 | seed[(i & 15) ^ (15 if (i >> 4) & 1 else 0)]
+
+with gray(h) = h ^ (h >> 1): each block of 16 positions is the seed path,
+run backwards in the odd blocks, and consecutive blocks differ in the one
+high bit the Gray code flips. For n >= 5 the last block, 2^(n-4) - 1, is odd
+and its Gray code is 2^(n-5), so a path ends at its first node with the
+leading bit set. Both seeds start at an even node, where the twist edge
+flips the leading bit alone: that is why each path closes through a twist
+edge.
+
 The doubling runs on plain integer labels. `Path` and `Cycle` hold the
 dimension plus a tuple of label values (`values`); each member is validated
 once, by `from_values`, and the package reads its edges as value pairs
@@ -23,6 +36,8 @@ once, by `from_values`, and the package reads its edges as value pairs
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import and_, or_
 from typing import Iterable, Iterator, KeysView
 
 from .errors import (
@@ -40,6 +55,9 @@ from .topology import (
     _adjacent_values,
     _edges_of,
     _labels,
+    _no_masks,
+    _ring_masks,
+    _steps_are_edges,
     check_dim,
     make_label,
     repeat_bits,
@@ -57,11 +75,19 @@ _BASE_SECOND = (
 
 
 def _check_values(dim: int, values: list[int], *, closed: bool) -> None:
-    """Validate a walk once: in-range, distinct, consecutively adjacent values."""
-    if values and not 0 <= min(values) <= max(values) < 1 << dim:
+    """Validate a walk once: in-range, distinct, consecutively adjacent values.
+
+    Each property is one C-level pass; only a walk that fails the adjacency
+    pass is rescanned step by step, so that its first bad step is named.
+    """
+    if not values:
+        return
+    if not 0 <= min(values) <= max(values) < 1 << dim:
         raise LabelFormatError(f"label values out of range for dim {dim}")
     if len(set(values)) != len(values):
         raise OverlapError("sequence visits a node more than once")
+    if _steps_are_edges(dim, values, closed=closed):
+        return
     width = f"0{dim}b"
     for i in range(len(values) - 1):
         if not _adjacent_values(dim, values[i], values[i + 1]):
@@ -174,7 +200,11 @@ class HamiltonianPair:
 
     The invariants are enforced at construction, so holding a pair is proof
     it was verified: both members visit all 2**dim nodes exactly once and
-    their edge sets are disjoint.
+    their edge sets are disjoint. Disjointness is checked node by node on
+    edge masks: bit k of a node's mask marks the member's edge of dimension
+    k there (the top set bit of `u ^ v`), so the members share an edge iff
+    some node's two masks share a bit. A mask bit names an edge only for a
+    step that is one, which each member's own validation has proven.
     """
 
     first: Path | Cycle
@@ -192,7 +222,10 @@ class HamiltonianPair:
                 raise InvalidPairError(
                     f"member visits {len(member)} nodes, expected {1 << self.dim}"
                 )
-        if not self.first.edge_pairs().isdisjoint(self.second.edge_pairs()):
+        first, second = (_ring_masks(m.values, closed=m._closed) for m in self.members)
+        at = _no_masks(self.dim)
+        any(map(at.__setitem__, self.second.values, second))  # second's masks by node
+        if any(map(and_, first, map(at.__getitem__, self.first.values))):
             raise InvalidPairError("pair members share an edge")
 
     @property
@@ -274,7 +307,7 @@ def _constructed_pair(member: type[Path] | type[Cycle], dim: int) -> Hamiltonian
     for seed in (_BASE_FIRST, _BASE_SECOND):
         values = [int(bits, 2) for bits in seed]
         for n in range(5, dim + 1):
-            values += [v | 1 << (n - 1) for v in reversed(values)]
+            values += map(or_, values[::-1], repeat(1 << (n - 1)))
         members.append(member.from_values(dim, values))
     return HamiltonianPair(members[0], members[1], dim)
 

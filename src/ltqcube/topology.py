@@ -23,10 +23,12 @@ oracle the closed form is tested against.
 
 from __future__ import annotations
 
+from array import array
+from collections import Counter
 from collections.abc import Iterable, Set
 from dataclasses import dataclass
 from itertools import chain, repeat
-from operator import itemgetter
+from operator import and_, itemgetter, lshift, or_, xor
 from typing import Iterator, KeysView, Sequence
 
 from .errors import AdjacencyError, DimensionError, LabelFormatError
@@ -256,6 +258,44 @@ def walk_edges(values: Sequence[int], *, closed: bool) -> KeysView[tuple[int, in
     return dict.fromkeys((u, v) if u < v else (v, u) for u, v in zip(values, successors)).keys()
 
 
+#: `_TOP_BIT[d.bit_length()]` is the top set bit of `d`, and 0 for `d == 0`.
+_TOP_BIT = (0, *(1 << k for k in range(MAX_DIM)))
+
+
+def _ring_masks(values: Sequence[int], *, closed: bool) -> list[int]:
+    """Each position's edge mask: the top set bits of `u ^ v` over the walk's
+    steps at that node (two, one at the ends of an open walk), ORed.
+
+    The n edges at a node of LTQ_n have n distinct top bits, so bit k of a
+    node's mask names exactly one edge there: the one of dimension k. That
+    holds only for steps that are edges; on a non-edge the bit names some
+    other edge, so the walk must already be proven adjacent. Computed in
+    C-level passes, with no tuple per step.
+    """
+    ends = values[1:] + values[:1] if closed else values[1:]
+    tops = list(map(_TOP_BIT.__getitem__, map(int.bit_length, map(xor, values, ends))))
+    if len(tops) < len(values):
+        tops.append(0)  # no step leaves the last node of an open walk
+    return list(map(or_, tops, tops[-1:] + tops[:-1]))
+
+
+def _steps_are_edges(dim: int, values: Sequence[int], *, closed: bool) -> bool:
+    """True iff every step of a walk over in-range values is an edge.
+
+    A step u -> v is tagged `(u ^ v) << 1 | (u & 1)`, since which differences
+    are edges depends only on the parity of u; the walk's tags are collected
+    in one set and tested against the 2 * dim allowed ones.
+    """
+    ends = values[1:] + values[:1] if closed else values[1:]
+    parities = map(and_, values, repeat(1))
+    tags = set(map(or_, map(lshift, map(xor, values, ends), repeat(1)), parities))
+    # even u: flip bit k; odd u: flip bits 0 or 1, or bits k and k - 1 for k >= 2
+    allowed = {2, 3, 4, 5}
+    for k in range(2, dim):
+        allowed.update((2 << k, 3 << k | 1))
+    return tags <= allowed
+
+
 def edge_pairs(dim: int) -> Iterator[tuple[int, int]]:
     """Every edge of the dim-dimensional cube as a (smaller, larger) value pair."""
     check_dim(dim)
@@ -267,42 +307,79 @@ def edge_pairs(dim: int) -> Iterator[tuple[int, int]]:
 
 class EdgeSet(Set):
     """A read-only set of edges of one cube: every edge of the dim-cube
-    except a `removed` set of (smaller, larger) value pairs.
+    except some removed ones, held as one edge mask per node.
 
-    `len` and `in` are answered from that description alone. The members'
-    pairs are enumerated once, when `.pairs` or iteration first asks, and an
-    `Edge` is built per pair when iterated. It equals and hashes like the
-    frozenset of the same edges; `-`, `&` and `|` return frozensets of `Edge`.
-    Two `EdgeSet`s compare their descriptions, and the hash is computed once.
-    The removed pairs are trusted to be distinct edges of the cube.
+    Bit k of node u's mask is set when u's edge of dimension k is removed;
+    an edge u .. v has the dimension of the top set bit of `u ^ v`, which the
+    n edges at a node never share. The masks live in an array indexed by
+    node value (empty when nothing is removed), so `len` and `in` are
+    answered from them alone. The members' pairs are enumerated once, when
+    `.pairs` or iteration first asks, and an `Edge` is built per pair when
+    iterated. It equals and hashes like the frozenset of the same edges;
+    `-`, `&` and `|` return frozensets of `Edge`. Two `EdgeSet`s compare
+    their masks, and the hash is computed once. The removed pairs are
+    trusted to be edges of the cube: a mask bit cannot name a non-edge.
     """
 
-    __slots__ = ("dim", "_removed", "_pairs", "_hash_cache")
+    __slots__ = ("dim", "_removed", "_popcounts", "_pairs", "_hash_cache")
 
     def __init__(self, dim: int, removed: Iterable[tuple[int, int]] = ()) -> None:
         check_dim(dim)
+        masks: Sequence[int] = ()
+        for u, v in removed:
+            if not masks:
+                masks = _no_masks(dim)
+            top = _TOP_BIT[(u ^ v).bit_length()]
+            masks[u] |= top
+            masks[v] |= top
+        self._store(dim, masks)
+
+    @classmethod
+    def _minus_rings(cls, dim: int, rings: Iterable[Sequence[int]]) -> EdgeSet:
+        """The cube minus the edges of closed walks over label values of the
+        proven dimension `dim`, each already proven to step along edges."""
+        masks = _no_masks(dim)
+        at = masks.__getitem__
+        for ring in rings:
+            ored = map(or_, map(at, ring), _ring_masks(ring, closed=True))
+            any(map(masks.__setitem__, ring, ored))  # one C-level store per node
+        edge_set = cls.__new__(cls)
+        edge_set._store(dim, masks)
+        return edge_set
+
+    def _store(self, dim: int, masks: Sequence[int]) -> None:
         self.dim = dim
-        self._removed = frozenset(removed)
+        self._removed = masks if any(masks) else ()
+        #: how many nodes have each number of removed edges
+        self._popcounts = Counter(map(int.bit_count, masks)) if self._removed else {0: 1 << dim}
         self._pairs: frozenset[tuple[int, int]] | None = None
         self._hash_cache: int | None = None
+
+    def _degree_histogram(self) -> dict[int, int]:
+        """How many nodes have each degree in this set: dim minus the
+        popcount of the node's mask."""
+        return {self.dim - k: n for k, n in self._popcounts.items()}
 
     @property
     def pairs(self) -> frozenset[tuple[int, int]]:
         """The members as value pairs, enumerated on first read."""
         if self._pairs is None:
-            removed = self._removed
-            self._pairs = frozenset(e for e in edge_pairs(self.dim) if e not in removed)
+            removed, top = self._removed, _TOP_BIT
+            every = edge_pairs(self.dim)
+            if removed:
+                every = (e for e in every if not removed[e[0]] & top[(e[0] ^ e[1]).bit_length()])
+            self._pairs = frozenset(every)
         return self._pairs
 
     def __len__(self) -> int:
-        return (self.dim << (self.dim - 1)) - len(self._removed)
+        removed = sum(k * n for k, n in self._popcounts.items()) // 2
+        return (self.dim << (self.dim - 1)) - removed
 
     def __contains__(self, edge: object) -> bool:
-        return (
-            isinstance(edge, Edge)
-            and edge.dim == self.dim
-            and (edge.a.value, edge.b.value) not in self._removed
-        )
+        if not isinstance(edge, Edge) or edge.dim != self.dim:
+            return False
+        u, v = edge.a.value, edge.b.value
+        return not self._removed or not self._removed[u] & _TOP_BIT[(u ^ v).bit_length()]
 
     def __iter__(self) -> Iterator[Edge]:
         return _edges_of(self.dim, self.pairs)
@@ -325,6 +402,11 @@ class EdgeSet(Set):
 
     def __repr__(self) -> str:
         return f"EdgeSet(dim={self.dim}, {len(self)} edges)"
+
+
+def _no_masks(dim: int) -> array:
+    """A zero edge mask for each of the 2**dim nodes, indexed by value."""
+    return array("L", bytes(array("L").itemsize << dim))
 
 
 def _edges_of(dim: int, pairs: Iterable[tuple[int, int]]) -> Iterator[Edge]:

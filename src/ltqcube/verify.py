@@ -12,8 +12,8 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Set
 from dataclasses import dataclass, field
-from itertools import chain, combinations
-from operator import itemgetter
+from itertools import chain, combinations, repeat
+from operator import and_, itemgetter, lshift, or_, xor
 from typing import Iterable, Iterator, Sequence
 
 from .construction import Cycle, HamiltonianPair, Path, edh_cycles
@@ -25,7 +25,6 @@ from .topology import (
     _adjacent_values,
     _neighbor_values,
     check_dim,
-    walk_edges,
 )
 
 #: Default node-expansion budget for the bounded third-cycle search.
@@ -96,7 +95,9 @@ def _sequence_checks(
     if bad_dim:
         return checks
     bits = f"0{dim}b"
-    dupes = [v for v, c in Counter(values).items() if c > 1]
+    dupes = []
+    if len(set(values)) != len(values):  # counted only to name the first repeat
+        dupes = [v for v, c in Counter(values).items() if c > 1]
     checks.append(
         CheckResult(
             "nodes distinct",
@@ -104,17 +105,14 @@ def _sequence_checks(
             "" if not dupes else f"repeated: {dupes[0]:{bits}}",
         )
     )
-    broken = [
-        i for i in range(len(values) - 1) if not _adjacent_values(dim, values[i], values[i + 1])
-    ]
+    broken = _first_non_edge(dim, values)
     checks.append(
         CheckResult(
             "consecutive adjacency",
-            not broken,
+            broken is None,
             ""
-            if not broken
-            else f"{values[broken[0]]:{bits}} .. {values[broken[0] + 1]:{bits}}"
-            f" at position {broken[0]}",
+            if broken is None
+            else f"{values[broken]:{bits}} .. {values[broken + 1]:{bits}} at position {broken}",
         )
     )
     if closed:
@@ -127,6 +125,46 @@ def _sequence_checks(
             )
         )
     return checks
+
+
+def _first_non_edge(dim: int, values: Sequence[int]) -> int | None:
+    """The position of the first step of a walk over in-range values that
+    is not an edge, or None.
+
+    Which differences are edges depends only on the parity of the node
+    stepped from, so each step u -> v is tagged `(u ^ v) << 1 | (u & 1)` and
+    the tags are tested in one set against those of the neighbors of nodes
+    0 and 1. Only a walk that fails is rescanned step by step.
+    """
+    parities = map(and_, values, repeat(1))
+    tags = set(map(or_, map(lshift, map(xor, values, values[1:]), repeat(1)), parities))
+    if tags <= {(v ^ w) << 1 | v for v in (0, 1) for w in _neighbor_values(dim, v)}:
+        return None
+    steps = range(len(values) - 1)
+    return next(i for i in steps if not _adjacent_values(dim, values[i], values[i + 1]))
+
+
+def _successors(values: Sequence[int], closed: bool) -> Sequence[int]:
+    """Where each step of a walk ends: the next value, and for a closed walk
+    of two or more values the first one after the last."""
+    return values[1:] + values[:1] if closed and len(values) > 1 else values[1:]
+
+
+def _shared_edges(
+    a: Sequence[int], a_closed: bool, b: Sequence[int], b_closed: bool
+) -> set[tuple[int, int]]:
+    """Every (smaller, larger) value pair that both walks step between, in
+    either direction. Steps are compared as integer keys, not as edges, so
+    the answer stays exact on walks that hold non-edges or repeated steps."""
+    width = max(max(a, default=0), max(b, default=0)).bit_length()
+
+    def keys(tails: Sequence[int], heads: Sequence[int]) -> Iterator[int]:
+        return map(or_, map(lshift, tails, repeat(width)), heads)  # u << width | v
+
+    a_next, b_next = _successors(a, a_closed), _successors(b, b_closed)
+    hits = set(keys(a, a_next)).intersection(chain(keys(b, b_next), keys(b_next, b)))
+    low = (1 << width) - 1
+    return {(min(k >> width, k & low), max(k >> width, k & low)) for k in hits}
 
 
 def is_hamiltonian_path(dim: int, p: Path | Sequence[NodeLabel]) -> bool:
@@ -149,8 +187,7 @@ def are_edge_disjoint(
     (dims_a, values_a), (dims_b, values_b) = _raw(a), _raw(b)
     if dims_a and dims_b and dims_a[0] != dims_b[0]:
         raise DimensionError("cannot compare walks of different dimensions")
-    edges_a = walk_edges(values_a, closed=isinstance(a, Cycle))
-    return edges_a.isdisjoint(walk_edges(values_b, closed=isinstance(b, Cycle)))
+    return not _shared_edges(values_a, isinstance(a, Cycle), values_b, isinstance(b, Cycle))
 
 
 def verify_pair(
@@ -177,13 +214,12 @@ def _verify_members(dim: int, kind: str, members: Sequence[tuple]) -> Verificati
     label values, whether it is a Cycle); `kind` is 'paths' or 'cycles'."""
     closed = kind == "cycles"
     checks: list[CheckResult] = []
-    edge_sets = []
-    for tag, (dims, values, is_cycle) in zip(("first", "second"), members):
+    for tag, (dims, values, _) in zip(("first", "second"), members):
         for check in _sequence_checks(dim, dims, values, closed=closed):
             checks.append(CheckResult(f"{tag}: {check.name}", check.passed, check.detail))
-        # a Cycle's closing edge is one of its edges whatever `kind` says
-        edge_sets.append(walk_edges(values, closed=closed or is_cycle))
-    shared = edge_sets[0] & edge_sets[1]
+    # a Cycle's closing edge is one of its edges whatever `kind` says
+    (_, first, first_cycle), (_, second, second_cycle) = members
+    shared = _shared_edges(first, closed or first_cycle, second, closed or second_cycle)
     detail = ""
     if shared:
         u, v = sorted(shared)[0]
@@ -373,11 +409,15 @@ class ResidualAnalysis:
     residual is disconnected at every dim >= 5. `search_expansions` counts
     the nodes the search expanded.
 
-    `unused_edges` is an `EdgeSet` of the cube minus the ring edges. Its size
-    is *derived* (the cube's edges minus the distinct ring edges, exact for
-    validated rings); `degree_histogram` is *measured* (dim minus the ring
-    edges at each node). A pair sharing an edge fails both checks below. The
-    unused edges are enumerated only when iterated or `.pairs` is read.
+    `unused_edges` is an `EdgeSet` of the cube minus the ring edges, held as
+    one edge mask per node: the OR of both rings' masks, bit k marking the
+    node's edge of dimension k (the top set bit of `u ^ v`). That naming is
+    exact only for steps that are edges, which the pair's validation proved.
+    `degree_histogram` is *measured* at every node as dim minus the popcount
+    of its mask; the residual's size is *derived* from the same popcounts
+    (the cube's edges minus half their sum). A pair sharing an edge leaves
+    one bit fewer at both ends, so it fails both checks below. The unused
+    edges are enumerated only when iterated or `.pairs` is read.
     """
 
     dim: int
@@ -403,7 +443,8 @@ def residual_analysis(
 ) -> ResidualAnalysis:
     """Edges unused by a verified cycle pair, their degrees, and optionally
     a bounded hunt for a third edge-disjoint Hamiltonian cycle among them.
-    Without a search the work is O(2**dim), over the two rings only.
+    Without a search the work is O(2**dim): C-level passes over the two
+    rings' edge masks.
     """
     if search_budget is not None and search_budget <= 0:
         raise LtqError(f"budget must be positive, got {search_budget}")
@@ -411,15 +452,8 @@ def residual_analysis(
         raise InvalidPairError("residual analysis needs a pair of cycles")
     if pair.dim != dim:
         raise DimensionError(f"pair dim {pair.dim} does not match {dim}")
-    first, second = (walk_edges(member.values, closed=True) for member in pair.members)
-    used = frozenset(chain(first, second))
-    degree = [dim] * (1 << dim)
-    # distinct ring edges in walk order, far more cache-friendly than hash order
-    for u, v in chain(first, (e for e in second if e not in first)):
-        degree[u] -= 1
-        degree[v] -= 1
-    histogram = dict(Counter(degree))
-    unused = EdgeSet(dim, used)
+    unused = EdgeSet._minus_rings(dim, (member.values for member in pair.members))
+    histogram = unused._degree_histogram()
     if search_budget is None:
         return ResidualAnalysis(dim, unused, histogram)
     third, verdict, expansions = _bounded_cycle_search(dim, unused.pairs, search_budget)

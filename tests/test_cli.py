@@ -606,6 +606,19 @@ class TestExitCodeContract:
         failed, _, _ = run(capsys, "verify", str(failing))
         assert (ok, failed, refused, malformed) == (0, 1, 2, 3)
 
+    @pytest.mark.parametrize("command,argv", [
+        ("cmd_topology", ["topology", "--dim", "4"]),
+        ("cmd_construct", ["construct", "--dim", "4"]),
+        ("cmd_residual", ["residual", "--dim", "4"]),
+    ])
+    def test_out_of_memory_is_a_refusal(self, capsys, command, argv):
+        with mock.patch.object(cli, command, side_effect=MemoryError):
+            code, out, err = run(capsys, *argv)
+        assert code == cli.EXIT_REFUSED == 2
+        assert out == ""
+        assert err.startswith("ltqcube: out of memory") and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 VALID_BYTES = [
     render_document(pair_document(build(4))).encode() for build in (edh_cycles, edh_paths)

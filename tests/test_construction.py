@@ -1,3 +1,6 @@
+from collections import Counter
+from itertools import combinations
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -5,6 +8,7 @@ from hypothesis import strategies as st
 from ltqcube import construction
 from ltqcube import (
     MAX_DIM,
+    AdjacencyError,
     Cycle,
     DimensionError,
     HamiltonianPair,
@@ -24,6 +28,7 @@ from ltqcube import (
     make_label,
     reverse_path,
 )
+from ltqcube.verify import enumerate_hamiltonian_cycles
 
 FIRST_SEED = (
     "0010", "0110", "0111", "0101", "0100", "1100", "1110", "1010",
@@ -301,6 +306,26 @@ class TestConstructedCycles:
             assert member.nodes[1].value < member.nodes[-1].value
 
 
+class TestGrayCodeReading:
+    """Position i of a constructed path is the reflected Gray code of its
+    high bits above the dim-4 seed read forwards or backwards (see the
+    module docstring)."""
+
+    @staticmethod
+    def gray(h):
+        return h ^ (h >> 1)
+
+    @pytest.mark.parametrize("dim", range(4, 17))
+    def test_both_members(self, dim):
+        pair = edh_paths(dim)
+        for member, seed in zip(pair.members, (FIRST_SEED, SECOND_SEED)):
+            low = [int(bits, 2) for bits in seed]
+            assert list(member.values) == [
+                self.gray(i >> 4) << 4 | low[(i & 15) ^ (15 if (i >> 4) & 1 else 0)]
+                for i in range(1 << dim)
+            ]
+
+
 class TestHamiltonianPairType:
     def test_rejects_shared_edges(self):
         cycle = edh_cycles(4).first
@@ -318,6 +343,110 @@ class TestHamiltonianPairType:
         with pytest.raises(InvalidPairError):
             HamiltonianPair(pair.first, Cycle(pair.second.nodes), 4)
 
+    def test_refuses_exactly_the_pairs_that_share_an_edge(self):
+        # every disjoint pair of Hamiltonian cycles of LTQ_4 and every pair
+        # sharing only two edges, the fewest two of them can share
+        cycles = enumerate_hamiltonian_cycles(4)
+        edge_sets = [frozenset(c.edge_pairs()) for c in cycles]
+        tried = Counter()
+        for i, j in combinations(range(len(cycles)), 2):
+            shared = len(edge_sets[i] & edge_sets[j])
+            if shared > 2:
+                continue
+            tried[shared] += 1
+            for a, b in ((cycles[i], cycles[j]), (cycles[j], cycles[i])):
+                if shared:
+                    with pytest.raises(InvalidPairError, match="share an edge"):
+                        HamiltonianPair(a, b, 4)
+                else:
+                    HamiltonianPair(a, b, 4)
+                    HamiltonianPair(Path.from_values(4, a.values), Path.from_values(4, b.values), 4)
+        assert tried[0] == 240 and tried[2] > 0 and tried[1] == 0
+
     def test_kind_reporting(self):
         assert edh_paths(4).kind == "paths"
         assert edh_cycles(4).kind == "cycles"
+
+
+class TestFailureMessages:
+    """Each rejection names its first bad step, by label and input position.
+
+    Walks are cut from `edh_paths(6).first`: dropping the node at position j
+    joins positions j - 1 and j + 1, which the test first checks are not
+    adjacent, so step j - 1 of the shortened walk is its only break there.
+    """
+
+    DIM = 6
+
+    @classmethod
+    def dropped(cls, *positions):
+        values = list(edh_paths(cls.DIM).first.values)
+        for j in positions:
+            u, w = values[j - 1], values[j + 1]
+            assert not is_adjacent(make_label(cls.DIM, f"{u:06b}"), make_label(cls.DIM, f"{w:06b}"))
+        return [v for j, v in enumerate(values) if j not in positions]
+
+    @staticmethod
+    def step_message(values, i):
+        return (
+            f"nodes {values[i]:06b} and {values[i + 1]:06b} "
+            f"(positions {i}, {i + 1}) are not adjacent"
+        )
+
+    @pytest.mark.parametrize("kind", [Path, Cycle])
+    @pytest.mark.parametrize(
+        "drop,step", [(1, 0), (32, 31), (62, 61)], ids=["first", "middle", "last"]
+    )
+    def test_one_break(self, kind, drop, step):
+        values = self.dropped(drop)
+        with pytest.raises(AdjacencyError) as caught:
+            kind.from_values(self.DIM, values)
+        assert str(caught.value) == self.step_message(values, step)
+
+    @pytest.mark.parametrize("kind", [Path, Cycle])
+    def test_two_breaks_name_the_first(self, kind):
+        values = self.dropped(20, 40)
+        with pytest.raises(AdjacencyError) as caught:
+            kind.from_values(self.DIM, values)
+        assert str(caught.value) == self.step_message(values, 19)
+
+    def test_a_break_is_named_before_the_closing_edge(self):
+        values = self.dropped(32)[:-1]
+        assert not is_adjacent(
+            make_label(self.DIM, f"{values[-1]:06b}"), make_label(self.DIM, f"{values[0]:06b}")
+        )
+        with pytest.raises(AdjacencyError) as caught:
+            Cycle.from_values(self.DIM, values)
+        assert str(caught.value) == self.step_message(values, 31)
+
+    def test_closing_edge(self):
+        values = list(edh_paths(self.DIM).first.values)[:-1]
+        Path.from_values(self.DIM, values)
+        with pytest.raises(AdjacencyError) as caught:
+            Cycle.from_values(self.DIM, values)
+        assert str(caught.value) == (
+            f"closing edge {values[-1]:06b} .. {values[0]:06b} is not an edge"
+        )
+
+    @pytest.mark.parametrize("kind", [Path, Cycle])
+    def test_repeated_node(self, kind):
+        values = list(edh_paths(self.DIM).first.values)
+        values[40] = values[3]
+        with pytest.raises(OverlapError) as caught:
+            kind.from_values(self.DIM, values)
+        assert str(caught.value) == "sequence visits a node more than once"
+
+    @pytest.mark.parametrize("kind", [Path, Cycle])
+    @pytest.mark.parametrize("bad", [-1, 64])
+    def test_value_out_of_range(self, kind, bad):
+        values = list(edh_paths(self.DIM).first.values)
+        values[10] = bad
+        with pytest.raises(LabelFormatError) as caught:
+            kind.from_values(self.DIM, values)
+        assert str(caught.value) == "label values out of range for dim 6"
+
+    def test_range_is_checked_before_repeats_and_steps(self):
+        with pytest.raises(LabelFormatError):
+            Path.from_values(4, [0, 0, 5, 16])
+        with pytest.raises(OverlapError):
+            Path.from_values(4, [0, 0, 5])

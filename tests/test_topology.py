@@ -22,6 +22,9 @@ from ltqcube import (
     subcube_of,
     successive_bits_property,
 )
+from ltqcube.construction import edh_cycles, edh_paths
+from ltqcube.topology import _adjacent_values, _ring_masks, _steps_are_edges, walk_edges
+from ltqcube.verify import enumerate_hamiltonian_cycles
 
 
 def labels(min_dim=2, max_dim=10):
@@ -247,6 +250,17 @@ class TestNeighbors:
         assert cross_neighbor(x) in neighbors(x)
 
 
+    @pytest.mark.parametrize("dim", range(2, 13))
+    def test_top_bits_of_the_differences_name_every_dimension_once(self, dim):
+        # the fact per-node edge masks rest on: at each node the top set bit
+        # of `v ^ w` tells its dim neighbors apart, one dimension each
+        every = {1 << k for k in range(dim)}
+        for v in range(1 << dim):
+            near = neighbors_recursive(NodeLabel(dim, v))
+            tops = [1 << ((v ^ w.value).bit_length() - 1) for w in near]
+            assert len(tops) == dim and set(tops) == every
+
+
 class TestIsAdjacent:
     def test_known_edges(self):
         assert is_adjacent(make_label(4, "0100"), make_label(4, "1100"))
@@ -341,3 +355,50 @@ class TestLtqGraph:
 def test_adjacent_labels_differ_in_successive_bits(x):
     for y in neighbors(x):
         assert successive_bits_property(x, y)
+
+
+class TestBulkStepHelpers:
+    """The C-level passes construction validates with, against the per-step
+    rule and the per-step edge pairs they replace."""
+
+    @pytest.mark.parametrize("dim", range(2, 8))
+    def test_tags_agree_with_adjacency_on_every_step(self, dim):
+        for u in range(1 << dim):
+            for v in range(1 << dim):
+                assert _steps_are_edges(dim, [u, v], closed=False) == _adjacent_values(dim, u, v)
+
+    @pytest.mark.parametrize("dim", [4, 7])
+    def test_tags_see_the_closing_step(self, dim):
+        values = list(edh_paths(dim).first.values)
+        assert _steps_are_edges(dim, values, closed=True)
+        values = values[:-1]
+        assert _steps_are_edges(dim, values, closed=False)
+        assert not _steps_are_edges(dim, values, closed=True)
+
+    def test_short_walks(self):
+        assert _steps_are_edges(4, [], closed=False)
+        assert _steps_are_edges(4, [5], closed=False)
+        assert _ring_masks([], closed=False) == []
+        assert _ring_masks([5], closed=False) == [0]
+        assert _ring_masks([5, 4], closed=False) == [1, 1]
+
+    @staticmethod
+    def reference_masks(values, closed):
+        masks = dict.fromkeys(values, 0)
+        for u, v in walk_edges(values, closed=closed):
+            top = 1 << ((u ^ v).bit_length() - 1)
+            masks[u] |= top
+            masks[v] |= top
+        return [masks[v] for v in values]
+
+    @pytest.mark.parametrize("dim", range(4, 11))
+    def test_masks_of_the_constructed_walks(self, dim):
+        for build, closed in ((edh_paths, False), (edh_cycles, True)):
+            for member in build(dim).members:
+                expected = self.reference_masks(member.values, closed)
+                assert _ring_masks(member.values, closed=closed) == expected
+
+    def test_masks_of_every_hamiltonian_cycle_of_ltq4(self):
+        for cycle in enumerate_hamiltonian_cycles(4):
+            masks = _ring_masks(cycle.values, closed=True)
+            assert masks == self.reference_masks(cycle.values, True)

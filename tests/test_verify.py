@@ -29,7 +29,8 @@ from ltqcube import (
     verify_pair,
 )
 from ltqcube.topology import EdgeSet, NodeLabel, _adjacent_values, _neighbor_values, edge_pairs
-from ltqcube.verify import _bounded_cycle_search, _search_cycles
+from ltqcube.topology import walk_edges
+from ltqcube.verify import _bounded_cycle_search, _first_non_edge, _search_cycles, _shared_edges
 
 # Found by depth-first search: a Hamiltonian path of the dim-4 cube whose
 # end nodes 0000 and 1111 are NOT adjacent, so only the closing-edge check
@@ -591,3 +592,172 @@ def test_endpoint_claims_verified_independently(dim):
     start_f, end_f, start_s, end_s = expected_endpoints(dim)
     assert pair.first.nodes[0] == start_f and pair.first.nodes[-1] == end_f
     assert pair.second.nodes[0] == start_s and pair.second.nodes[-1] == end_s
+
+
+class TestVerifyPairDetails:
+    """The details `verify_pair` gives for each failed check, pinned on
+    walks cut from `edh_paths(6)`, including walks that hold non-edges."""
+
+    DIM = 6
+
+    @staticmethod
+    def labels(values, dim=6):
+        return [NodeLabel(dim, v) for v in values]
+
+    def details(self, first, second, kind="cycles", dim=6):
+        report = verify_pair(dim, self.labels(first, dim), self.labels(second, dim), kind)
+        return {c.name: c.detail for c in report.checks if not c.passed}
+
+    @staticmethod
+    def walked(values, closed):
+        """The reference: each step as its (smaller, larger) value pair."""
+        ends = values[1:] + values[:1] if closed else values[1:]
+        return {(min(u, v), max(u, v)) for u, v in zip(values, ends)}
+
+    @pytest.fixture
+    def pair(self):
+        paths = edh_paths(self.DIM)
+        return list(paths.first.values), list(paths.second.values)
+
+    @pytest.mark.parametrize(
+        "drop,step", [(1, 0), (32, 31), (62, 61)], ids=["first", "middle", "last"]
+    )
+    def test_a_non_adjacent_step(self, pair, drop, step):
+        first, second = pair
+        broken = first[:drop] + first[drop + 1:]
+        assert not _adjacent_values(self.DIM, broken[step], broken[step + 1])
+        details = self.details(broken, second, "paths")
+        assert details == {
+            "first: node count": "63 of 64",
+            "first: consecutive adjacency": f"{broken[step]:06b} .. {broken[step + 1]:06b}"
+            f" at position {step}",
+        }
+
+    def test_two_breaks_name_the_first(self, pair):
+        first, second = pair
+        broken = [v for j, v in enumerate(first) if j not in (20, 40)]
+        details = self.details(broken, second, "paths")
+        assert details["first: consecutive adjacency"] == (
+            f"{broken[19]:06b} .. {broken[20]:06b} at position 19"
+        )
+
+    def test_repeated_names_the_first_repeated_value(self, pair):
+        first, second = pair
+        mutated = list(first)
+        mutated[40], mutated[50] = mutated[3], mutated[1]
+        detail = self.details(mutated, second, "paths")["first: nodes distinct"]
+        assert detail == f"repeated: {first[1]:06b}"
+
+    def test_closing_edge(self):
+        open_ended = [int(b, 2) for b in OPEN_ENDED_HAM_PATH]
+        details = self.details(edh_cycles(4).first.values, open_ended, dim=4)
+        assert details["second: closing edge"] == "1111 .. 0000 is not an edge"
+        assert "first: closing edge" not in details
+
+    def test_closing_edge_of_a_short_member(self, pair):
+        first, second = pair
+        short = first[:-1]
+        assert not _adjacent_values(self.DIM, short[-1], short[0])
+        details = self.details(short, second)
+        assert details["first: closing edge"] == (
+            f"{short[-1]:06b} .. {short[0]:06b} is not an edge"
+        )
+
+    def test_shared_edges(self, pair):
+        first, _ = pair
+        details = self.details(first, first[::-1])
+        shared = self.walked(first, True)
+        assert details == {
+            "pair: edge-disjoint": f"{len(shared)} shared, e.g. "
+            f"{min(shared)[0]:06b} .. {min(shared)[1]:06b}"
+        }
+        assert len(shared) == 64
+
+    @pytest.mark.parametrize("kind", ["paths", "cycles"])
+    def test_shared_non_edges_are_counted(self, pair, kind):
+        first, second = pair
+        broken = first[:32] + first[33:]
+        # the second member walks the first's non-edge, the other way round
+        other = [broken[32], broken[31]] + [v for v in second if v not in (broken[31], broken[32])]
+        shared = self.walked(broken, kind == "cycles") & self.walked(other, kind == "cycles")
+        assert (min(broken[31:33]), max(broken[31:33])) in shared
+        detail = self.details(broken, other, kind)["pair: edge-disjoint"]
+        lo = min(shared)
+        assert detail == f"{len(shared)} shared, e.g. {lo[0]:06b} .. {lo[1]:06b}"
+
+    def test_a_repeated_step_is_shared_once(self):
+        details = self.details([0, 5, 0, 5], [5, 0], "paths")
+        assert details["pair: edge-disjoint"] == "1 shared, e.g. 000000 .. 000101"
+
+    def test_labels_of_another_dim(self):
+        first = edh_cycles(5).first.values
+        report = verify_pair(4, self.labels(first, 5), self.labels(first, 5), "cycles")
+        failed = {c.name: c.detail for c in report.checks if not c.passed}
+        # the shared step keys stay exact on values wider than the dimension
+        assert failed == {
+            "first: node count": "32 of 16",
+            "first: label dimensions": "32 labels of wrong dim",
+            "second: node count": "32 of 16",
+            "second: label dimensions": "32 labels of wrong dim",
+            "pair: edge-disjoint": "32 shared, e.g. 0000 .. 0001",
+        }
+
+    def test_are_edge_disjoint_counts_non_edges(self):
+        assert not are_edge_disjoint(self.labels([0, 5]), self.labels([5, 0]))
+        assert are_edge_disjoint(self.labels([0, 5]), self.labels([0, 6, 5]))
+        assert not are_edge_disjoint(self.labels([3, 3]), self.labels([3, 3]))
+        assert are_edge_disjoint([], self.labels([3, 3]))
+
+
+class TestCheckerIndependence:
+    """The checkers share no code with the construction's bulk checks."""
+
+    def test_no_mask_or_tag_helper_is_used(self, monkeypatch):
+        import ltqcube.verify as verify_module
+
+        assert not {"_ring_masks", "_steps_are_edges"} & set(vars(verify_module))
+        pairs = [edh_cycles(7), edh_paths(7)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a checker called a construction helper")
+
+        monkeypatch.setattr(topology_module, "_ring_masks", refuse)
+        monkeypatch.setattr(topology_module, "_steps_are_edges", refuse)
+        for pair in pairs:
+            assert verify_pair(7, pair.first, pair.second, pair.kind).passed
+            assert verify_pair(7, list(pair.first.nodes), pair.second.nodes, pair.kind).passed
+            assert are_edge_disjoint(pair.first, pair.second)
+            assert not are_edge_disjoint(pair.first, pair.first)
+        assert all(map(is_hamiltonian_cycle, [7, 7], edh_cycles(7).members))
+        assert all(map(is_hamiltonian_path, [7, 7], edh_paths(7).members))
+
+
+WALKS = st.lists(st.integers(0, 31), max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(WALKS, st.booleans(), WALKS, st.booleans())
+def test_shared_edges_match_the_walked_pairs(a, a_closed, b, b_closed):
+    shared = _shared_edges(a, a_closed, b, b_closed)
+    assert shared == set(walk_edges(a, closed=a_closed)) & set(walk_edges(b, closed=b_closed))
+
+
+@st.composite
+def mostly_adjacent_walks(draw):
+    """A dimension and a walk that steps to a neighbor, with a few jumps."""
+    dim = draw(st.integers(2, 6))
+    walk = [draw(st.integers(0, (1 << dim) - 1))]
+    for move in draw(st.lists(st.integers(-1, dim - 1), max_size=12)):
+        if move < 0:
+            walk.append(draw(st.integers(0, (1 << dim) - 1)))
+        else:
+            walk.append(_neighbor_values(dim, walk[-1])[move])
+    return dim, walk
+
+
+@settings(max_examples=300, deadline=None)
+@given(mostly_adjacent_walks())
+def test_first_non_edge_is_the_first_failing_step(case):
+    dim, walk = case
+    steps = [i for i in range(len(walk) - 1) if not _adjacent_values(dim, walk[i], walk[i + 1])]
+    assert _first_non_edge(dim, walk) == (steps[0] if steps else None)
