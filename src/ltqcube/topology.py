@@ -317,37 +317,27 @@ class EdgeSet(Set):
     `.pairs` or iteration first asks, and an `Edge` is built per pair when
     iterated. It equals and hashes like the frozenset of the same edges;
     `-`, `&` and `|` return frozensets of `Edge`. Two `EdgeSet`s compare
-    their masks, and the hash is computed once. The removed pairs are
-    trusted to be edges of the cube: a mask bit cannot name a non-edge.
+    their masks, and the hash is computed once. The removed walks are
+    trusted to step along edges of the cube: a mask bit cannot name a
+    non-edge.
     """
 
     __slots__ = ("dim", "_removed", "_popcounts", "_pairs", "_hash_cache")
 
-    def __init__(self, dim: int, removed: Iterable[tuple[int, int]] = ()) -> None:
+    def __init__(self, dim: int, removed: Iterable[Sequence[int]] = ()) -> None:
+        """The dim-cube minus the edges of the closed walks in `removed`.
+
+        Each walk is a sequence of label values whose steps, the closing one
+        included, are edges of the cube; a removed edge (u, v) is the
+        two-node walk. The mask array is allocated on the first walk, so
+        the whole cube costs no allocation.
+        """
         check_dim(dim)
         masks: Sequence[int] = ()
-        for u, v in removed:
-            if not masks:
-                masks = _no_masks(dim)
-            top = _TOP_BIT[(u ^ v).bit_length()]
-            masks[u] |= top
-            masks[v] |= top
-        self._store(dim, masks)
-
-    @classmethod
-    def _minus_rings(cls, dim: int, rings: Iterable[Sequence[int]]) -> EdgeSet:
-        """The cube minus the edges of closed walks over label values of the
-        proven dimension `dim`, each already proven to step along edges."""
-        masks = _no_masks(dim)
-        at = masks.__getitem__
-        for ring in rings:
-            ored = map(or_, map(at, ring), _ring_masks(ring, closed=True))
-            any(map(masks.__setitem__, ring, ored))  # one C-level store per node
-        edge_set = cls.__new__(cls)
-        edge_set._store(dim, masks)
-        return edge_set
-
-    def _store(self, dim: int, masks: Sequence[int]) -> None:
+        for walk in removed:
+            masks = masks or _no_masks(dim)
+            ored = map(or_, map(masks.__getitem__, walk), _ring_masks(walk, closed=True))
+            any(map(masks.__setitem__, walk, ored))  # one C-level store per node
         self.dim = dim
         self._removed = masks if any(masks) else ()
         #: how many nodes have each number of removed edges
@@ -406,7 +396,7 @@ class EdgeSet(Set):
 
 def _no_masks(dim: int) -> array:
     """A zero edge mask for each of the 2**dim nodes, indexed by value."""
-    return array("L", bytes(array("L").itemsize << dim))
+    return array("L", [0]) * (1 << dim)
 
 
 def _edges_of(dim: int, pairs: Iterable[tuple[int, int]]) -> Iterator[Edge]:

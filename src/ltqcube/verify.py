@@ -452,7 +452,7 @@ def residual_analysis(
         raise InvalidPairError("residual analysis needs a pair of cycles")
     if pair.dim != dim:
         raise DimensionError(f"pair dim {pair.dim} does not match {dim}")
-    unused = EdgeSet._minus_rings(dim, (member.values for member in pair.members))
+    unused = EdgeSet(dim, (member.values for member in pair.members))
     histogram = unused._degree_histogram()
     if search_budget is None:
         return ResidualAnalysis(dim, unused, histogram)

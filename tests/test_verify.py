@@ -713,23 +713,25 @@ class TestCheckerIndependence:
     """The checkers share no code with the construction's bulk checks."""
 
     def test_no_mask_or_tag_helper_is_used(self, monkeypatch):
+        import ltqcube.construction as construction_module
         import ltqcube.verify as verify_module
 
-        assert not {"_ring_masks", "_steps_are_edges"} & set(vars(verify_module))
-        pairs = [edh_cycles(7), edh_paths(7)]
+        assert not {"_ring_masks", "_steps_are_edges", "_no_masks"} & set(vars(verify_module))
+        cycles, paths = edh_cycles(7), edh_paths(7)  # built before the helpers are blocked
 
         def refuse(*args, **kwargs):
             raise AssertionError("a checker called a construction helper")
 
-        monkeypatch.setattr(topology_module, "_ring_masks", refuse)
-        monkeypatch.setattr(topology_module, "_steps_are_edges", refuse)
-        for pair in pairs:
+        for module in (topology_module, construction_module):
+            for name in ("_ring_masks", "_steps_are_edges", "_no_masks"):
+                monkeypatch.setattr(module, name, refuse)
+        for pair in (cycles, paths):
             assert verify_pair(7, pair.first, pair.second, pair.kind).passed
             assert verify_pair(7, list(pair.first.nodes), pair.second.nodes, pair.kind).passed
             assert are_edge_disjoint(pair.first, pair.second)
             assert not are_edge_disjoint(pair.first, pair.first)
-        assert all(map(is_hamiltonian_cycle, [7, 7], edh_cycles(7).members))
-        assert all(map(is_hamiltonian_path, [7, 7], edh_paths(7).members))
+        assert all(map(is_hamiltonian_cycle, [7, 7], cycles.members))
+        assert all(map(is_hamiltonian_path, [7, 7], paths.members))
 
 
 WALKS = st.lists(st.integers(0, 31), max_size=12)
