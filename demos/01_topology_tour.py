@@ -2,14 +2,24 @@
 """A tour of the locally twisted cube: labels, the twist rule, and counts."""
 
 from ltqcube import (
-    LtqGraph,
-    cross_neighbor,
+    NodeLabel,
+    edges,
     make_label,
     neighbors,
     neighbors_recursive,
-    subcube_of,
     successive_bits_property,
 )
+
+
+def half(x):
+    """Which (n-1)-dimensional half holds x: its leading bit."""
+    return x.value >> (x.dim - 1)
+
+
+def twist(x):
+    """The one neighbor of x in the other half."""
+    return next(y for y in neighbors(x) if half(y) != half(x))
+
 
 print("The 2-dimensional cube is a plain four-cycle:")
 for bits in ("00", "01", "10", "11"):
@@ -20,7 +30,7 @@ print("\nFrom dimension 3 on, the two halves are joined by a twist edge.")
 print("Flipping the leading bit also re-derives bit n-2 from bit 0:")
 for bits in ("0011", "0000", "0110", "1001"):
     x = make_label(4, bits)
-    print(f"  {x} twists to {cross_neighbor(x)}   (half {subcube_of(x)} -> {subcube_of(cross_neighbor(x))})")
+    print(f"  {x} twists to {twist(x)}   (half {half(x)} -> {half(twist(x))})")
 
 print("\nClosed-form neighbors versus the literal recursive definition:")
 x = make_label(4, "0011")
@@ -43,6 +53,5 @@ for y in sorted(neighbors(x)):
 
 print("\nSize bookkeeping (2^n nodes, n * 2^(n-1) edges, n-regular):")
 for dim in range(2, 9):
-    g = LtqGraph(dim)
-    degrees = {len(g.neighbors(v)) for v in g.vertices()}
-    print(f"  dim {dim}: {g.vertex_count:4d} nodes, {g.edge_count:5d} edges, degrees {degrees}")
+    degrees = {len(neighbors(NodeLabel(dim, v))) for v in range(1 << dim)}
+    print(f"  dim {dim}: {1 << dim:4d} nodes, {len(edges(dim)):5d} edges, degrees {degrees}")

@@ -44,7 +44,6 @@ from .errors import (
     AdjacencyError,
     DimensionError,
     InvalidPairError,
-    JunctionError,
     LabelFormatError,
     LtqError,
     OverlapError,
@@ -60,7 +59,6 @@ from .topology import (
     _steps_are_edges,
     check_dim,
     make_label,
-    repeat_bits,
     walk_edges,
 )
 
@@ -75,13 +73,15 @@ _BASE_SECOND = (
 
 
 def _check_values(dim: int, values: list[int], *, closed: bool) -> None:
-    """Validate a walk once: in-range, distinct, consecutively adjacent values.
+    """Validate a walk once: in-range, distinct, consecutively adjacent integers.
 
     Each property is one C-level pass; only a walk that fails the adjacency
     pass is rescanned step by step, so that its first bad step is named.
     """
     if not values:
         return
+    if not all(map(isinstance, values, repeat(int))):
+        raise LabelFormatError(f"label values for dim {dim} must be integers")
     if not 0 <= min(values) <= max(values) < 1 << dim:
         raise LabelFormatError(f"label values out of range for dim {dim}")
     if len(set(values)) != len(values):
@@ -165,8 +165,7 @@ class _Walk:
 class Path(_Walk):
     """A sequence of distinct, consecutively adjacent nodes.
 
-    The empty path is allowed as a concatenation identity; it has no
-    dimension and no end nodes.
+    The empty path is allowed; it has no dimension and no end nodes.
     """
 
     @property
@@ -237,28 +236,6 @@ class HamiltonianPair:
         return (self.first, self.second)
 
 
-def reverse_path(p: Path) -> Path:
-    """The same path traversed end to start; the edge set is unchanged."""
-    return Path.from_values(p.dim, p.values[::-1]) if p.values else p
-
-
-def concat_paths(p: Path, q: Path) -> Path:
-    """Join two node-disjoint paths through the edge from end(p) to start(q).
-
-    An empty path on either side is a neutral element. Shared nodes raise
-    OverlapError from the joined Path's own validation.
-    """
-    if not q.values:
-        return p
-    if not p.values:
-        return q
-    if p.dim != q.dim:
-        raise DimensionError(f"cannot concatenate paths of dim {p.dim} and {q.dim}")
-    if not _adjacent_values(p.dim, p.values[-1], q.values[0]):
-        raise JunctionError(f"junction {p.end.bits} .. {q.start.bits} is not an edge")
-    return Path.from_values(p.dim, p.values + q.values)
-
-
 def base_paths_ltq4() -> HamiltonianPair:
     """The explicit edge-disjoint Hamiltonian path pair seeding the induction.
 
@@ -280,7 +257,7 @@ def expected_endpoints(dim: int) -> tuple[NodeLabel, NodeLabel, NodeLabel, NodeL
     if dim == 4:
         names = ("0010", "0000", "0110", "0100")
     else:
-        pad = repeat_bits("0", dim - 5)
+        pad = "0" * (dim - 5)
         names = ("00" + pad + "010", "10" + pad + "010", "00" + pad + "110", "10" + pad + "110")
     labels = tuple(make_label(dim, name) for name in names)
     return labels[0], labels[1], labels[2], labels[3]

@@ -19,10 +19,6 @@ class AdjacencyError(LtqError):
     """Two nodes required to be adjacent are not."""
 
 
-class JunctionError(AdjacencyError):
-    """Path concatenation attempted across a non-edge."""
-
-
 class OverlapError(LtqError):
     """Node sets required to be disjoint (or distinct) are not."""
 

@@ -72,6 +72,8 @@ class NodeLabel(tuple):
 
     def __new__(cls, dim: int, value: int) -> NodeLabel:
         check_dim(dim)
+        if not isinstance(value, int):
+            raise LabelFormatError(f"value must be an integer, got {value!r}")
         if not 0 <= value < 1 << dim:
             raise LabelFormatError(f"value {value} out of range for dim {dim}")
         return tuple.__new__(cls, (dim, value))
@@ -152,32 +154,6 @@ def make_label(dim: int, bits: str) -> NodeLabel:
     if bits.strip("01"):
         raise LabelFormatError(f"label must contain only 0 and 1: {bits!r}")
     return NodeLabel._trusted((dim, int(bits, 2)))
-
-
-def repeat_bits(pattern: str, times: int) -> str:
-    """Concatenate `times` copies of a binary string (zero copies give '')."""
-    if not set(pattern) <= {"0", "1"}:
-        raise LabelFormatError(f"pattern must contain only 0 and 1: {pattern!r}")
-    if times < 0:
-        raise LabelFormatError(f"times must be >= 0, got {times}")
-    return pattern * times
-
-
-def _cross_value(dim: int, value: int) -> int:
-    # Flip the leading bit; bit n-2 becomes b_{n-2} xor b_0.
-    return value ^ (1 << (dim - 1)) ^ ((value & 1) << (dim - 2))
-
-
-def cross_neighbor(x: NodeLabel) -> NodeLabel:
-    """The twist-edge partner of `x` in the opposite half of the cube.
-
-    Sends 0 b_{n-2} .. b_0 to 1 (b_{n-2} xor b_0) b_{n-3} .. b_0 and back;
-    the map is an involution. Defined for dim >= 3, where the recursive
-    split into halves exists.
-    """
-    if x.dim < 3:
-        raise DimensionError("the twist rule needs dim >= 3; LTQ_2 edges are fixed")
-    return NodeLabel._trusted((x.dim, _cross_value(x.dim, x.value)))
 
 
 def _neighbor_values(dim: int, value: int) -> list[int]:
@@ -386,8 +362,10 @@ class EdgeSet(Set):
         return len(self) == len(other) == 0  # no edge of one dim is in another
 
     def __hash__(self) -> int:
+        # the frozenset's hash with no Edge built: an Edge hashes as ((dim, u), (dim, v))
         if self._hash_cache is None:
-            self._hash_cache = Set._hash(self)
+            ends = (zip(repeat(self.dim), map(itemgetter(k), self.pairs)) for k in (0, 1))
+            self._hash_cache = hash(frozenset(zip(*ends)))
         return self._hash_cache
 
     def __repr__(self) -> str:
@@ -418,13 +396,6 @@ def edges(dim: int) -> Set[Edge]:
     return EdgeSet(dim)
 
 
-def subcube_of(x: NodeLabel) -> int:
-    """Which (dim-1)-dimensional half holds `x`: its most significant bit."""
-    if x.dim < 3:
-        raise DimensionError("LTQ_2 does not decompose into halves")
-    return x.value >> (x.dim - 1)
-
-
 def successive_bits_property(x: NodeLabel, y: NodeLabel) -> bool:
     """True iff the labels differ in no bits, one bit, or two successive bits.
 
@@ -438,41 +409,3 @@ def successive_bits_property(x: NodeLabel, y: NodeLabel) -> bool:
         return True
     low = (d & -d).bit_length() - 1
     return d >> low == 3
-
-
-@dataclass(frozen=True)
-class LtqGraph:
-    """A locally twisted cube of a fixed dimension.
-
-    The vertex set {0, .., 2**dim - 1} is implicit and adjacency is
-    answered by the neighbor rule; nothing is stored densely.
-    """
-
-    dim: int
-
-    def __post_init__(self) -> None:
-        check_dim(self.dim)
-
-    @property
-    def vertex_count(self) -> int:
-        return 1 << self.dim
-
-    @property
-    def edge_count(self) -> int:
-        return self.dim << (self.dim - 1)
-
-    def vertices(self) -> Iterator[NodeLabel]:
-        return _labels(self.dim, range(1 << self.dim))
-
-    def neighbors(self, x: NodeLabel) -> set[NodeLabel]:
-        if x.dim != self.dim:
-            raise DimensionError(f"label dim {x.dim} does not match graph dim {self.dim}")
-        return neighbors(x)
-
-    def is_adjacent(self, x: NodeLabel, y: NodeLabel) -> bool:
-        if x.dim != self.dim:
-            raise DimensionError(f"label dim {x.dim} does not match graph dim {self.dim}")
-        return is_adjacent(x, y)
-
-    def edges(self) -> Set[Edge]:
-        return edges(self.dim)

@@ -3,8 +3,10 @@
 Everything here re-derives its verdicts from raw node sequences and the
 adjacency rule; nothing trusts the construction module. The enumeration
 engine exhaustively lists Hamiltonian cycles at desk scale (dim <= 4
-without a limit) and doubles as a bounded search over residual edges for
-the open question of a third edge-disjoint cycle.
+without a limit) and doubles as a bounded search for a Hamiltonian cycle
+in the edges a pair leaves unused. The constructed pair's residual is
+disconnected at every dim >= 5, so it is refuted at once; that says
+nothing of other pairs: LTQ_6 has three edge-disjoint Hamiltonian cycles.
 """
 
 from __future__ import annotations

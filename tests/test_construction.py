@@ -13,20 +13,17 @@ from ltqcube import (
     DimensionError,
     HamiltonianPair,
     InvalidPairError,
-    JunctionError,
     LabelFormatError,
     LtqError,
     OverlapError,
     Path,
     base_paths_ltq4,
-    concat_paths,
     edges,
     edh_cycles,
     edh_paths,
     expected_endpoints,
     is_adjacent,
     make_label,
-    reverse_path,
 )
 from ltqcube.verify import enumerate_hamiltonian_cycles
 
@@ -127,6 +124,21 @@ class TestFromValues:
         with pytest.raises(DimensionError):
             Path.from_values(MAX_DIM + 1, [0, 1])
 
+    @pytest.mark.parametrize("kind", [Path, Cycle])
+    @pytest.mark.parametrize(
+        "values", [[2.5, 0, 1], [0.0, 1.0, 3.0], [0, "1", 3], [0, 1, 3, 2.0], [0, 1, None]]
+    )
+    def test_rejects_non_integers(self, kind, values):
+        with pytest.raises(LabelFormatError) as caught:
+            kind.from_values(4, values)
+        assert str(caught.value) == "label values for dim 4 must be integers"
+
+    @pytest.mark.parametrize("value", [2.5, 3.0, "3"])
+    def test_rejects_a_lone_non_integer(self, value):
+        # one node has no step, so only the type check can catch it
+        with pytest.raises(LabelFormatError):
+            Path.from_values(4, [value])
+
     def test_empty_path_has_no_dim(self):
         empty = Path.from_values(4, [])
         assert empty == Path(())
@@ -134,35 +146,44 @@ class TestFromValues:
             empty.dim
 
 
+def concat(p, q):
+    """Join two paths through the edge from p's end to q's start."""
+    return Path(p.nodes + q.nodes)
+
+
 class TestReverseAndConcat:
+    """Reversal and concatenation are one line over `Path`, with its checks."""
+
     def test_reverse_swaps_ends_and_keeps_edges(self):
         p = path_of(4, *FIRST_SEED)
-        r = reverse_path(p)
+        r = Path(p.nodes[::-1])
         assert r.start == p.end and r.end == p.start
-        assert r.edge_set() == p.edge_set()
-        assert reverse_path(r) == p
+        assert r.edge_pairs() == p.edge_pairs() and r.edge_set() == p.edge_set()
+        assert Path(r.nodes[::-1]) == p
 
     def test_single_node_reverses_to_itself(self):
         p = path_of(4, "0101")
-        assert reverse_path(p) == p
+        assert Path(p.nodes[::-1]) == p
 
     def test_concat_requires_adjacent_junction(self):
-        with pytest.raises(JunctionError):
-            concat_paths(path_of(5, "00010"), path_of(5, "10110"))
+        with pytest.raises(AdjacencyError) as caught:
+            concat(path_of(5, "00010"), path_of(5, "10110"))
+        assert str(caught.value) == "nodes 00010 and 10110 (positions 0, 1) are not adjacent"
 
     def test_concat_requires_disjoint_nodes(self):
         with pytest.raises(OverlapError):
-            concat_paths(path_of(4, "0000", "0001"), path_of(4, "0011", "0001"))
+            concat(path_of(4, "0000", "0001"), path_of(4, "0011", "0001"))
 
     def test_concat_empty_is_neutral(self):
         p = path_of(4, "0000", "0001")
-        assert concat_paths(p, Path(())) == p
-        assert concat_paths(Path(()), p) == p
+        assert concat(p, Path(())) == p
+        assert concat(Path(()), p) == p
+        assert concat(Path(()), Path(())) == Path(())
 
     def test_concat_edge_set_is_union_plus_junction(self):
         p = path_of(4, "0010", "0110", "0111")
         q = path_of(4, "0101", "0100", "1100")
-        joined = concat_paths(p, q)
+        joined = concat(p, q)
         junction = {e for e in edges(4) if {e.a.bits, e.b.bits} == {"0111", "0101"}}
         assert joined.edge_set() == p.edge_set() | q.edge_set() | junction
 
@@ -171,7 +192,7 @@ class TestReverseAndConcat:
         whole = path_of(4, *FIRST_SEED)
         head = Path(whole.nodes[:cut])
         tail = Path(whole.nodes[cut:])
-        assert concat_paths(head, tail) == whole
+        assert concat(head, tail) == whole
 
 
 class TestBasePair:

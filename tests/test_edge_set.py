@@ -164,6 +164,13 @@ class TestNoEdgeObjects:
         assert len(list(edges(4))) == 32
         assert len(built) == 32
 
+    @pytest.mark.parametrize("dim,build", cases())
+    def test_hash_is_the_frozensets(self, built, dim, build):
+        lazy, ref = build(dim)
+        built.clear()
+        assert hash(lazy) == hash(ref)
+        assert built == []
+
     @pytest.mark.parametrize("dim", [6, 7, 8])
     def test_third_cycle_search_over_an_edge_set(self, built, dim):
         unused = residual_analysis(dim, edh_cycles(dim)).unused_edges

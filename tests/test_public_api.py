@@ -1,0 +1,36 @@
+"""The package's public surface: `__all__` names exactly what it exports."""
+
+from types import ModuleType
+
+import pytest
+
+import ltqcube
+from ltqcube import broadcast, cli, construction, errors, topology, verify
+
+#: Each was one line over a name that stays; the README lists the equivalents.
+REMOVED = (
+    "JunctionError",
+    "LtqGraph",
+    "concat_paths",
+    "cross_neighbor",
+    "repeat_bits",
+    "reverse_path",
+    "subcube_of",
+)
+
+
+def test_all_is_every_public_name():
+    public = {
+        name
+        for name, value in vars(ltqcube).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    }
+    assert public == set(ltqcube.__all__)
+    assert len(ltqcube.__all__) == len(public)
+
+
+@pytest.mark.parametrize("name", REMOVED)
+def test_removed_names_are_gone(name):
+    assert name not in ltqcube.__all__
+    for module in (ltqcube, broadcast, cli, construction, errors, topology, verify):
+        assert not hasattr(module, name)

@@ -10,20 +10,24 @@ from ltqcube import (
     DimensionError,
     Edge,
     LabelFormatError,
-    LtqGraph,
     NodeLabel,
-    cross_neighbor,
     edges,
     is_adjacent,
     make_label,
     neighbors,
     neighbors_recursive,
-    repeat_bits,
-    subcube_of,
     successive_bits_property,
 )
 from ltqcube.construction import edh_cycles, edh_paths
-from ltqcube.topology import _adjacent_values, _ring_masks, _steps_are_edges, walk_edges
+from ltqcube.topology import (
+    _adjacent_values,
+    _labels,
+    _neighbor_values,
+    _ring_masks,
+    _steps_are_edges,
+    edge_pairs,
+    walk_edges,
+)
 from ltqcube.verify import enumerate_hamiltonian_cycles
 
 
@@ -113,6 +117,9 @@ class TestNodeLabelContract:
         ((4, 16), LabelFormatError, "value 16 out of range for dim 4"),
         ((4, -1), LabelFormatError, "value -1 out of range for dim 4"),
         ((2, 4), LabelFormatError, "value 4 out of range for dim 2"),
+        ((4, 2.5), LabelFormatError, "value must be an integer, got 2.5"),
+        ((4, "3"), LabelFormatError, "value must be an integer, got '3'"),
+        ((4, 3.0), LabelFormatError, "value must be an integer, got 3.0"),
     ])
     def test_constructor_messages(self, args, error, message):
         with pytest.raises(error) as caught:
@@ -141,50 +148,52 @@ class TestNodeLabelContract:
 
     @pytest.mark.parametrize("dim", range(2, 9))
     def test_labels_built_in_bulk_agree(self, dim):
-        # vertices() builds its labels without checking them one by one
-        for value, built in enumerate(LtqGraph(dim).vertices()):
+        # _labels builds its labels without checking them one by one
+        for value, built in enumerate(_labels(dim, range(1 << dim))):
             checked = NodeLabel(dim, value)
             assert built == checked and type(built) is NodeLabel
             assert hash(built) == hash(checked) and repr(built) == repr(checked)
             assert make_label(dim, checked.bits) == checked
 
 
-class TestRepeatBits:
-    def test_pattern_twice(self):
-        assert repeat_bits("10", 2) == "1010"
-
-    def test_zero_string(self):
-        assert repeat_bits("0", 3) == "000"
-
-    def test_zero_repetitions(self):
-        assert repeat_bits("1", 0) == ""
-
-    def test_rejects_non_binary(self):
-        with pytest.raises(LabelFormatError):
-            repeat_bits("2", 1)
+def twist_partners(dim, v):
+    """v's neighbors in the other half (leading bit flipped), by the closed form."""
+    return [w for w in _neighbor_values(dim, v) if (v ^ w) >> (dim - 1)]
 
 
 class TestCrossNeighbor:
+    """The twist edge: each node has one neighbor in the other half."""
+
     def test_known_values(self):
-        assert cross_neighbor(make_label(4, "0011")) == make_label(4, "1111")
-        assert cross_neighbor(make_label(4, "0000")) == make_label(4, "1000")
-        assert cross_neighbor(make_label(5, "00000")) == make_label(5, "10000")
+        # the member of neighbors(x) that differs from x in bit dim - 1
+        for dim, bits, partner in ((4, "0011", "1111"), (4, "0000", "1000"), (5, "00000", "10000")):
+            x, top = make_label(dim, bits), 1 << (dim - 1)
+            assert [y for y in neighbors(x) if (x.value ^ y.value) & top] == [
+                make_label(dim, partner)
+            ]
 
     def test_dim_2_has_no_twist(self):
-        with pytest.raises(DimensionError):
-            cross_neighbor(make_label(2, "00"))
+        # LTQ_2 is the four-cycle: each edge flips one bit. The twist rule at
+        # n = 2 would send 01 to 10, which is no edge.
+        for v in range(4):
+            assert set(_neighbor_values(2, v)) == {v ^ 1, v ^ 2}
+            flips = {NodeLabel(2, v ^ 1), NodeLabel(2, v ^ 2)}
+            assert neighbors_recursive(NodeLabel(2, v)) == flips
+        assert not is_adjacent(make_label(2, "01"), make_label(2, "10"))
 
     @pytest.mark.parametrize("dim", range(3, 15))
     def test_involution_exhaustive(self, dim):
         for v in range(1 << dim):
-            x = NodeLabel(dim, v)
-            assert cross_neighbor(cross_neighbor(x)) == x
+            (w,) = twist_partners(dim, v)
+            assert twist_partners(dim, w) == [v]
+            recursive = neighbors_recursive(NodeLabel(dim, v))
+            assert [y.value for y in recursive if (v ^ y.value) >> (dim - 1)] == [w]
 
     @pytest.mark.parametrize("dim", range(3, 11))
     def test_flips_subcube(self, dim):
         for v in range(1 << dim):
-            x = NodeLabel(dim, v)
-            assert subcube_of(cross_neighbor(x)) == 1 - subcube_of(x)
+            (w,) = twist_partners(dim, v)
+            assert w >> (dim - 1) == 1 - (v >> (dim - 1))
 
 
 class TestNeighbors:
@@ -247,7 +256,9 @@ class TestNeighbors:
 
     @given(labels(min_dim=3, max_dim=12))
     def test_twist_partner_is_a_neighbor(self, x):
-        assert cross_neighbor(x) in neighbors(x)
+        # 0 b_{n-2} .. b_0 ~ 1 (b_{n-2} xor b_0) b_{n-3} .. b_0, and back
+        d, v = x.dim, x.value
+        assert NodeLabel(d, v ^ 1 << (d - 1) ^ (v & 1) << (d - 2)) in neighbors(x)
 
 
     @pytest.mark.parametrize("dim", range(2, 13))
@@ -300,13 +311,25 @@ class TestEdges:
 
 
 class TestSubcube:
+    """The halves of LTQ_n are the labels with leading bit 0 and 1."""
+
     def test_msb_read(self):
-        assert subcube_of(make_label(4, "0010")) == 0
-        assert subcube_of(make_label(5, "10110")) == 1
+        # every edge but the twist edges stays in its half, and each half
+        # read without its leading bit is LTQ_(n-1)
+        for dim in range(3, 9):
+            low = (1 << (dim - 1)) - 1
+            within = [(u, v) for u, v in edge_pairs(dim) if u >> (dim - 1) == v >> (dim - 1)]
+            assert len(within) == len(edges(dim)) - (1 << (dim - 1))
+            for half in (0, 1):
+                pairs = {(u & low, v & low) for u, v in within if u >> (dim - 1) == half}
+                assert pairs == set(edge_pairs(dim - 1))
 
     def test_requires_dim_3(self):
+        # LTQ_2 is the base of the recursion: there is no LTQ_1 to halve into
         with pytest.raises(DimensionError):
-            subcube_of(make_label(2, "01"))
+            edges(1)
+        with pytest.raises(DimensionError):
+            NodeLabel(1, 0)
 
 
 class TestSuccessiveBits:
@@ -331,23 +354,30 @@ class TestSuccessiveBits:
 
 
 class TestLtqGraph:
+    """The cube as a whole, through `neighbors`, `is_adjacent` and `edges`."""
+
     def test_counts(self):
-        g = LtqGraph(6)
-        assert g.vertex_count == 64
-        assert g.edge_count == 192
-        assert sum(1 for _ in g.vertices()) == 64
+        # 2**n nodes, n * 2**(n-1) edges, every node of degree n
+        every = edges(6)
+        assert len(every) == 192 == len(every.pairs)
+        ends = [v for pair in every.pairs for v in pair]
+        assert sorted(set(ends)) == list(range(1 << 6))
+        assert {ends.count(v) for v in range(1 << 6)} == {6}
 
     def test_delegation(self):
-        g = LtqGraph(4)
-        x = make_label(4, "0011")
-        assert g.neighbors(x) == neighbors(x)
-        assert g.is_adjacent(x, make_label(4, "0001"))
-        assert g.edges() == edges(4)
+        nodes = [NodeLabel(4, v) for v in range(16)]
+        every = edges(4)
+        for x in nodes:
+            adjacent = {y for y in nodes if is_adjacent(x, y)}
+            assert neighbors(x) == adjacent
+            assert adjacent == {e.b if e.a == x else e.a for e in every if x in (e.a, e.b)}
 
     def test_rejects_foreign_labels(self):
-        g = LtqGraph(4)
+        x = make_label(4, "0011")
         with pytest.raises(DimensionError):
-            g.neighbors(make_label(5, "00000"))
+            is_adjacent(x, make_label(5, "00001"))
+        assert Edge(make_label(5, "00000"), make_label(5, "00001")) not in edges(4)
+        assert {y.dim for y in neighbors(make_label(5, "00000"))} == {5}
 
 
 @settings(max_examples=60)

@@ -11,6 +11,7 @@ from ltqcube import (
     InvalidPairError,
     LtqError,
     OracleScopeError,
+    Path,
     are_edge_disjoint,
     base_paths_ltq4,
     edges,
@@ -24,7 +25,6 @@ from ltqcube import (
     make_label,
     neighbors_recursive,
     residual_analysis,
-    reverse_path,
     search_third_cycle,
     verify_pair,
 )
@@ -146,7 +146,7 @@ class TestEdgeDisjoint:
 
     def test_reversal_keeps_edges(self):
         p = base_paths_ltq4().first
-        assert not are_edge_disjoint(p, reverse_path(p))
+        assert not are_edge_disjoint(p, Path(p.nodes[::-1]))
 
     def test_dim_mismatch(self):
         with pytest.raises(DimensionError):
