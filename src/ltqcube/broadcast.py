@@ -18,16 +18,15 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Mapping, ValuesView
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+from ._record import _Record
 from .construction import Cycle, HamiltonianPair
 from .errors import InvalidPairError, LtqError
 from .topology import Edge, _edges_of
 
 
-@dataclass(frozen=True)
-class TrafficReport:
+class TrafficReport(_Record):
     """Outcome of one simulated broadcast.
 
     per_edge_load counts total traversals per undirected edge (only used
@@ -41,11 +40,15 @@ class TrafficReport:
     ring of m nodes deliver every message.
     """
 
-    steps: int
-    per_edge_load: Mapping[Edge, int]
-    max_concurrent_per_edge: int
-    contention_events: int
-    completed: bool
+    __slots__ = _fields = (
+        "steps", "per_edge_load", "max_concurrent_per_edge", "contention_events", "completed"
+    )
+
+    def __init__(
+        self, steps: int, per_edge_load: Mapping[Edge, int], max_concurrent_per_edge: int,
+        contention_events: int, completed: bool,
+    ) -> None:
+        self._set((steps, per_edge_load, max_concurrent_per_edge, contention_events, completed))
 
 
 class _EdgeLoads(Mapping):

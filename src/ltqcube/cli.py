@@ -143,6 +143,7 @@ def _render_report(payload: dict, text_lines: list[str], fmt: str) -> str:
 
 
 def cmd_topology(args: argparse.Namespace) -> int:
+    check_dim(args.dim)  # before _edge_lines formats all 2**dim labels
     template = '  "{}" -- "{}";' if args.format == "dot" else "{} {}"
     lines = _edge_lines(args.dim, edge_pairs(args.dim), template)
     if args.format == "dot":

@@ -35,11 +35,11 @@ once, by `from_values`, and the package reads its edges as value pairs
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
 from operator import and_, or_
 from typing import Iterable, Iterator, KeysView
 
+from ._record import _Record
 from .errors import (
     AdjacencyError,
     DimensionError,
@@ -101,13 +101,11 @@ def _check_values(dim: int, values: list[int], *, closed: bool) -> None:
         )
 
 
-@dataclass(frozen=True, init=False)
-class _Walk:
+class _Walk(_Record):
     """What Path and Cycle share: a dimension and a tuple of label values.
     NodeLabels are built only when `nodes`, iteration or `edge_set()` ask."""
 
-    _dim: int | None
-    values: tuple[int, ...]
+    __slots__ = _fields = ("_dim", "values")
     _closed = False
 
     def __init__(self, nodes: Iterable[NodeLabel]) -> None:
@@ -134,8 +132,7 @@ class _Walk:
             values = values[at:] + values[:at]
             if values[-1] < values[1]:
                 values = values[:1] + values[:0:-1]
-        object.__setattr__(self, "_dim", dim if values else None)
-        object.__setattr__(self, "values", tuple(values))
+        self._set((dim if values else None, tuple(values)))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -168,6 +165,8 @@ class Path(_Walk):
     The empty path is allowed; it has no dimension and no end nodes.
     """
 
+    __slots__ = ()
+
     @property
     def start(self) -> NodeLabel:
         if not self.values:
@@ -190,11 +189,11 @@ class Cycle(_Walk):
     object, so value comparison and golden files are stable.
     """
 
+    __slots__ = ()
     _closed = True
 
 
-@dataclass(frozen=True)
-class HamiltonianPair:
+class HamiltonianPair(_Record):
     """Two Hamiltonian paths (or cycles) over the same cube, sharing no edge.
 
     The invariants are enforced at construction, so holding a pair is proof
@@ -206,9 +205,11 @@ class HamiltonianPair:
     step that is one, which each member's own validation has proven.
     """
 
-    first: Path | Cycle
-    second: Path | Cycle
-    dim: int
+    __slots__ = _fields = ("first", "second", "dim")
+
+    def __init__(self, first: Path | Cycle, second: Path | Cycle, dim: int) -> None:
+        self._set((first, second, dim))
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if type(self.first) is not type(self.second):
@@ -274,12 +275,12 @@ def _constructed_pair(member: type[Path] | type[Cycle], dim: int) -> Hamiltonian
     level's path is a prefix of the final one, so validating the final
     path covers every junction.
     """
+    check_dim(dim)
     if dim < 4:
         raise DimensionError(
             f"dim {dim} has no edge-disjoint Hamiltonian pair: every node of the"
             " 3-dimensional cube is incident to only three edges"
         )
-    check_dim(dim)
     members = []
     for seed in (_BASE_FIRST, _BASE_SECOND):
         values = [int(bits, 2) for bits in seed]

@@ -26,11 +26,12 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from collections.abc import Iterable, Set
-from dataclasses import dataclass
+from functools import total_ordering
 from itertools import chain, repeat
 from operator import and_, itemgetter, lshift, or_, xor
 from typing import Iterator, KeysView, Sequence
 
+from ._record import _Record
 from .errors import AdjacencyError, DimensionError, LabelFormatError
 
 #: Largest supported dimension. Keeps exhaustive edge sets addressable.
@@ -121,20 +122,28 @@ def _labels(dim: int, values: Iterable[int]) -> Iterator[NodeLabel]:
     return map(NodeLabel._trusted, zip(repeat(dim), values))
 
 
-@dataclass(frozen=True, order=True)
-class Edge:
+@total_ordering
+class Edge(_Record):
     """An unordered pair of adjacent nodes, stored smaller value first."""
 
-    a: NodeLabel
-    b: NodeLabel
+    __slots__ = _fields = ("a", "b")
+
+    def __init__(self, a: NodeLabel, b: NodeLabel) -> None:
+        object.__setattr__(self, "a", a)  # direct stores: edges are built in bulk
+        object.__setattr__(self, "b", b)
+        self.__post_init__()
+
+    def _key(self) -> tuple[NodeLabel, NodeLabel]:  # the base's key, without its field loop
+        return (self.a, self.b)
+
+    def __lt__(self, other: object) -> bool:
+        return self._key() < other._key() if other.__class__ is self.__class__ else NotImplemented
 
     def __post_init__(self) -> None:
         if self.a.dim != self.b.dim:
             raise DimensionError(f"edge endpoints differ in dim: {self.a.dim} vs {self.b.dim}")
         if self.a.value > self.b.value:
-            lo, hi = self.b, self.a
-            object.__setattr__(self, "a", lo)
-            object.__setattr__(self, "b", hi)
+            self._set((self.b, self.a))
         if not _adjacent_values(self.a.dim, self.a.value, self.b.value):
             raise AdjacencyError(f"{self.a.bits} and {self.b.bits} are not adjacent")
 

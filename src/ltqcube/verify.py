@@ -13,11 +13,11 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Set
-from dataclasses import dataclass, field
 from itertools import chain, combinations, repeat
 from operator import and_, itemgetter, lshift, or_, xor
 from typing import Iterable, Iterator, Sequence
 
+from ._record import _Record
 from .construction import Cycle, HamiltonianPair, Path, edh_cycles
 from .errors import DimensionError, InvalidPairError, LtqError, OracleScopeError
 from .topology import (
@@ -33,19 +33,22 @@ from .topology import (
 DEFAULT_SEARCH_BUDGET = 10_000_000
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+class CheckResult(_Record):
+    """One named pass/fail check, with an optional detail."""
+
+    __slots__ = _fields = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str = "") -> None:
+        self._set((name, passed, detail))
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Record):
     """Named pass/fail checks about one subject; passes iff all checks do."""
 
-    subject: str
-    checks: tuple[CheckResult, ...]
+    __slots__ = _fields = ("subject", "checks")
+
+    def __init__(self, subject: str, checks: tuple[CheckResult, ...]) -> None:
+        self._set((subject, checks))
 
     @property
     def passed(self) -> bool:
@@ -331,10 +334,18 @@ def _search_cycles(
 def enumerate_hamiltonian_cycles(dim: int, limit: int | None = None) -> list[Cycle]:
     """All Hamiltonian cycles of the dim-cube, canonical, deterministic order.
 
-    Exhaustive only for dim <= 4 (at most 16 nodes); beyond that an
-    explicit `limit` is required and the enumeration stops early.
+    Exhaustive only for dim <= 4 (at most 16 nodes). Dim 5 needs an
+    explicit `limit`, at which the enumeration stops. Higher dims are
+    refused: `limit` bounds the answer but not the search, which at dim 6
+    runs for minutes before its first cycle. `residual_analysis` and
+    `search_third_cycle` take a node-expansion budget instead.
     """
     check_dim(dim)
+    if dim > 5:
+        raise OracleScopeError(
+            f"enumeration is guarded at dim <= 5, got {dim} (a limit bounds the answer, not"
+            " the search); for a budget-limited search use `residual --budget`"
+        )
     if dim > 4 and limit is None:
         raise OracleScopeError(
             f"exhaustive enumeration is guarded at dim <= 4; pass limit= for dim {dim}"
@@ -346,14 +357,15 @@ def enumerate_hamiltonian_cycles(dim: int, limit: int | None = None) -> list[Cyc
     return [Cycle.from_values(dim, cycle) for cycle in raw]
 
 
-@dataclass(frozen=True)
-class PairExistence:
+class PairExistence(_Record):
     """Outcome of the exhaustive two-disjoint-cycles question at one dim."""
 
-    dim: int
-    exists: bool
-    witness: HamiltonianPair | None
-    certificates: tuple[str, ...]
+    __slots__ = _fields = ("dim", "exists", "witness", "certificates")
+
+    def __init__(
+        self, dim: int, exists: bool, witness: HamiltonianPair | None, certificates: tuple[str, ...]
+    ) -> None:
+        self._set((dim, exists, witness, certificates))
 
 
 def exists_two_edge_disjoint_hc(dim: int) -> PairExistence:
@@ -397,8 +409,7 @@ def exists_two_edge_disjoint_hc(dim: int) -> PairExistence:
     return PairExistence(4, True, pair, certificates)
 
 
-@dataclass(frozen=True)
-class ResidualAnalysis:
+class ResidualAnalysis(_Record):
     """What remains of the cube once both constructed cycles are removed.
 
     When a third-cycle search ran, `search_verdict` says how strong its
@@ -422,13 +433,23 @@ class ResidualAnalysis:
     edges are enumerated only when iterated or `.pairs` is read.
     """
 
-    dim: int
-    unused_edges: Set[Edge]
-    degree_histogram: dict[int, int] = field(compare=False)
-    third_cycle_found: Cycle | None = None
-    search_budget: int | None = None
-    search_verdict: str | None = None
-    search_expansions: int | None = None
+    __slots__ = _fields = (
+        "dim", "unused_edges", "degree_histogram", "third_cycle_found",
+        "search_budget", "search_verdict", "search_expansions",
+    )
+
+    def __init__(
+        self, dim: int, unused_edges: Set[Edge], degree_histogram: dict[int, int],
+        third_cycle_found: Cycle | None = None, search_budget: int | None = None,
+        search_verdict: str | None = None, search_expansions: int | None = None,
+    ) -> None:
+        self._set((dim, unused_edges, degree_histogram, third_cycle_found, search_budget,
+                   search_verdict, search_expansions))
+        self.__post_init__()
+
+    def _key(self) -> tuple:
+        fields = self.__getstate__()
+        return fields[:2] + fields[3:]  # all but degree_histogram
 
     def __post_init__(self) -> None:
         expected = (self.dim << (self.dim - 1)) - (1 << (self.dim + 1))

@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import json
 import sys
@@ -11,7 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ltqcube import cli
+import ltqcube.verify as verify_module
+from ltqcube import MAX_DIM, cli
 from ltqcube.broadcast import simulate_split_broadcast
 from ltqcube.cli import (
     DocumentError,
@@ -23,7 +23,7 @@ from ltqcube.cli import (
 )
 from ltqcube.construction import edh_cycles, edh_paths
 from ltqcube.topology import Edge, NodeLabel, edge_pairs, make_label
-from ltqcube.verify import _bounded_cycle_search, residual_analysis
+from ltqcube.verify import ResidualAnalysis, _bounded_cycle_search, residual_analysis
 
 
 def run(capsys, *argv):
@@ -550,9 +550,13 @@ class TestResidual:
         # no constructed residual is known to hold a third cycle, so stand
         # one of the pair's own cycles in for a found one
         pair = edh_cycles(6)
-        analysis = dataclasses.replace(
-            residual_analysis(6, pair, search_budget=100),
+        searched = residual_analysis(6, pair, search_budget=100)
+        analysis = ResidualAnalysis(
+            dim=6,
+            unused_edges=searched.unused_edges,
+            degree_histogram=searched.degree_histogram,
             third_cycle_found=pair.first,
+            search_budget=100,
             search_verdict="found",
             search_expansions=63,
         )
@@ -579,8 +583,13 @@ class TestResidual:
         _, verdict, expansions = _bounded_cycle_search(
             8, (e for e in edge_pairs(8) if e not in first), 500
         )
-        analysis = dataclasses.replace(
-            residual_analysis(8, pair, search_budget=500),
+        searched = residual_analysis(8, pair, search_budget=500)
+        analysis = ResidualAnalysis(
+            dim=8,
+            unused_edges=searched.unused_edges,
+            degree_histogram=searched.degree_histogram,
+            third_cycle_found=searched.third_cycle_found,
+            search_budget=500,
             search_verdict=verdict,
             search_expansions=expansions,
         )
@@ -618,6 +627,36 @@ class TestExitCodeContract:
         assert out == ""
         assert err.startswith("ltqcube: out of memory") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+class TestDimensionRefusals:
+    """An out-of-range --dim is refused with exit 2 and the range message
+    before any work: no label is formatted and no pair is built."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def refuse(*_, **__):
+            raise AssertionError("work started before the dimension was checked")
+
+        monkeypatch.setattr(cli, "_edge_lines", refuse)
+        monkeypatch.setattr(verify_module, "_search_cycles", refuse)
+
+    @pytest.mark.parametrize("dim", ["-1", "0", "1", "31"])
+    @pytest.mark.parametrize("command", ["topology", "construct", "residual", "simulate"])
+    def test_out_of_range(self, capsys, command, dim):
+        code, out, err = run(capsys, command, "--dim", dim)
+        assert (code, out) == (2, "")
+        assert err == f"ltqcube: dim must be an integer in [2, {MAX_DIM}], got {dim}\n"
+
+    @pytest.mark.parametrize("dim", ["6", "12"])
+    @pytest.mark.parametrize("limit", [[], ["--limit", "3"]])
+    def test_enumerate_above_dim_5(self, capsys, dim, limit):
+        code, out, err = run(capsys, "oracle", "--dim", dim, "--mode", "enumerate", *limit)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"ltqcube: enumeration is guarded at dim <= 5, got {dim} (a limit bounds the"
+            " answer, not the search); for a budget-limited search use `residual --budget`\n"
+        )
 
 
 VALID_BYTES = [

@@ -1,5 +1,10 @@
-"""The package's public surface: `__all__` names exactly what it exports."""
+"""The package's public surface: `__all__` names exactly what it exports,
+and importing the CLI loads only what a CLI process needs."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import ModuleType
 
 import pytest
@@ -34,3 +39,17 @@ def test_removed_names_are_gone(name):
     assert name not in ltqcube.__all__
     for module in (ltqcube, broadcast, cli, construction, errors, topology, verify):
         assert not hasattr(module, name)
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    """Every CLI process pays for `import ltqcube.cli`, and `dataclasses`
+    would add `inspect`, `ast` and `dis` to it."""
+    src = str(Path(ltqcube.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    probe = "import sys, ltqcube.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

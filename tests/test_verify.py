@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ltqcube.topology as topology_module
+import ltqcube.verify as verify_module
 from ltqcube import (
     Cycle,
     DimensionError,
@@ -194,6 +195,14 @@ class TestEnumeration:
     def test_dim_5_requires_limit(self):
         with pytest.raises(OracleScopeError):
             enumerate_hamiltonian_cycles(5)
+
+    @pytest.mark.parametrize("limit", [None, 1, 3])
+    def test_refused_above_dim_5(self, monkeypatch, limit):
+        # the limit bounds the answer, not the search: at dim 6 the first
+        # cycle takes minutes, so the guard must refuse before searching
+        monkeypatch.setattr(verify_module, "_search_cycles", None)
+        with pytest.raises(OracleScopeError, match="residual --budget"):
+            enumerate_hamiltonian_cycles(6, limit=limit)
 
     def test_dim_5_with_limit(self):
         got = enumerate_hamiltonian_cycles(5, limit=2)
