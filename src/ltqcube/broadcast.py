@@ -17,8 +17,7 @@ contention event; with edge-disjoint rings there are none, which
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Mapping, ValuesView
-from typing import Iterator, Sequence
+from collections.abc import Iterator, Mapping, Sequence, ValuesView
 
 from ._record import _Record
 from .construction import Cycle, HamiltonianPair

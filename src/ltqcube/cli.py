@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .broadcast import TrafficReport, simulate_ring_broadcast, simulate_split_broadcast
 from .construction import Cycle, Path, edh_cycles, edh_paths

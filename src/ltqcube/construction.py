@@ -35,9 +35,9 @@ once, by `from_values`, and the package reads its edges as value pairs
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, KeysView
 from itertools import repeat
 from operator import and_, or_
-from typing import Iterable, Iterator, KeysView
 
 from ._record import _Record
 from .errors import (

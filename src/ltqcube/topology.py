@@ -15,21 +15,24 @@ value are already proven, the package builds labels with no further check.
 
 Two neighbor routines are provided. `neighbors` applies the closed-form
 rule the recursion unfolds to: flip bit 0, flip bit 1, or, for any
-k >= 2, flip bit k and replace bit k-1 with b_{k-1} xor b_0. It answers
-queries in O(n). `neighbors_recursive` instead expands the recursive
-definition literally on bit strings, taking no shortcuts; it exists as the
-oracle the closed form is tested against.
+k >= 2, flip bit k and replace bit k-1 with b_{k-1} xor b_0. The mask of
+each flip depends only on b_0, so one table `_FLIPS` holds them, and a
+node's neighbors are its value XORed with each mask in one C-level pass.
+`neighbors_recursive` instead expands the recursive definition literally
+on bit strings: it passes the fixed leading bits down as a prefix,
+recurses on the suffix down to the LTQ_2 edge list, and adds one twist
+partner per level. It shares no code with the closed form, and exists as
+the oracle the closed form is tested against.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections import Counter
-from collections.abc import Iterable, Set
+from collections.abc import Iterable, Iterator, KeysView, Sequence, Set
 from functools import total_ordering
 from itertools import chain, repeat
 from operator import and_, itemgetter, lshift, or_, xor
-from typing import Iterator, KeysView, Sequence
 
 from ._record import _Record
 from .errors import AdjacencyError, DimensionError, LabelFormatError
@@ -165,11 +168,18 @@ def make_label(dim: int, bits: str) -> NodeLabel:
     return NodeLabel._trusted((dim, int(bits, 2)))
 
 
+#: `_FLIPS[u & 1][k]` is the mask u XORs with to reach its neighbor in
+#: dimension k: bit k alone for even u; bit 0, bit 1, or bits k and k - 1 for
+#: odd u. Which edges a node has depends only on its parity.
+_FLIPS = (
+    tuple(1 << k for k in range(MAX_DIM)),
+    (1, 2, *(3 << (k - 1) for k in range(2, MAX_DIM))),
+)
+
+
 def _neighbor_values(dim: int, value: int) -> list[int]:
-    lsb = value & 1
-    out = [value ^ 1, value ^ 2]
-    out.extend(value ^ (1 << k) ^ (lsb << (k - 1)) for k in range(2, dim))
-    return out
+    """The values of `value`'s neighbors, in dimension order."""
+    return list(map(xor, repeat(value, dim), _FLIPS[value & 1]))
 
 
 def _adjacent_values(dim: int, u: int, v: int) -> bool:
@@ -192,12 +202,16 @@ def neighbors(x: NodeLabel) -> set[NodeLabel]:
     For dim 2 the rule degenerates to flipping either bit, which is exactly
     the four-cycle adjacency of LTQ_2.
     """
-    dim = x.dim
-    return set(_labels(dim, _neighbor_values(dim, x.value)))
+    dim, value = x
+    return set(_labels(dim, _neighbor_values(dim, value)))
 
 
-#: The four defining edges of LTQ_2.
+#: The four defining edges of LTQ_2, and each 2-bit label's two neighbors.
 _LTQ2_EDGES = (("00", "01"), ("00", "10"), ("01", "11"), ("10", "11"))
+_LTQ2_NEIGHBORS = {
+    bits: tuple(b if a == bits else a for a, b in _LTQ2_EDGES if bits in (a, b))
+    for bits in ("00", "01", "10", "11")
+}
 
 
 def _twist_string(bits: str) -> str:
@@ -206,23 +220,34 @@ def _twist_string(bits: str) -> str:
     return lead + second + bits[2:]
 
 
-def _recursive_neighbor_strings(bits: str) -> set[str]:
+def _recursive_neighbor_strings(prefix: str, bits: str) -> list[str]:
+    """The neighbors of `prefix + bits` inside the subcube that fixes `prefix`."""
     if len(bits) == 2:
-        return {b for a, b in _LTQ2_EDGES if a == bits} | {a for a, b in _LTQ2_EDGES if b == bits}
-    within = {bits[0] + rest for rest in _recursive_neighbor_strings(bits[1:])}
-    within.add(_twist_string(bits))
-    return within
+        return list(map(prefix.__add__, _LTQ2_NEIGHBORS[bits]))
+    found = _recursive_neighbor_strings(prefix + bits[0], bits[1:])
+    found.append(prefix + _twist_string(bits))
+    return found
 
 
 def neighbors_recursive(x: NodeLabel) -> set[NodeLabel]:
     """All neighbors of `x`, computed by literal recursion on bit strings.
 
-    Base case: the explicit LTQ_2 edge list. Level n: neighbors within the
-    same half are the neighbors of the (n-1)-bit suffix, re-prefixed, plus
-    the one twist-edge partner. Agrees with `neighbors` everywhere; kept
+    Base case: the explicit LTQ_2 edge list. Level n: the neighbors within
+    x's (n-1)-dimensional half share its leading bit, so the recursion
+    moves that bit onto the prefix it passes down and recurses on the
+    (n-1)-bit suffix; the level adds the one twist-edge partner, the prefix
+    plus the suffix with its leading bit flipped and its second bit xor its
+    last. Each neighbor string is built once, at the level that finds it,
+    and the labels are parsed in one pass after one check that every string
+    is `dim` characters long. Agrees with `neighbors` everywhere; kept
     deliberately independent of the bitwise closed form.
     """
-    return {make_label(x.dim, s) for s in _recursive_neighbor_strings(x.bits)}
+    dim = x.dim
+    found = _recursive_neighbor_strings("", x.bits)
+    lengths = set(map(len, found))
+    if lengths != {dim}:
+        raise LabelFormatError(f"recursion built labels of lengths {sorted(lengths)}, not {dim}")
+    return set(_labels(dim, map(int, found, repeat(2))))
 
 
 def is_adjacent(x: NodeLabel, y: NodeLabel) -> bool:
@@ -269,23 +294,21 @@ def _steps_are_edges(dim: int, values: Sequence[int], *, closed: bool) -> bool:
 
     A step u -> v is tagged `(u ^ v) << 1 | (u & 1)`, since which differences
     are edges depends only on the parity of u; the walk's tags are collected
-    in one set and tested against the 2 * dim allowed ones.
+    in one set and tested against the 2 * dim allowed ones, read off `_FLIPS`.
     """
     ends = values[1:] + values[:1] if closed else values[1:]
     parities = map(and_, values, repeat(1))
     tags = set(map(or_, map(lshift, map(xor, values, ends), repeat(1)), parities))
-    # even u: flip bit k; odd u: flip bits 0 or 1, or bits k and k - 1 for k >= 2
-    allowed = {2, 3, 4, 5}
-    for k in range(2, dim):
-        allowed.update((2 << k, 3 << k | 1))
-    return tags <= allowed
+    return tags <= {flip << 1 | parity for parity in (0, 1) for flip in _FLIPS[parity][:dim]}
 
 
 def edge_pairs(dim: int) -> Iterator[tuple[int, int]]:
     """Every edge of the dim-dimensional cube as a (smaller, larger) value pair."""
     check_dim(dim)
+    flips = _FLIPS[0][:dim], _FLIPS[1][:dim]
     for v in range(1 << dim):
-        for u in _neighbor_values(dim, v):
+        for flip in flips[v & 1]:
+            u = v ^ flip
             if u > v:
                 yield v, u
 
@@ -323,10 +346,17 @@ class EdgeSet(Set):
             masks = masks or _no_masks(dim)
             ored = map(or_, map(masks.__getitem__, walk), _ring_masks(walk, closed=True))
             any(map(masks.__setitem__, walk, ored))  # one C-level store per node
-        self.dim = dim
+        self.__setstate__((dim, masks))
+
+    def __getstate__(self) -> tuple[int, Sequence[int]]:
+        """The dimension and the per-node removed masks (pickle and copy)."""
+        return self.dim, self._removed
+
+    def __setstate__(self, state: tuple[int, Sequence[int]]) -> None:
+        self.dim, masks = state
         self._removed = masks if any(masks) else ()
         #: how many nodes have each number of removed edges
-        self._popcounts = Counter(map(int.bit_count, masks)) if self._removed else {0: 1 << dim}
+        self._popcounts = Counter(map(int.bit_count, masks)) if self._removed else {0: 1 << self.dim}
         self._pairs: frozenset[tuple[int, int]] | None = None
         self._hash_cache: int | None = None
 

@@ -12,10 +12,9 @@ nothing of other pairs: LTQ_6 has three edge-disjoint Hamiltonian cycles.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Set
+from collections.abc import Iterable, Iterator, Sequence, Set
 from itertools import chain, combinations, repeat
 from operator import and_, itemgetter, lshift, or_, xor
-from typing import Iterable, Iterator, Sequence
 
 from ._record import _Record
 from .construction import Cycle, HamiltonianPair, Path, edh_cycles

@@ -41,15 +41,26 @@ def test_removed_names_are_gone(name):
         assert not hasattr(module, name)
 
 
-def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    """Every CLI process pays for `import ltqcube.cli`, and `dataclasses`
-    would add `inspect`, `ast` and `dis` to it."""
+def _modules_after_cli_import(*flags: str) -> list[str]:
+    """The modules `import ltqcube.cli` leaves loaded in a fresh interpreter."""
     src = str(Path(ltqcube.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    probe = "import sys, ltqcube.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    probe = "import sys, ltqcube.cli; print(*sys.modules)"
     done = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, *flags, "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n"
+    return done.stdout.split()
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    """Every CLI process pays for `import ltqcube.cli`, and `dataclasses`
+    would add `inspect`, `ast` and `dis` to it."""
+    assert not {"dataclasses", "inspect"} & set(_modules_after_cli_import())
+
+
+def test_cli_import_loads_no_typing():
+    """The package's annotation names come from `collections.abc`, so a plain
+    interpreter (-S: no site-packages start-up hooks) loads no `typing`."""
+    assert "typing" not in _modules_after_cli_import("-S")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ltqcube.topology as topology_module
 from ltqcube import (
     DimensionError,
     Edge,
@@ -270,6 +271,34 @@ class TestNeighbors:
             near = neighbors_recursive(NodeLabel(dim, v))
             tops = [1 << ((v ^ w.value).bit_length() - 1) for w in near]
             assert len(tops) == dim and set(tops) == every
+
+
+class TestOracleIndependence:
+    """The recursive oracle shares no code with the closed form it checks."""
+
+    def test_no_closed_form_helper_is_used(self, monkeypatch):
+        expected = {
+            (dim, v): neighbors(NodeLabel(dim, v)) for dim in range(2, 10) for v in range(1 << dim)
+        }  # computed before the closed form is blocked
+
+        class Refused:
+            def __getitem__(self, key):
+                raise AssertionError("the oracle read the flip table")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle called a closed-form helper")
+
+        monkeypatch.setattr(topology_module, "_FLIPS", Refused())
+        for name in ("_neighbor_values", "_adjacent_values", "neighbors"):
+            monkeypatch.setattr(topology_module, name, refuse)
+        for (dim, v), near in expected.items():
+            assert neighbors_recursive(NodeLabel(dim, v)) == near
+
+    def test_labels_of_the_wrong_length_are_refused(self, monkeypatch):
+        broken = dict(topology_module._LTQ2_NEIGHBORS, **{"00": ("01", "100")})
+        monkeypatch.setattr(topology_module, "_LTQ2_NEIGHBORS", broken)
+        with pytest.raises(LabelFormatError, match="lengths"):
+            neighbors_recursive(NodeLabel(5, 0))
 
 
 class TestIsAdjacent:
