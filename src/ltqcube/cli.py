@@ -15,7 +15,7 @@ from collections.abc import Iterable, Sequence
 
 from .broadcast import TrafficReport, simulate_ring_broadcast, simulate_split_broadcast
 from .construction import Cycle, Path, edh_cycles, edh_paths
-from .errors import DimensionError, LtqError
+from .errors import DimensionError, LtqError, OracleScopeError
 from .topology import check_dim, edge_pairs, make_label
 from .verify import (
     ResidualAnalysis,
@@ -166,6 +166,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    if args.limit is not None and args.mode != "enumerate":
+        raise OracleScopeError(f"--limit applies to --mode enumerate only, not --mode {args.mode}")
     if args.mode == "enumerate":
         cycles = enumerate_hamiltonian_cycles(args.dim, args.limit)
         payload = {

@@ -8,10 +8,12 @@ copies, one holding the labels with leading bit 0 and one with leading
 bit 1, joined by a twist edge from each node 0 b_{n-2} .. b_0 to
 1 (b_{n-2} xor b_0) b_{n-3} .. b_0.
 
-A node is a `NodeLabel`, the tuple `(dim, value)` (`len` 2) of the bit
-width and the label read as an unsigned integer. `NodeLabel(dim, value)`
-and `make_label(dim, bits)` validate it once; where the dimension and the
-value are already proven, the package builds labels with no further check.
+A node is a `NodeLabel`, the tuple `(dim, value)` of the bit width and the
+label read as an unsigned integer; an edge is an `Edge`, the tuple `(a, b)`
+of its two labels, smaller value first. Both equal and order only against
+their own class. `NodeLabel(dim, value)`, `make_label(dim, bits)` and
+`Edge(a, b)` validate once; where the parts are already proven, the package
+builds labels and edges with no further check.
 
 Two neighbor routines are provided. `neighbors` applies the closed-form
 rule the recursion unfolds to: flip bit 0, flip bit 1, or, for any
@@ -30,11 +32,9 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from collections.abc import Iterable, Iterator, KeysView, Sequence, Set
-from functools import total_ordering
 from itertools import chain, repeat
 from operator import and_, itemgetter, lshift, or_, xor
 
-from ._record import _Record
 from .errors import AdjacencyError, DimensionError, LabelFormatError
 
 #: Largest supported dimension. Keeps exhaustive edge sets addressable.
@@ -48,14 +48,14 @@ def check_dim(dim: int) -> None:
 
 
 def _ordering(op, symbol: str):
-    """A NodeLabel comparison that orders only against another NodeLabel."""
+    """A comparison that orders a value only against another of its class."""
 
     def compare(self, other):
         if other.__class__ is self.__class__:
             return op(self, other)
         if isinstance(other, tuple):  # else tuple's reflected `op` would answer
             raise TypeError(
-                f"'{symbol}' not supported between instances of 'NodeLabel'"
+                f"'{symbol}' not supported between instances of {type(self).__name__!r}"
                 f" and {type(other).__name__!r}"
             )
         return NotImplemented
@@ -63,33 +63,18 @@ def _ordering(op, symbol: str):
     return compare
 
 
-class NodeLabel(tuple):
-    """One node of a locally twisted cube: the tuple `(dim, value)` of a bit
-    width and an unsigned value, validated when built.
-
-    It equals, orders and hashes like that tuple, but only against another
-    NodeLabel: `NodeLabel(4, 3) != (4, 3)`, and ordering against a tuple
-    raises TypeError.
-    """
+class _Value(tuple):
+    """A tuple validated when built that equals, orders and hashes like its
+    items, but only against a value of its own class: it is unequal to a
+    plain tuple, and ordering against one raises TypeError."""
 
     __slots__ = ()
 
-    def __new__(cls, dim: int, value: int) -> NodeLabel:
-        check_dim(dim)
-        if not isinstance(value, int):
-            raise LabelFormatError(f"value must be an integer, got {value!r}")
-        if not 0 <= value < 1 << dim:
-            raise LabelFormatError(f"value {value} out of range for dim {dim}")
-        return tuple.__new__(cls, (dim, value))
-
-    #: `NodeLabel._trusted((dim, value))` builds the label with no check, for a
-    #: pair the caller has already proven valid; `_labels` maps it over many.
+    #: `cls._trusted(items)` builds the value with no check, for items the
+    #: caller has already proven valid; `_labels` and `_edges_of` map it.
     _trusted = classmethod(tuple.__new__)
 
-    dim = property(itemgetter(0), doc="The bit width.")
-    value = property(itemgetter(1), doc="The label as an unsigned integer.")
-
-    def __getnewargs__(self) -> tuple[int, int]:
+    def __getnewargs__(self) -> tuple:
         return tuple(self)
 
     def __eq__(self, other: object) -> bool:
@@ -108,6 +93,25 @@ class NodeLabel(tuple):
     __ge__ = _ordering(tuple.__ge__, ">=")
     __hash__ = tuple.__hash__
 
+
+class NodeLabel(_Value):
+    """One node of a locally twisted cube: the tuple `(dim, value)` of a bit
+    width and an unsigned value, validated when built; `NodeLabel(4, 3) !=
+    (4, 3)`, and ordering against a tuple raises TypeError."""
+
+    __slots__ = ()
+
+    def __new__(cls, dim: int, value: int) -> NodeLabel:
+        check_dim(dim)
+        if not isinstance(value, int):
+            raise LabelFormatError(f"value must be an integer, got {value!r}")
+        if not 0 <= value < 1 << dim:
+            raise LabelFormatError(f"value {value} out of range for dim {dim}")
+        return tuple.__new__(cls, (dim, value))
+
+    dim = property(itemgetter(0), doc="The bit width.")
+    value = property(itemgetter(1), doc="The label as an unsigned integer.")
+
     @property
     def bits(self) -> str:
         """Binary rendering, exactly `dim` characters, most significant bit first."""
@@ -125,37 +129,33 @@ def _labels(dim: int, values: Iterable[int]) -> Iterator[NodeLabel]:
     return map(NodeLabel._trusted, zip(repeat(dim), values))
 
 
-@total_ordering
-class Edge(_Record):
-    """An unordered pair of adjacent nodes, stored smaller value first."""
+class Edge(_Value):
+    """An unordered pair of adjacent nodes: the tuple `(a, b)` of its two
+    NodeLabels, smaller value first, validated when built."""
 
-    __slots__ = _fields = ("a", "b")
+    __slots__ = ()
 
-    def __init__(self, a: NodeLabel, b: NodeLabel) -> None:
-        object.__setattr__(self, "a", a)  # direct stores: edges are built in bulk
-        object.__setattr__(self, "b", b)
-        self.__post_init__()
+    def __new__(cls, a: NodeLabel, b: NodeLabel) -> Edge:
+        if a.dim != b.dim:
+            raise DimensionError(f"edge endpoints differ in dim: {a.dim} vs {b.dim}")
+        if a.value > b.value:
+            a, b = b, a
+        if not _adjacent_values(a.dim, a.value, b.value):
+            raise AdjacencyError(f"{a.bits} and {b.bits} are not adjacent")
+        return tuple.__new__(cls, (a, b))
 
-    def _key(self) -> tuple[NodeLabel, NodeLabel]:  # the base's key, without its field loop
-        return (self.a, self.b)
-
-    def __lt__(self, other: object) -> bool:
-        return self._key() < other._key() if other.__class__ is self.__class__ else NotImplemented
-
-    def __post_init__(self) -> None:
-        if self.a.dim != self.b.dim:
-            raise DimensionError(f"edge endpoints differ in dim: {self.a.dim} vs {self.b.dim}")
-        if self.a.value > self.b.value:
-            self._set((self.b, self.a))
-        if not _adjacent_values(self.a.dim, self.a.value, self.b.value):
-            raise AdjacencyError(f"{self.a.bits} and {self.b.bits} are not adjacent")
+    a = property(itemgetter(0), doc="The end with the smaller value.")
+    b = property(itemgetter(1), doc="The end with the larger value.")
 
     @property
     def dim(self) -> int:
-        return self.a.dim
+        return self[0][0]
+
+    def __repr__(self) -> str:
+        return f"Edge(a={self[0]!r}, b={self[1]!r})"
 
     def __str__(self) -> str:
-        return f"{self.a.bits} {self.b.bits}"
+        return f"{self[0].bits} {self[1].bits}"
 
 
 def make_label(dim: int, bits: str) -> NodeLabel:
@@ -183,17 +183,9 @@ def _neighbor_values(dim: int, value: int) -> list[int]:
 
 
 def _adjacent_values(dim: int, u: int, v: int) -> bool:
+    """True iff `u ^ v` is a flip of `u` in one of the cube's `dim` dimensions."""
     d = u ^ v
-    if d == 1 or d == 2:
-        return True
-    if d == 0:
-        return False
-    k = d.bit_length() - 1
-    if k < 2:
-        return False
-    if u & 1:
-        return d == 3 << (k - 1)
-    return d == 1 << k
+    return 0 < d < 1 << dim and d == _FLIPS[u & 1][d.bit_length() - 1]
 
 
 def neighbors(x: NodeLabel) -> set[NodeLabel]:
@@ -401,7 +393,8 @@ class EdgeSet(Set):
         return len(self) == len(other) == 0  # no edge of one dim is in another
 
     def __hash__(self) -> int:
-        # the frozenset's hash with no Edge built: an Edge hashes as ((dim, u), (dim, v))
+        # the frozenset's hash with no Edge built: an Edge is the tuple
+        # ((dim, u), (dim, v)) by construction, and hashes as it
         if self._hash_cache is None:
             ends = (zip(repeat(self.dim), map(itemgetter(k), self.pairs)) for k in (0, 1))
             self._hash_cache = hash(frozenset(zip(*ends)))
@@ -418,11 +411,12 @@ def _no_masks(dim: int) -> array:
 
 def _edges_of(dim: int, pairs: Iterable[tuple[int, int]]) -> Iterator[Edge]:
     """An `Edge` per (smaller, larger) pair of adjacent values of the proven
-    dimension `dim`, in the order given, with one NodeLabel per node."""
+    dimension `dim`, in the order given, unchecked, with one NodeLabel per
+    node; `pairs` must be re-iterable."""
     nodes = dict.fromkeys(chain.from_iterable(pairs))
     label = dict(zip(nodes, _labels(dim, nodes)))
-    for u, v in pairs:
-        yield Edge(label[u], label[v])
+    smaller, larger = (map(label.__getitem__, map(itemgetter(k), pairs)) for k in (0, 1))
+    return map(Edge._trusted, zip(smaller, larger))
 
 
 def edges(dim: int) -> Set[Edge]:

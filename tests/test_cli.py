@@ -242,14 +242,23 @@ class TestNoEdgeObjects:
 
     @pytest.fixture
     def built(self, monkeypatch):
+        """Every Edge built, by the validating constructor or the private
+        one for pairs already proven."""
         count = []
-        original = Edge.__post_init__
+        new, trusted = Edge.__new__, Edge._trusted
 
-        def counting(self):
-            count.append(self)
-            original(self)
+        def counting_new(cls, *args, **kwargs):
+            edge = new(cls, *args, **kwargs)
+            count.append(edge)
+            return edge
 
-        monkeypatch.setattr(Edge, "__post_init__", counting)
+        def counting_trusted(cls, pair):
+            edge = trusted(pair)
+            count.append(edge)
+            return edge
+
+        monkeypatch.setattr(Edge, "__new__", staticmethod(counting_new))
+        monkeypatch.setattr(Edge, "_trusted", classmethod(counting_trusted))
         return count
 
     def test_split_broadcast(self, built):
@@ -365,6 +374,15 @@ class TestVerify:
         assert code == 3
         assert "not UTF-8" in err
 
+    def test_empty_member_exits_3(self, capsys, tmp_path):
+        doc = pair_document(edh_cycles(4))
+        doc["cycles"][0] = []
+        path = tmp_path / "empty.json"
+        path.write_text(render_document(doc))
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, out) == (3, "")
+        assert err == "ltqcube: malformed input: member 0 must be a non-empty array of labels\n"
+
     def test_missing_file_exits_3(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", str(tmp_path / "missing.json"))
         assert code == 3
@@ -463,6 +481,12 @@ class TestOracle:
         report = json.loads(out)
         assert report["count"] == 5
         assert report["exhaustive"] is True
+
+    def test_dim_4_enumerate_text_is_cut_at_8(self, capsys):
+        code, out, _ = run(capsys, "oracle", "--dim", "4", "--mode", "enumerate")
+        lines = out.splitlines()
+        assert code == 0 and lines[0] == "dim 4: 780 Hamiltonian cycle(s)"
+        assert len(lines) == 10 and lines[-1] == "... 772 more"
 
     def test_dim_5_enumerate_refused_without_limit(self, capsys):
         code, _, err = run(capsys, "oracle", "--dim", "5", "--mode", "enumerate")
@@ -627,6 +651,15 @@ class TestExitCodeContract:
         assert out == ""
         assert err.startswith("ltqcube: out of memory") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("fmt", ["report-text", "report-json"])
+    def test_limit_outside_enumerate_is_a_refusal(self, capsys, fmt):
+        argv = ["oracle", "--dim", "4", "--mode", "pair-existence", "--limit", "5", "--format", fmt]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (cli.EXIT_REFUSED, "")
+        assert err == (
+            "ltqcube: --limit applies to --mode enumerate only, not --mode pair-existence\n"
+        )
 
 
 class TestDimensionRefusals:

@@ -67,6 +67,10 @@ class TestPathType:
         with pytest.raises(LtqError):
             empty.dim
 
+    def test_empty_path_has_no_end(self):
+        with pytest.raises(LtqError, match="^empty path has no end$"):
+            Path([]).end
+
 
 class TestCycleType:
     def test_canonical_rotation_and_direction(self):
@@ -383,6 +387,11 @@ class TestHamiltonianPairType:
                     HamiltonianPair(a, b, 4)
                     HamiltonianPair(Path.from_values(4, a.values), Path.from_values(4, b.values), 4)
         assert tried[0] == 240 and tried[2] > 0 and tried[1] == 0
+
+    def test_rejects_a_member_of_another_dim(self):
+        first, other = edh_cycles(4).first, edh_cycles(5).second
+        with pytest.raises(DimensionError, match="^member dim 5 does not match pair dim 4$"):
+            HamiltonianPair(first, other, 4)
 
     def test_kind_reporting(self):
         assert edh_paths(4).kind == "paths"

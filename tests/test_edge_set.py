@@ -136,14 +136,23 @@ class TestNoEdgeObjects:
 
     @pytest.fixture
     def built(self, monkeypatch):
+        """Every Edge built, by the validating constructor or the private
+        one for pairs already proven."""
         count = []
-        original = Edge.__post_init__
+        new, trusted = Edge.__new__, Edge._trusted
 
-        def counting(self):
-            count.append(self)
-            original(self)
+        def counting_new(cls, *args, **kwargs):
+            edge = new(cls, *args, **kwargs)
+            count.append(edge)
+            return edge
 
-        monkeypatch.setattr(Edge, "__post_init__", counting)
+        def counting_trusted(cls, pair):
+            edge = trusted(pair)
+            count.append(edge)
+            return edge
+
+        monkeypatch.setattr(Edge, "__new__", staticmethod(counting_new))
+        monkeypatch.setattr(Edge, "_trusted", classmethod(counting_trusted))
         return count
 
     def test_residual_analysis_without_search(self, built):

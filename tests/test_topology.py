@@ -93,6 +93,13 @@ class TestNodeLabelContract:
             with pytest.raises(TypeError):
                 compare((4, 5), NodeLabel(4, 3))
 
+    def test_unordered_against_a_non_tuple(self):
+        # not a tuple: the comparison defers, and Python raises the TypeError
+        assert NodeLabel(4, 3).__lt__(5) is NotImplemented
+        for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError):
+                compare(NodeLabel(4, 3), 5)
+
     def test_orders_by_dim_then_value(self):
         assert NodeLabel(4, 3) < NodeLabel(4, 5) <= NodeLabel(4, 5) < NodeLabel(5, 0)
         assert NodeLabel(5, 0) > NodeLabel(4, 15) >= NodeLabel(4, 15)
@@ -331,6 +338,11 @@ class TestEdges:
         hi, lo = make_label(4, "1000"), make_label(4, "0000")
         e = Edge(hi, lo)
         assert (e.a, e.b) == (lo, hi)
+
+    def test_ends_of_two_dims_refused(self):
+        with pytest.raises(DimensionError) as caught:
+            Edge(make_label(4, "0000"), make_label(5, "00001"))
+        assert str(caught.value) == "edge endpoints differ in dim: 4 vs 5"
 
     def test_out_of_range(self):
         with pytest.raises(DimensionError):

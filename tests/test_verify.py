@@ -30,7 +30,7 @@ from ltqcube import (
     verify_pair,
 )
 from ltqcube.topology import EdgeSet, NodeLabel, _adjacent_values, _neighbor_values, edge_pairs
-from ltqcube.topology import walk_edges
+from ltqcube.topology import Edge, walk_edges
 from ltqcube.verify import _bounded_cycle_search, _first_non_edge, _search_cycles, _shared_edges
 
 # Found by depth-first search: a Hamiltonian path of the dim-4 cube whose
@@ -508,6 +508,24 @@ class TestThirdCycleSearch:
     def test_edge_set_of_another_dim_refused(self):
         with pytest.raises(DimensionError, match=r"^residual edge of dim 5 in a dim-6 search$"):
             search_third_cycle(6, edges(5), budget=10)
+
+
+class TestThirdCycleSearchOverEdges:
+    """Any iterable of `Edge` that is not an `EdgeSet` is read edge by edge."""
+
+    def test_a_ring_finds_itself(self):
+        ring = edh_cycles(4).first
+        assert search_third_cycle(4, ring.edge_set(), 1000) == ring
+
+    def test_same_verdict_as_the_edge_set(self):
+        unused = residual_analysis(6, edh_cycles(6)).unused_edges
+        assert search_third_cycle(6, unused, 1000) is None
+        assert search_third_cycle(6, frozenset(unused), 1000) is None
+
+    def test_edge_of_another_dim_refused(self):
+        foreign = [Edge(NodeLabel(4, 0), NodeLabel(4, 1)), Edge(NodeLabel(5, 0), NodeLabel(5, 1))]
+        with pytest.raises(DimensionError, match=r"^residual edge of dim 5 in a dim-4 search$"):
+            search_third_cycle(4, foreign, budget=10)
 
 
 class TestSearchVerdict:
