@@ -128,12 +128,12 @@ def _read_input(path: str | None) -> str:
 
 
 def _edge_lines(dim: int, pairs: Iterable[tuple[int, int]], template: str) -> list[str]:
-    """One line per (smaller, larger) value pair, in ascending order, with
-    both labels rendered as fixed-width binary strings, each of the 2**dim
-    labels formatted once."""
+    """One line per (smaller, larger) value pair, in the order given (the
+    ascending order of `edge_pairs`), with both labels rendered as
+    fixed-width binary strings, each of the 2**dim labels formatted once."""
     width = f"0{dim}b"
     bits = [format(v, width) for v in range(1 << dim)]
-    return [template.format(bits[u], bits[v]) for u, v in sorted(pairs)]
+    return [template.format(bits[u], bits[v]) for u, v in pairs]
 
 
 def _render_report(payload: dict, text_lines: list[str], fmt: str) -> str:

@@ -295,7 +295,9 @@ def _steps_are_edges(dim: int, values: Sequence[int], *, closed: bool) -> bool:
 
 
 def edge_pairs(dim: int) -> Iterator[tuple[int, int]]:
-    """Every edge of the dim-dimensional cube as a (smaller, larger) value pair."""
+    """Every edge of the dim-dimensional cube as a (smaller, larger) value
+    pair, in strictly ascending order: at each smaller end v, a flip of a
+    higher dimension sets a higher bit that v lacks."""
     check_dim(dim)
     flips = _FLIPS[0][:dim], _FLIPS[1][:dim]
     for v in range(1 << dim):
@@ -313,16 +315,16 @@ class EdgeSet(Set):
     an edge u .. v has the dimension of the top set bit of `u ^ v`, which the
     n edges at a node never share. The masks live in an array indexed by
     node value (empty when nothing is removed), so `len` and `in` are
-    answered from them alone. The members' pairs are enumerated once, when
-    `.pairs` or iteration first asks, and an `Edge` is built per pair when
-    iterated. It equals and hashes like the frozenset of the same edges;
+    answered from them alone. Each read of `.pairs` and each iteration
+    enumerates the members in ascending order, building an `Edge` per pair
+    when iterated. It equals and hashes like the frozenset of the same edges;
     `-`, `&` and `|` return frozensets of `Edge`. Two `EdgeSet`s compare
     their masks, and the hash is computed once. The removed walks are
     trusted to step along edges of the cube: a mask bit cannot name a
     non-edge.
     """
 
-    __slots__ = ("dim", "_removed", "_popcounts", "_pairs", "_hash_cache")
+    __slots__ = ("dim", "_removed", "_popcounts", "_hash_cache")
 
     def __init__(self, dim: int, removed: Iterable[Sequence[int]] = ()) -> None:
         """The dim-cube minus the edges of the closed walks in `removed`.
@@ -349,7 +351,6 @@ class EdgeSet(Set):
         self._removed = masks if any(masks) else ()
         #: how many nodes have each number of removed edges
         self._popcounts = Counter(map(int.bit_count, masks)) if self._removed else {0: 1 << self.dim}
-        self._pairs: frozenset[tuple[int, int]] | None = None
         self._hash_cache: int | None = None
 
     def _degree_histogram(self) -> dict[int, int]:
@@ -358,15 +359,13 @@ class EdgeSet(Set):
         return {self.dim - k: n for k, n in self._popcounts.items()}
 
     @property
-    def pairs(self) -> frozenset[tuple[int, int]]:
-        """The members as value pairs, enumerated on first read."""
-        if self._pairs is None:
-            removed, top = self._removed, _TOP_BIT
-            every = edge_pairs(self.dim)
-            if removed:
-                every = (e for e in every if not removed[e[0]] & top[(e[0] ^ e[1]).bit_length()])
-            self._pairs = frozenset(every)
-        return self._pairs
+    def pairs(self) -> KeysView[tuple[int, int]]:
+        """The members as an ordered set-like view of ascending value pairs."""
+        removed, top = self._removed, _TOP_BIT
+        every = edge_pairs(self.dim)
+        if removed:
+            every = (e for e in every if not removed[e[0]] & top[(e[0] ^ e[1]).bit_length()])
+        return dict.fromkeys(every).keys()
 
     def __len__(self) -> int:
         removed = sum(k * n for k, n in self._popcounts.items()) // 2
@@ -396,7 +395,8 @@ class EdgeSet(Set):
         # the frozenset's hash with no Edge built: an Edge is the tuple
         # ((dim, u), (dim, v)) by construction, and hashes as it
         if self._hash_cache is None:
-            ends = (zip(repeat(self.dim), map(itemgetter(k), self.pairs)) for k in (0, 1))
+            pairs = self.pairs
+            ends = (zip(repeat(self.dim), map(itemgetter(k), pairs)) for k in (0, 1))
             self._hash_cache = hash(frozenset(zip(*ends)))
         return self._hash_cache
 
@@ -424,7 +424,7 @@ def edges(dim: int) -> Set[Edge]:
 
     The result is a read-only `EdgeSet` of exactly dim * 2**(dim-1) members.
     `len` and `in` are answered from the dimension alone; the edges are
-    enumerated only when iterated or when `.pairs` is read.
+    enumerated, in ascending order, when iterated or `.pairs` is read.
     """
     return EdgeSet(dim)
 

@@ -83,6 +83,7 @@ def _raw(obj: Path | Cycle | Sequence[NodeLabel]) -> tuple[Sequence[int], Sequen
 def _sequence_checks(
     dim: int, dims: Sequence[int], values: Sequence[int], *, closed: bool
 ) -> list[CheckResult]:
+    check_dim(dim)
     checks = []
     expected = 1 << dim
     checks.append(
@@ -121,13 +122,10 @@ def _sequence_checks(
     )
     if closed:
         closes = len(values) >= 3 and _adjacent_values(dim, values[-1], values[0])
-        checks.append(
-            CheckResult(
-                "closing edge",
-                closes,
-                "" if closes else f"{values[-1]:{bits}} .. {values[0]:{bits}} is not an edge",
-            )
-        )
+        detail = "" if closes else "an empty walk has no closing edge"
+        if values and not closes:
+            detail = f"{values[-1]:{bits}} .. {values[0]:{bits}} is not an edge"
+        checks.append(CheckResult("closing edge", closes, detail))
     return checks
 
 
@@ -174,7 +172,8 @@ def _shared_edges(
 def is_hamiltonian_path(dim: int, p: Path | Sequence[NodeLabel]) -> bool:
     """True iff `p` visits every node of the dim-cube exactly once along edges.
 
-    Never raises on well-typed input; broken sequences simply fail.
+    Raises DimensionError on a dim outside [2, MAX_DIM], and otherwise never
+    on well-typed input; broken sequences, empty ones too, simply fail.
     """
     return all(c.passed for c in _sequence_checks(dim, *_raw(p), closed=False))
 
@@ -226,7 +225,7 @@ def _verify_members(dim: int, kind: str, members: Sequence[tuple]) -> Verificati
     shared = _shared_edges(first, closed or first_cycle, second, closed or second_cycle)
     detail = ""
     if shared:
-        u, v = sorted(shared)[0]
+        u, v = min(shared)
         detail = f"{len(shared)} shared, e.g. {u:0{dim}b} .. {v:0{dim}b}"
     checks.append(CheckResult("pair: edge-disjoint", not shared, detail))
     return VerificationReport(f"{kind} pair, dim {dim}", tuple(checks))
@@ -429,7 +428,7 @@ class ResidualAnalysis(_Record):
     of its mask; the residual's size is *derived* from the same popcounts
     (the cube's edges minus half their sum). A pair sharing an edge leaves
     one bit fewer at both ends, so it fails both checks below. The unused
-    edges are enumerated only when iterated or `.pairs` is read.
+    edges are enumerated, in ascending order, when iterated or `.pairs` is read.
     """
 
     __slots__ = _fields = (

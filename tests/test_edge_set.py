@@ -87,6 +87,7 @@ def test_matches_the_eager_reference(dim, build):
     for edge in ref:
         assert edge in lazy
     assert lazy.pairs == {(edge.a.value, edge.b.value) for edge in ref}
+    assert list(lazy) == sorted(lazy) and list(lazy.pairs) == sorted(lazy.pairs)
 
 
 @pytest.mark.parametrize("dim,build", cases())

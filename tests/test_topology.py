@@ -334,6 +334,13 @@ class TestEdges:
     def test_canonical_order(self):
         assert all(e.a.value < e.b.value for e in edges(5))
 
+    @pytest.mark.parametrize("dim", range(2, 17))
+    def test_pairs_come_strictly_ascending(self, dim):
+        # the CLI writes them in this order, with no sort
+        pairs = list(edge_pairs(dim))
+        assert len(pairs) == dim << (dim - 1)
+        assert all(map(operator.lt, pairs, pairs[1:]))
+
     def test_edge_normalizes_order(self):
         hi, lo = make_label(4, "1000"), make_label(4, "0000")
         e = Edge(hi, lo)

@@ -9,6 +9,7 @@ import ltqcube.verify as verify_module
 from ltqcube import (
     Cycle,
     DimensionError,
+    HamiltonianPair,
     InvalidPairError,
     LtqError,
     OracleScopeError,
@@ -85,6 +86,30 @@ class TestCheckers:
 
     def test_wrong_dim_labels_fail(self):
         assert not is_hamiltonian_path(5, edh_paths(4).first)
+
+    @pytest.mark.parametrize("walk", [[], Path([])], ids=["list", "Path"])
+    def test_empty_walk_fails(self, walk):
+        assert not is_hamiltonian_path(4, walk)
+        assert not is_hamiltonian_cycle(4, walk)
+        for kind in ("paths", "cycles"):
+            report = verify_pair(4, walk, walk, kind)
+            failed = {c.name: c.detail for c in report.checks if not c.passed}
+            assert failed.keys() == {"first: node count", "second: node count"} | (
+                {"first: closing edge", "second: closing edge"} if kind == "cycles" else set()
+            )
+            if kind == "cycles":
+                assert failed["first: closing edge"] == "an empty walk has no closing edge"
+
+    @pytest.mark.parametrize("dim", [-1, 0, 1, 31, 4.0])
+    def test_dim_out_of_range_refused(self, dim):
+        walk = edh_paths(4).first
+        for check in (
+            lambda: is_hamiltonian_path(dim, walk),
+            lambda: is_hamiltonian_cycle(dim, walk),
+            lambda: verify_pair(dim, walk, walk, "paths"),
+        ):
+            with pytest.raises(DimensionError, match="dim must be an integer in"):
+                check()
 
 
 class TestMutationBattery:
@@ -734,6 +759,52 @@ class TestVerifyPairDetails:
         assert are_edge_disjoint(self.labels([0, 5]), self.labels([0, 6, 5]))
         assert not are_edge_disjoint(self.labels([3, 3]), self.labels([3, 3]))
         assert are_edge_disjoint([], self.labels([3, 3]))
+
+
+# Three edge-disjoint Hamiltonian cycles of LTQ_6, as label values: together
+# they use all 192 edges, a Hamiltonian decomposition. Found by a randomized
+# depth-first search (fewest onward neighbors first) and checked below by
+# the independent checkers.
+LTQ6_DECOMPOSITION = (
+    (
+        0, 4, 12, 8, 24, 28, 20, 16, 48, 52, 36, 32, 40, 56, 60, 44,
+        46, 42, 34, 38, 54, 50, 58, 62, 30, 14, 10, 26, 18, 2, 6, 22,
+        23, 21, 25, 27, 43, 39, 37, 41, 47, 35, 33, 45, 29, 31, 19, 17,
+        9, 5, 7, 11, 59, 57, 53, 55, 49, 61, 13, 15, 63, 51, 3, 1,
+    ),
+    (
+        0, 2, 3, 15, 14, 12, 13, 21, 20, 22, 18, 16, 17, 23, 27, 29,
+        28, 30, 26, 24, 25, 1, 7, 31, 47, 55, 54, 52, 60, 62, 46, 38,
+        6, 4, 5, 53, 45, 44, 36, 37, 61, 59, 58, 56, 48, 49, 41, 40,
+        8, 10, 42, 43, 51, 50, 34, 35, 19, 11, 9, 57, 63, 39, 33, 32,
+    ),
+    (
+        0, 16, 24, 56, 57, 33, 17, 29, 5, 3, 27, 26, 58, 42, 40, 44,
+        12, 28, 60, 61, 63, 62, 54, 22, 30, 31, 25, 41, 43, 45, 47, 46,
+        14, 6, 7, 55, 59, 35, 37, 21, 19, 18, 50, 48, 32, 34, 2, 10,
+        11, 13, 1, 49, 51, 53, 52, 20, 4, 36, 38, 39, 23, 15, 9, 8,
+    ),
+)
+
+
+class TestLtq6HasThreeDisjointCycles:
+    """The module docstring's claim about LTQ_6, on a checked-in witness."""
+
+    @staticmethod
+    def cycles():
+        return [Cycle.from_values(6, values) for values in LTQ6_DECOMPOSITION]
+
+    @pytest.mark.parametrize("values", LTQ6_DECOMPOSITION, ids=["first", "second", "third"])
+    def test_each_is_a_hamiltonian_cycle(self, values):
+        assert is_hamiltonian_cycle(6, [NodeLabel(6, v) for v in values])
+
+    def test_each_pair_is_edge_disjoint(self):
+        for a, b in combinations(self.cycles(), 2):
+            assert are_edge_disjoint(a, b)
+            assert HamiltonianPair(a, b, 6).kind == "cycles"
+
+    def test_together_they_use_every_edge(self):
+        assert len(EdgeSet(6, LTQ6_DECOMPOSITION)) == 0
 
 
 class TestCheckerIndependence:
