@@ -12,27 +12,34 @@ broadcasts one half per ring, both rings running concurrently. A pair of
 (edge, step) uses of the same undirected edge by different rings is a
 contention event; with edge-disjoint rings there are none, which
 `simulate_split_broadcast` measures rather than assumes.
+
+The counts come from each ring's edge masks, indexed by node value (bit k
+of node u's mask marks the ring's edge of dimension k at u), not from a
+walk over its edges; a `HamiltonianPair` hands over the masks it kept when
+it was validated.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from array import array
 from collections.abc import Iterator, Mapping, Sequence, ValuesView
+from itertools import chain, repeat
+from operator import and_, or_
 
 from ._record import _Record
 from .construction import Cycle, HamiltonianPair
 from .errors import InvalidPairError, LtqError
-from .topology import Edge, _edges_of
+from .topology import _TOP_BIT, Edge, _edges_of, _node_masks
 
 
 class TrafficReport(_Record):
     """Outcome of one simulated broadcast.
 
     per_edge_load counts total traversals per undirected edge (only used
-    edges appear). It is a read-only mapping over label-value pairs: `len`,
-    `values()`, `in` and lookup build no `Edge`; iteration and `items()`
-    build the keys, in ring order. max_concurrent_per_edge is the peak
-    number of messages crossing one edge in one step; contention_events
+    edges appear). It is a read-only mapping read from the rings' edge
+    masks: `len`, `values()`, `in` and lookup build no `Edge`; iteration and
+    `items()` build the keys, in ring order. max_concurrent_per_edge is the
+    peak number of messages crossing one edge in one step; contention_events
     counts (edge, step) pairs contested by different rings. completed, that
     every node ends holding every message of every ring, is asserted rather
     than simulated: each ring is a Cycle, and m - 1 lock-step relays on a
@@ -50,25 +57,42 @@ class TrafficReport(_Record):
         self._set((steps, per_edge_load, max_concurrent_per_edge, contention_events, completed))
 
 
-class _EdgeLoads(Mapping):
-    """`Edge` -> load, held as multiplicities of (smaller, larger) value pairs
-    in ring order, each load being `steps` times the multiplicity."""
+def _sharing(masks: Sequence[array]) -> dict[int, int]:
+    """{j: how many edges exactly j rings use}, from the rings' edge masks by
+    node. Each mask array is read as one integer bit vector and added into
+    bit-sliced levels: level j keeps the bits set in more than j rings. An
+    edge sets its bit at both of its ends."""
+    levels: list[int] = []
+    for ring in map(int.from_bytes, masks, repeat("little")):
+        levels = list(map(or_, [*levels, 0], [ring, *map(and_, levels, repeat(ring))]))
+    more = [level.bit_count() // 2 for level in levels] + [0]
+    return {j: n - fewer for j, (n, fewer) in enumerate(zip(more, more[1:]), 1) if n > fewer}
 
-    def __init__(self, dim: int, steps: int, counts: Mapping[tuple[int, int], int]) -> None:
-        self._dim, self._steps, self._counts = dim, steps, counts
+
+class _EdgeLoads(Mapping):
+    """`Edge` -> load, read from the rings' edge masks by node: an edge's load
+    is `steps` times the number of rings whose mask at its smaller end holds
+    its bit. Only iteration walks the rings, to build the keys in ring order."""
+
+    def __init__(self, rings: Sequence[Cycle], masks: Sequence[array]) -> None:
+        self._rings, self._masks, self._sharing = rings, masks, _sharing(masks)
+        self._dim, self._steps = rings[0].dim, len(rings[0]) - 1
 
     def __len__(self) -> int:
-        return len(self._counts)
+        return sum(self._sharing.values())
 
     def __getitem__(self, edge: object) -> int:
         if isinstance(edge, Edge) and edge.dim == self._dim:
-            count = self._counts.get((edge.a.value, edge.b.value))
-            if count is not None:
-                return self._steps * count
+            u, v = edge.a.value, edge.b.value
+            bit = _TOP_BIT[(u ^ v).bit_length()]
+            rings = sum(1 for masks in self._masks if masks[u] & bit)
+            if rings:
+                return self._steps * rings
         raise KeyError(edge)
 
     def __iter__(self) -> Iterator[Edge]:
-        return _edges_of(self._dim, self._counts)
+        walked = chain.from_iterable(ring.edge_pairs() for ring in self._rings)
+        return _edges_of(self._dim, dict.fromkeys(walked).keys())
 
     def values(self) -> ValuesView[int]:
         return _Loads(self)
@@ -78,11 +102,15 @@ class _EdgeLoads(Mapping):
 
 
 class _Loads(ValuesView):
-    """The loads of an `_EdgeLoads`, read from its counts without its keys."""
+    """The loads of an `_EdgeLoads`, read from its sharing counts without its
+    keys: those of the edges one ring uses, then two, and so on."""
 
     def __iter__(self) -> Iterator[int]:
-        steps = self._mapping._steps
-        return (steps * count for count in self._mapping._counts.values())
+        steps, sharing = self._mapping._steps, self._mapping._sharing
+        return chain.from_iterable(map(repeat, map(steps.__mul__, sharing), sharing.values()))
+
+    def __contains__(self, load: object) -> bool:
+        return any(load == self._mapping._steps * rings for rings in self._mapping._sharing)
 
 
 def simulate_schedules(rings: Sequence[Cycle]) -> TrafficReport:
@@ -91,30 +119,32 @@ def simulate_schedules(rings: Sequence[Cycle]) -> TrafficReport:
     Each ring stays saturated: all of its edges carry one message at every
     step, so an edge's load is steps times the number of rings traversing
     it, and an edge used by two or more rings is contested at every step.
-    Edges are counted as label-value pairs; `per_edge_load` reads those
-    counts and builds an `Edge` key only when iterated. Delivery is
-    asserted, not simulated (see TrafficReport).
+    Every ring must be a `Cycle`: a one-way relay along an open path never
+    brings the last node's message to the others. The counts come from each
+    ring's edge masks by node (see `_sharing`); `per_edge_load` reads
+    them and builds an `Edge` key only when iterated. Delivery is asserted,
+    not simulated (see TrafficReport).
     """
     if not rings:
         raise LtqError("need at least one ring")
+    if not all(isinstance(ring, Cycle) for ring in rings):
+        raise LtqError("every ring must be a Cycle; an open path does not complete a broadcast")
     lengths = {len(ring) for ring in rings}
     if len(lengths) != 1:
         raise LtqError(f"rings must have equal length, got {sorted(lengths)}")
     dims = {ring.dim for ring in rings}
     if len(dims) != 1:
         raise LtqError(f"rings must have equal dimension, got {sorted(dims)}")
-    steps = lengths.pop() - 1
-    multiplicity: Counter[tuple[int, int]] = Counter()
-    for ring in rings:
-        multiplicity.update(ring.edge_pairs())
-    shared = sum(1 for count in multiplicity.values() if count > 1)
-    return TrafficReport(
-        steps=steps,
-        per_edge_load=_EdgeLoads(dims.pop(), steps, multiplicity),
-        max_concurrent_per_edge=max(multiplicity.values()),
-        contention_events=steps * shared,
-        completed=True,
-    )
+    dim = dims.pop()
+    return _traffic(rings, [_node_masks(dim, ring.values, closed=True) for ring in rings])
+
+
+def _traffic(rings: Sequence[Cycle], masks: Sequence[array]) -> TrafficReport:
+    """The report of `simulate_schedules` over validated rings and their masks."""
+    loads = _EdgeLoads(rings, masks)
+    steps, sharing = loads._steps, loads._sharing
+    contested = len(loads) - sharing.get(1, 0)
+    return TrafficReport(steps, loads, max(sharing), steps * contested, completed=True)
 
 
 def simulate_ring_broadcast(ring: Cycle) -> TrafficReport:
@@ -126,8 +156,9 @@ def simulate_split_broadcast(pair: HamiltonianPair) -> TrafficReport:
     """Broadcast half of every node's message along each of two disjoint rings.
 
     The pair type guarantees edge-disjointness, so the measured contention
-    must come out zero; the report states what was measured.
+    must come out zero; the report states what was measured. The counts
+    read the edge masks the pair kept when it was validated.
     """
     if pair.kind != "cycles":
         raise InvalidPairError("split broadcast needs a pair of cycles")
-    return simulate_schedules(pair.members)
+    return _traffic(pair.members, pair._member_masks())

@@ -35,7 +35,7 @@ once, by `from_values`, and the package reads its edges as value pairs
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, KeysView
+from collections.abc import Iterable, Iterator, KeysView, Sequence
 from itertools import repeat
 from operator import and_, or_
 
@@ -54,8 +54,7 @@ from .topology import (
     _adjacent_values,
     _edges_of,
     _labels,
-    _no_masks,
-    _ring_masks,
+    _node_masks,
     _steps_are_edges,
     check_dim,
     make_label,
@@ -198,14 +197,19 @@ class HamiltonianPair(_Record):
 
     The invariants are enforced at construction, so holding a pair is proof
     it was verified: both members visit all 2**dim nodes exactly once and
-    their edge sets are disjoint. Disjointness is checked node by node on
-    edge masks: bit k of a node's mask marks the member's edge of dimension
-    k there (the top set bit of `u ^ v`), so the members share an edge iff
-    some node's two masks share a bit. A mask bit names an edge only for a
-    step that is one, which each member's own validation has proven.
+    their edge sets are disjoint. Disjointness is checked on each member's
+    edge masks, indexed by node value: bit k of node u's mask marks the
+    member's edge of dimension k at u (the top set bit of `u ^ v`), so the
+    members share an edge iff some node's two masks share a bit. A mask bit
+    names an edge only for a step that is one, which each member's own
+    validation has proven. The pair keeps both mask arrays outside its
+    fields, for the residual and the broadcast model: `_member_masks()`
+    returns them while the members hold the very `values` they came from,
+    and computes them anew otherwise, as on a copied or unpickled pair.
     """
 
-    __slots__ = _fields = ("first", "second", "dim")
+    __slots__ = ("first", "second", "dim", "_validated")
+    _fields = ("first", "second", "dim")
 
     def __init__(self, first: Path | Cycle, second: Path | Cycle, dim: int) -> None:
         self._set((first, second, dim))
@@ -222,11 +226,10 @@ class HamiltonianPair(_Record):
                 raise InvalidPairError(
                     f"member visits {len(member)} nodes, expected {1 << self.dim}"
                 )
-        first, second = (_ring_masks(m.values, closed=m._closed) for m in self.members)
-        at = _no_masks(self.dim)
-        any(map(at.__setitem__, self.second.values, second))  # second's masks by node
-        if any(map(and_, first, map(at.__getitem__, self.first.values))):
+        masks = self._member_masks()
+        if any(map(and_, *masks)):
             raise InvalidPairError("pair members share an edge")
+        object.__setattr__(self, "_validated", (self.first.values, self.second.values, masks))
 
     @property
     def kind(self) -> str:
@@ -235,6 +238,13 @@ class HamiltonianPair(_Record):
     @property
     def members(self) -> tuple[Path | Cycle, Path | Cycle]:
         return (self.first, self.second)
+
+    def _member_masks(self) -> tuple[Sequence[int], Sequence[int]]:
+        """Each member's edge masks by node value, as validated if unchanged."""
+        first, second, masks = getattr(self, "_validated", (None, None, None))
+        if first is self.first.values and second is self.second.values:
+            return masks
+        return tuple(_node_masks(self.dim, m.values, closed=m._closed) for m in self.members)
 
 
 def base_paths_ltq4() -> HamiltonianPair:

@@ -278,7 +278,24 @@ def _ring_masks(values: Sequence[int], *, closed: bool) -> list[int]:
     tops = list(map(_TOP_BIT.__getitem__, map(int.bit_length, map(xor, values, ends))))
     if len(tops) < len(values):
         tops.append(0)  # no step leaves the last node of an open walk
-    return list(map(or_, tops, tops[-1:] + tops[:-1]))
+    return list(map(or_, tops, chain(tops[-1:], tops)))
+
+
+def _node_masks(
+    dim: int, values: Sequence[int], *, closed: bool, into: array | None = None
+) -> array:
+    """A walk's edge masks (see `_ring_masks`) in node order: entry u is node
+    u's mask. Without `into`, they fill a new zero array of all 2**dim nodes,
+    and the walk must visit each node once. With it, each is ORed into its
+    entry of `into`, read just before it is written, so a node the walk
+    visits twice keeps both visits."""
+    masks = _ring_masks(values, closed=closed)
+    if into is None:
+        into = _no_masks(dim)
+    else:
+        masks = map(or_, map(into.__getitem__, values), masks)
+    any(map(into.__setitem__, values, masks))  # one C-level store per node
+    return into
 
 
 def _steps_are_edges(dim: int, values: Sequence[int], *, closed: bool) -> bool:
@@ -337,9 +354,7 @@ class EdgeSet(Set):
         check_dim(dim)
         masks: Sequence[int] = ()
         for walk in removed:
-            masks = masks or _no_masks(dim)
-            ored = map(or_, map(masks.__getitem__, walk), _ring_masks(walk, closed=True))
-            any(map(masks.__setitem__, walk, ored))  # one C-level store per node
+            masks = _node_masks(dim, walk, closed=True, into=masks or _no_masks(dim))
         self.__setstate__((dim, masks))
 
     def __getstate__(self) -> tuple[int, Sequence[int]]:

@@ -11,6 +11,7 @@ nothing of other pairs: LTQ_6 has three edge-disjoint Hamiltonian cycles.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence, Set
 from itertools import chain, combinations, repeat
@@ -186,7 +187,11 @@ def is_hamiltonian_cycle(dim: int, c: Cycle | Sequence[NodeLabel]) -> bool:
 def are_edge_disjoint(
     a: Path | Cycle | Sequence[NodeLabel], b: Path | Cycle | Sequence[NodeLabel]
 ) -> bool:
-    """True iff the two walks share no edge, regardless of direction."""
+    """True iff the two walks share no edge, regardless of direction.
+
+    Only a `Cycle` counts its closing edge: a plain sequence of labels, or a
+    `Path`, is an open walk. Wrap a sequence in `Cycle` to count it closed.
+    """
     (dims_a, values_a), (dims_b, values_b) = _raw(a), _raw(b)
     if dims_a and dims_b and dims_a[0] != dims_b[0]:
         raise DimensionError("cannot compare walks of different dimensions")
@@ -421,14 +426,14 @@ class ResidualAnalysis(_Record):
     the nodes the search expanded.
 
     `unused_edges` is an `EdgeSet` of the cube minus the ring edges, held as
-    one edge mask per node: the OR of both rings' masks, bit k marking the
-    node's edge of dimension k (the top set bit of `u ^ v`). That naming is
-    exact only for steps that are edges, which the pair's validation proved.
-    `degree_histogram` is *measured* at every node as dim minus the popcount
-    of its mask; the residual's size is *derived* from the same popcounts
-    (the cube's edges minus half their sum). A pair sharing an edge leaves
-    one bit fewer at both ends, so it fails both checks below. The unused
-    edges are enumerated, in ascending order, when iterated or `.pairs` is read.
+    one edge mask per node: the OR of the two rings' masks that the pair
+    kept when it was validated (see `HamiltonianPair`), bit k marking the
+    node's edge of dimension k. `degree_histogram` is *measured* at every
+    node as dim minus the popcount of its mask; the residual's size is
+    *derived* from the same popcounts (the cube's edges minus half their
+    sum). A pair sharing an edge leaves one bit fewer at both ends, so it
+    fails both checks below. The unused edges are enumerated, in ascending
+    order, when iterated or `.pairs` is read.
     """
 
     __slots__ = _fields = (
@@ -464,8 +469,8 @@ def residual_analysis(
 ) -> ResidualAnalysis:
     """Edges unused by a verified cycle pair, their degrees, and optionally
     a bounded hunt for a third edge-disjoint Hamiltonian cycle among them.
-    Without a search the work is O(2**dim): C-level passes over the two
-    rings' edge masks.
+    Without a search the work is O(2**dim): one C-level pass ORs the two
+    rings' edge masks, which the pair kept when it was validated.
     """
     if search_budget is not None and search_budget <= 0:
         raise LtqError(f"budget must be positive, got {search_budget}")
@@ -473,7 +478,8 @@ def residual_analysis(
         raise InvalidPairError("residual analysis needs a pair of cycles")
     if pair.dim != dim:
         raise DimensionError(f"pair dim {pair.dim} does not match {dim}")
-    unused = EdgeSet(dim, (member.values for member in pair.members))
+    unused = EdgeSet.__new__(EdgeSet)
+    unused.__setstate__((dim, array("L", map(or_, *pair._member_masks()))))
     histogram = unused._degree_histogram()
     if search_budget is None:
         return ResidualAnalysis(dim, unused, histogram)

@@ -1,4 +1,8 @@
+import copy
+import pickle
+
 import pytest
+from test_verify import LTQ6_DECOMPOSITION
 
 from ltqcube import (
     Cycle,
@@ -7,10 +11,12 @@ from ltqcube import (
     InvalidPairError,
     LtqError,
     NodeLabel,
+    Path,
     edges,
     edh_cycles,
     edh_paths,
     make_label,
+    residual_analysis,
     simulate_ring_broadcast,
     simulate_schedules,
     simulate_split_broadcast,
@@ -70,6 +76,25 @@ class TestSplitBroadcast:
         with pytest.raises(InvalidPairError):
             HamiltonianPair(cycle, cycle, 4)
 
+    @pytest.mark.parametrize("dim", range(4, 9))
+    def test_tampered_pair_is_measured_not_assumed(self, dim):
+        # built and validated, then its second ring replaced by the first
+        pair = edh_cycles(dim)
+        object.__setattr__(pair.second, "values", pair.first.values)
+        report = simulate_split_broadcast(pair)
+        assert report.max_concurrent_per_edge == 2
+        assert report.contention_events == report.steps * 2**dim
+        assert len(report.per_edge_load) == 2**dim
+        assert set(report.per_edge_load.values()) == {2 * report.steps}
+
+    @pytest.mark.parametrize("how", ["pickle", "copy"])
+    def test_reloaded_pair_measures_the_same(self, how):
+        pair = edh_cycles(7)
+        other = pickle.loads(pickle.dumps(pair)) if how == "pickle" else copy.deepcopy(pair)
+        assert simulate_split_broadcast(other) == simulate_split_broadcast(pair)
+        assert residual_analysis(7, other) == residual_analysis(7, pair)
+        assert residual_analysis(7, other).degree_histogram == {3: 128}
+
 
 class TestScheduleEngine:
     def test_same_ring_twice_contends_every_step(self):
@@ -93,6 +118,16 @@ class TestScheduleEngine:
         with pytest.raises(LtqError):
             simulate_schedules([small_ring(), edh_cycles(4).first])
 
+    @pytest.mark.parametrize(
+        "rings",
+        [[edh_paths(4).first], [Path([NodeLabel(4, 0)])], [edh_cycles(4).first, edh_paths(4).first]],
+        ids=["hamiltonian path", "one node", "cycle and path"],
+    )
+    def test_rejects_open_paths(self, rings):
+        # a one-way relay along a path never brings the last node's message back
+        with pytest.raises(LtqError, match="must be a Cycle"):
+            simulate_schedules(rings)
+
 
 class TestPerEdgeLoad:
     """per_edge_load answers as the dict keyed by one Edge per ring step did."""
@@ -107,20 +142,35 @@ class TestPerEdgeLoad:
                 loads[edge] = loads.get(edge, 0) + steps
         return loads
 
-    @pytest.mark.parametrize("twice", [False, True])
-    def test_matches_a_dict_of_edges(self, twice):
-        pair = edh_cycles(5)
-        rings = [pair.first, pair.first] if twice else list(pair.members)
-        loads = simulate_schedules(rings).per_edge_load
-        expected = self.reference(rings, 31)
+    def check(self, rings):
+        report = simulate_schedules(rings)
+        loads = report.per_edge_load
+        expected = self.reference(rings, report.steps)
         assert len(loads) == len(expected)
         assert list(loads.items()) == list(expected.items())  # ring order
         assert loads == expected
         assert sorted(loads.values()) == sorted(expected.values())
-        assert (62 if twice else 31) in loads.values() and 0 not in loads.values()
-        for edge in edges(5):
+        assert all(load in loads.values() for load in expected.values())
+        assert 0 not in loads.values() and report.steps * 4 not in loads.values()
+        for edge in edges(rings[0].dim):
             assert (edge in loads) == (edge in expected)
             assert loads.get(edge) == expected.get(edge)
+        assert report.max_concurrent_per_edge == max(expected.values()) // report.steps
+        contested = sum(1 for load in expected.values() if load > report.steps)
+        assert report.contention_events == report.steps * contested
+        return report
+
+    @pytest.mark.parametrize("case", ["one", "split", "twice"])
+    @pytest.mark.parametrize("dim", range(4, 9))
+    def test_matches_a_dict_of_edges(self, dim, case):
+        pair = edh_cycles(dim)
+        rings = {"one": [pair.first], "split": list(pair.members), "twice": [pair.first] * 2}
+        self.check(rings[case])
+
+    def test_three_rings_decomposing_ltq6(self):
+        report = self.check([Cycle.from_values(6, values) for values in LTQ6_DECOMPOSITION])
+        assert len(report.per_edge_load) == 192 == len(edges(6))
+        assert report.contention_events == 0 and report.max_concurrent_per_edge == 1
 
     def test_foreign_keys_are_missing(self):
         loads = simulate_split_broadcast(edh_cycles(5)).per_edge_load

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from collections import Counter
 from itertools import combinations
 
@@ -396,6 +398,16 @@ class TestHamiltonianPairType:
     def test_kind_reporting(self):
         assert edh_paths(4).kind == "paths"
         assert edh_cycles(4).kind == "cycles"
+
+    @pytest.mark.parametrize("build", [edh_paths, edh_cycles])
+    def test_keeps_the_masks_it_validated(self, build):
+        pair = build(6)
+        kept = pair._member_masks()
+        assert pair._member_masks() is kept
+        assert [len(masks) for masks in kept] == [64, 64]
+        for other in (pickle.loads(pickle.dumps(pair)), copy.copy(pair), copy.deepcopy(pair)):
+            assert other == pair and repr(other) == repr(pair)
+            assert other._member_masks() == kept and other._member_masks() is not kept
 
 
 class TestFailureMessages:

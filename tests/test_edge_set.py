@@ -118,6 +118,15 @@ def test_empty_sets_of_different_dims_are_equal_like_frozensets():
     assert hash(empty4) == hash(frozenset())
 
 
+@pytest.mark.parametrize("first", [[], [[0, 1]]], ids=["alone", "second"])
+def test_a_walk_that_revisits_nodes_removes_every_step(first):
+    # two 4-cycles of LTQ_4 that share the edge 0 .. 2, walked as one closed walk
+    walk = [0, 1, 3, 2, 0, 4, 6, 2]
+    steps = {(min(u, v), max(u, v)) for u, v in zip(walk, walk[1:] + walk[:1])}
+    assert len(steps) == 7
+    assert EdgeSet(4, [*first, walk]) == eager(4, set(edge_pairs(4)) - steps)
+
+
 LTQ5_PAIRS = sorted(edge_pairs(5))
 LTQ5_EDGES = eager(5, LTQ5_PAIRS)
 

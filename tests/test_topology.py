@@ -24,6 +24,7 @@ from ltqcube.topology import (
     _adjacent_values,
     _labels,
     _neighbor_values,
+    _node_masks,
     _ring_masks,
     _steps_are_edges,
     edge_pairs,
@@ -475,6 +476,9 @@ class TestBulkStepHelpers:
             for member in build(dim).members:
                 expected = self.reference_masks(member.values, closed)
                 assert _ring_masks(member.values, closed=closed) == expected
+                by_node = _node_masks(dim, member.values, closed=closed)
+                assert by_node.typecode == "L" and len(by_node) == 1 << dim
+                assert list(map(by_node.__getitem__, member.values)) == expected
 
     def test_masks_of_every_hamiltonian_cycle_of_ltq4(self):
         for cycle in enumerate_hamiltonian_cycles(4):

@@ -796,7 +796,11 @@ class TestLtq6HasThreeDisjointCycles:
 
     @pytest.mark.parametrize("values", LTQ6_DECOMPOSITION, ids=["first", "second", "third"])
     def test_each_is_a_hamiltonian_cycle(self, values):
-        assert is_hamiltonian_cycle(6, [NodeLabel(6, v) for v in values])
+        a = [NodeLabel(6, v) for v in values]
+        assert is_hamiltonian_cycle(6, a)
+        # a plain sequence is an open walk: only a Cycle counts its closing edge
+        assert are_edge_disjoint(a, [a[-1], a[0]])
+        assert not are_edge_disjoint(Cycle(a), [a[-1], a[0]])
 
     def test_each_pair_is_edge_disjoint(self):
         for a, b in combinations(self.cycles(), 2):
@@ -814,14 +818,17 @@ class TestCheckerIndependence:
         import ltqcube.construction as construction_module
         import ltqcube.verify as verify_module
 
-        assert not {"_ring_masks", "_steps_are_edges", "_no_masks"} & set(vars(verify_module))
+        helpers = {"_ring_masks", "_steps_are_edges", "_no_masks", "_node_masks"}
+        assert not helpers & set(vars(verify_module))
+        assert helpers <= set(vars(topology_module))
+        assert {"_steps_are_edges", "_node_masks"} <= set(vars(construction_module))
         cycles, paths = edh_cycles(7), edh_paths(7)  # built before the helpers are blocked
 
         def refuse(*args, **kwargs):
             raise AssertionError("a checker called a construction helper")
 
         for module in (topology_module, construction_module):
-            for name in ("_ring_masks", "_steps_are_edges", "_no_masks"):
+            for name in helpers & set(vars(module)):  # every binding of each helper
                 monkeypatch.setattr(module, name, refuse)
         for pair in (cycles, paths):
             assert verify_pair(7, pair.first, pair.second, pair.kind).passed
