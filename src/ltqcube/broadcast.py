@@ -15,8 +15,8 @@ contention event; with edge-disjoint rings there are none, which
 
 The counts come from each ring's edge masks, indexed by node value (bit k
 of node u's mask marks the ring's edge of dimension k at u), not from a
-walk over its edges; a `HamiltonianPair` hands over the masks it kept when
-it was validated.
+walk over its edges. Each ring keeps its masks, so the rings of a
+validated `HamiltonianPair` reuse those its validation computed.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from operator import and_, or_
 from ._record import _Record
 from .construction import Cycle, HamiltonianPair
 from .errors import InvalidPairError, LtqError
-from .topology import _TOP_BIT, Edge, _edges_of, _node_masks
+from .topology import _TOP_BIT, Edge, _edges_of
 
 
 class TrafficReport(_Record):
@@ -71,11 +71,13 @@ def _sharing(masks: Sequence[array]) -> dict[int, int]:
 
 class _EdgeLoads(Mapping):
     """`Edge` -> load, read from the rings' edge masks by node: an edge's load
-    is `steps` times the number of rings whose mask at its smaller end holds
-    its bit. Only iteration walks the rings, to build the keys in ring order."""
+    is `steps` times the number of rings whose masks reach its smaller end
+    and hold its bit there. Only iteration walks the rings, to build the keys
+    in ring order."""
 
-    def __init__(self, rings: Sequence[Cycle], masks: Sequence[array]) -> None:
-        self._rings, self._masks, self._sharing = rings, masks, _sharing(masks)
+    def __init__(self, rings: Sequence[Cycle]) -> None:
+        self._rings, self._masks = rings, [ring._masks() for ring in rings]
+        self._sharing = _sharing(self._masks)
         self._dim, self._steps = rings[0].dim, len(rings[0]) - 1
 
     def __len__(self) -> int:
@@ -85,7 +87,7 @@ class _EdgeLoads(Mapping):
         if isinstance(edge, Edge) and edge.dim == self._dim:
             u, v = edge.a.value, edge.b.value
             bit = _TOP_BIT[(u ^ v).bit_length()]
-            rings = sum(1 for masks in self._masks if masks[u] & bit)
+            rings = sum(1 for masks in self._masks if u < len(masks) and masks[u] & bit)
             if rings:
                 return self._steps * rings
         raise KeyError(edge)
@@ -120,10 +122,11 @@ def simulate_schedules(rings: Sequence[Cycle]) -> TrafficReport:
     step, so an edge's load is steps times the number of rings traversing
     it, and an edge used by two or more rings is contested at every step.
     Every ring must be a `Cycle`: a one-way relay along an open path never
-    brings the last node's message to the others. The counts come from each
-    ring's edge masks by node (see `_sharing`); `per_edge_load` reads
-    them and builds an `Edge` key only when iterated. Delivery is asserted,
-    not simulated (see TrafficReport).
+    brings the last node's message to the others. The counts come from the
+    edge masks by node that each ring keeps (see `_sharing`); they end at the
+    ring's largest label, so memory grows with that label, not with 2**dim.
+    `per_edge_load` reads them and builds an `Edge` key only when iterated.
+    Delivery is asserted, not simulated (see TrafficReport).
     """
     if not rings:
         raise LtqError("need at least one ring")
@@ -135,13 +138,7 @@ def simulate_schedules(rings: Sequence[Cycle]) -> TrafficReport:
     dims = {ring.dim for ring in rings}
     if len(dims) != 1:
         raise LtqError(f"rings must have equal dimension, got {sorted(dims)}")
-    dim = dims.pop()
-    return _traffic(rings, [_node_masks(dim, ring.values, closed=True) for ring in rings])
-
-
-def _traffic(rings: Sequence[Cycle], masks: Sequence[array]) -> TrafficReport:
-    """The report of `simulate_schedules` over validated rings and their masks."""
-    loads = _EdgeLoads(rings, masks)
+    loads = _EdgeLoads(rings)
     steps, sharing = loads._steps, loads._sharing
     contested = len(loads) - sharing.get(1, 0)
     return TrafficReport(steps, loads, max(sharing), steps * contested, completed=True)
@@ -157,8 +154,8 @@ def simulate_split_broadcast(pair: HamiltonianPair) -> TrafficReport:
 
     The pair type guarantees edge-disjointness, so the measured contention
     must come out zero; the report states what was measured. The counts
-    read the edge masks the pair kept when it was validated.
+    read the edge masks each ring kept when the pair was validated.
     """
     if pair.kind != "cycles":
         raise InvalidPairError("split broadcast needs a pair of cycles")
-    return _traffic(pair.members, pair._member_masks())
+    return simulate_schedules(pair.members)

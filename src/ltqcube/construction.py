@@ -35,7 +35,8 @@ once, by `from_values`, and the package reads its edges as value pairs
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, KeysView, Sequence
+from array import array
+from collections.abc import Iterable, Iterator, KeysView
 from itertools import repeat
 from operator import and_, or_
 
@@ -104,7 +105,8 @@ class _Walk(_Record):
     """What Path and Cycle share: a dimension and a tuple of label values.
     NodeLabels are built only when `nodes`, iteration or `edge_set()` ask."""
 
-    __slots__ = _fields = ("_dim", "values")
+    __slots__ = ("_dim", "values", "_kept_masks")
+    _fields = ("_dim", "values")
     _closed = False
 
     def __init__(self, nodes: Iterable[NodeLabel]) -> None:
@@ -157,6 +159,17 @@ class _Walk(_Record):
     def edge_set(self) -> frozenset[Edge]:
         return frozenset(_edges_of(self._dim, self.edge_pairs()))
 
+    def _masks(self) -> array:
+        """The edge masks by node value (see `topology._node_masks`): bit k of
+        entry u marks the walk's edge of dimension k at node u. Computed once
+        and kept while `values` is the very tuple they were read from; a copied,
+        unpickled or tampered walk computes them anew."""
+        values, masks = getattr(self, "_kept_masks", (None, None))
+        if values is not self.values:
+            masks = _node_masks(self._dim, self.values, closed=self._closed)
+            object.__setattr__(self, "_kept_masks", (self.values, masks))
+        return masks
+
 
 class Path(_Walk):
     """A sequence of distinct, consecutively adjacent nodes.
@@ -198,38 +211,28 @@ class HamiltonianPair(_Record):
     The invariants are enforced at construction, so holding a pair is proof
     it was verified: both members visit all 2**dim nodes exactly once and
     their edge sets are disjoint. Disjointness is checked on each member's
-    edge masks, indexed by node value: bit k of node u's mask marks the
-    member's edge of dimension k at u (the top set bit of `u ^ v`), so the
-    members share an edge iff some node's two masks share a bit. A mask bit
-    names an edge only for a step that is one, which each member's own
-    validation has proven. The pair keeps both mask arrays outside its
-    fields, for the residual and the broadcast model: `_member_masks()`
-    returns them while the members hold the very `values` they came from,
-    and computes them anew otherwise, as on a copied or unpickled pair.
+    edge masks, indexed by node value (`_Walk._masks`): bit k of node u's
+    mask marks the member's edge of dimension k at u (the top set bit of
+    `u ^ v`), so the members share an edge iff some node's two masks share
+    a bit. A mask bit names an edge only for a step that is one, which each
+    member's own validation has proven. The members keep their masks, so
+    the residual and the broadcast model read them without recomputing.
     """
 
-    __slots__ = ("first", "second", "dim", "_validated")
-    _fields = ("first", "second", "dim")
+    __slots__ = _fields = ("first", "second", "dim")
 
     def __init__(self, first: Path | Cycle, second: Path | Cycle, dim: int) -> None:
-        self._set((first, second, dim))
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if type(self.first) is not type(self.second):
+        if type(first) is not type(second):
             raise InvalidPairError("pair members must both be paths or both be cycles")
-        for member in (self.first, self.second):
-            if member.dim != self.dim:
-                raise DimensionError(f"member dim {member.dim} does not match pair dim {self.dim}")
+        for member in (first, second):
+            if member.dim != dim:
+                raise DimensionError(f"member dim {member.dim} does not match pair dim {dim}")
             # distinct valid labels, so full count means full coverage
-            if len(member) != 1 << self.dim:
-                raise InvalidPairError(
-                    f"member visits {len(member)} nodes, expected {1 << self.dim}"
-                )
-        masks = self._member_masks()
-        if any(map(and_, *masks)):
+            if len(member) != 1 << dim:
+                raise InvalidPairError(f"member visits {len(member)} nodes, expected {1 << dim}")
+        if any(map(and_, first._masks(), second._masks())):
             raise InvalidPairError("pair members share an edge")
-        object.__setattr__(self, "_validated", (self.first.values, self.second.values, masks))
+        self._set((first, second, dim))
 
     @property
     def kind(self) -> str:
@@ -238,13 +241,6 @@ class HamiltonianPair(_Record):
     @property
     def members(self) -> tuple[Path | Cycle, Path | Cycle]:
         return (self.first, self.second)
-
-    def _member_masks(self) -> tuple[Sequence[int], Sequence[int]]:
-        """Each member's edge masks by node value, as validated if unchanged."""
-        first, second, masks = getattr(self, "_validated", (None, None, None))
-        if first is self.first.values and second is self.second.values:
-            return masks
-        return tuple(_node_masks(self.dim, m.values, closed=m._closed) for m in self.members)
 
 
 def base_paths_ltq4() -> HamiltonianPair:
@@ -256,6 +252,16 @@ def base_paths_ltq4() -> HamiltonianPair:
     return edh_paths(4)
 
 
+def _check_pair_dim(dim: int) -> None:
+    """`check_dim`, then refuse the dims below 4, which admit no pair."""
+    check_dim(dim)
+    if dim < 4:
+        raise DimensionError(
+            f"dim {dim} has no edge-disjoint Hamiltonian pair: every node of the"
+            " 3-dimensional cube is incident to only three edges"
+        )
+
+
 def expected_endpoints(dim: int) -> tuple[NodeLabel, NodeLabel, NodeLabel, NodeLabel]:
     """(start, end) of the first and second constructed paths, in order.
 
@@ -263,8 +269,7 @@ def expected_endpoints(dim: int) -> tuple[NodeLabel, NodeLabel, NodeLabel, NodeL
     is 00 0^(dim-5) 010 -> 10 0^(dim-5) 010 and 00 0^(dim-5) 110 ->
     10 0^(dim-5) 110, each pair joined by a twist edge.
     """
-    if dim < 4:
-        raise DimensionError(f"no constructed pair below dim 4, got {dim}")
+    _check_pair_dim(dim)
     if dim == 4:
         names = ("0010", "0000", "0110", "0100")
     else:
@@ -285,12 +290,7 @@ def _constructed_pair(member: type[Path] | type[Cycle], dim: int) -> Hamiltonian
     level's path is a prefix of the final one, so validating the final
     path covers every junction.
     """
-    check_dim(dim)
-    if dim < 4:
-        raise DimensionError(
-            f"dim {dim} has no edge-disjoint Hamiltonian pair: every node of the"
-            " 3-dimensional cube is incident to only three edges"
-        )
+    _check_pair_dim(dim)
     members = []
     for seed in (_BASE_FIRST, _BASE_SECOND):
         values = [int(bits, 2) for bits in seed]

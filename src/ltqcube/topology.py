@@ -285,13 +285,14 @@ def _node_masks(
     dim: int, values: Sequence[int], *, closed: bool, into: array | None = None
 ) -> array:
     """A walk's edge masks (see `_ring_masks`) in node order: entry u is node
-    u's mask. Without `into`, they fill a new zero array of all 2**dim nodes,
-    and the walk must visit each node once. With it, each is ORed into its
-    entry of `into`, read just before it is written, so a node the walk
-    visits twice keeps both visits."""
+    u's mask. Without `into`, they fill a new zero array that ends at the
+    walk's largest value, so its memory grows with that label rather than
+    with 2**dim, and the walk must visit each node once. With it, each is
+    ORed into its entry of `into`, read just before it is written, so a node
+    the walk visits twice keeps both visits."""
     masks = _ring_masks(values, closed=closed)
     if into is None:
-        into = _no_masks(dim)
+        into = array("L", [0]) * (max(values, default=-1) + 1)
     else:
         masks = map(or_, map(into.__getitem__, values), masks)
     any(map(into.__setitem__, values, masks))  # one C-level store per node

@@ -426,8 +426,8 @@ class ResidualAnalysis(_Record):
     the nodes the search expanded.
 
     `unused_edges` is an `EdgeSet` of the cube minus the ring edges, held as
-    one edge mask per node: the OR of the two rings' masks that the pair
-    kept when it was validated (see `HamiltonianPair`), bit k marking the
+    one edge mask per node: the OR of the two rings' masks, which each ring
+    kept when the pair was validated (see `HamiltonianPair`), bit k marking the
     node's edge of dimension k. `degree_histogram` is *measured* at every
     node as dim minus the popcount of its mask; the residual's size is
     *derived* from the same popcounts (the cube's edges minus half their
@@ -446,22 +446,17 @@ class ResidualAnalysis(_Record):
         third_cycle_found: Cycle | None = None, search_budget: int | None = None,
         search_verdict: str | None = None, search_expansions: int | None = None,
     ) -> None:
+        expected = (dim << (dim - 1)) - (1 << (dim + 1))
+        if len(unused_edges) != expected:
+            raise InvalidPairError(f"residual has {len(unused_edges)} edges, expected {expected}")
+        if degree_histogram != {dim - 4: 1 << dim}:
+            raise InvalidPairError("residual graph is not uniformly (dim - 4)-regular")
         self._set((dim, unused_edges, degree_histogram, third_cycle_found, search_budget,
                    search_verdict, search_expansions))
-        self.__post_init__()
 
     def _key(self) -> tuple:
         fields = self.__getstate__()
         return fields[:2] + fields[3:]  # all but degree_histogram
-
-    def __post_init__(self) -> None:
-        expected = (self.dim << (self.dim - 1)) - (1 << (self.dim + 1))
-        if len(self.unused_edges) != expected:
-            raise InvalidPairError(
-                f"residual has {len(self.unused_edges)} edges, expected {expected}"
-            )
-        if self.degree_histogram != {self.dim - 4: 1 << self.dim}:
-            raise InvalidPairError("residual graph is not uniformly (dim - 4)-regular")
 
 
 def residual_analysis(
@@ -470,7 +465,7 @@ def residual_analysis(
     """Edges unused by a verified cycle pair, their degrees, and optionally
     a bounded hunt for a third edge-disjoint Hamiltonian cycle among them.
     Without a search the work is O(2**dim): one C-level pass ORs the two
-    rings' edge masks, which the pair kept when it was validated.
+    rings' edge masks, which each ring kept when the pair was validated.
     """
     if search_budget is not None and search_budget <= 0:
         raise LtqError(f"budget must be positive, got {search_budget}")
@@ -479,7 +474,7 @@ def residual_analysis(
     if pair.dim != dim:
         raise DimensionError(f"pair dim {pair.dim} does not match {dim}")
     unused = EdgeSet.__new__(EdgeSet)
-    unused.__setstate__((dim, array("L", map(or_, *pair._member_masks()))))
+    unused.__setstate__((dim, array("L", map(or_, pair.first._masks(), pair.second._masks()))))
     histogram = unused._degree_histogram()
     if search_budget is None:
         return ResidualAnalysis(dim, unused, histogram)

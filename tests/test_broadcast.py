@@ -1,5 +1,7 @@
 import copy
 import pickle
+import sys
+import tracemalloc
 
 import pytest
 from test_verify import LTQ6_DECOMPOSITION
@@ -47,6 +49,39 @@ class TestSingleRing:
     def test_loads_attach_to_real_edges(self):
         report = simulate_ring_broadcast(edh_cycles(5).first)
         assert set(report.per_edge_load) <= edges(5)
+
+    def test_short_ring_costs_its_largest_label_not_the_cube(self):
+        # the mask array ends at label 3, not at 2**24
+        ring = Cycle.from_values(24, [0, 1, 3, 2])
+        tracemalloc.start()
+        try:
+            report = simulate_ring_broadcast(ring)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert report.steps == 3 and report.contention_events == 0
+        loads = report.per_edge_load
+        assert len(loads) == 4 and list(loads.values()) == [3] * 4
+        steps = [(0, 1), (1, 3), (2, 3), (0, 2)]
+        assert list(loads) == [Edge(NodeLabel(24, u), NodeLabel(24, v)) for u, v in steps]
+        far = Edge(NodeLabel(24, 4), NodeLabel(24, 5))  # beyond the ring's masks
+        assert far not in loads and loads.get(far) is None
+
+    def test_reuses_the_masks_the_pair_checked(self, monkeypatch):
+        pair = edh_cycles(8)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("masks computed again")
+
+        modules = [module for name, module in sys.modules.items() if name.startswith("ltqcube")]
+        for module in modules:
+            if "_node_masks" in vars(module):  # every binding of the helper
+                monkeypatch.setattr(module, "_node_masks", refuse)
+        report = simulate_ring_broadcast(pair.first)
+        assert report.steps == 255 and len(report.per_edge_load) == 256
+        assert simulate_split_broadcast(pair).contention_events == 0
+        assert len(residual_analysis(8, pair).unused_edges) == 8 * 128 - 512
 
 
 class TestSplitBroadcast:

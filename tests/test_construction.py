@@ -249,6 +249,15 @@ class TestExpectedEndpoints:
         with pytest.raises(DimensionError):
             expected_endpoints(3)
 
+    @pytest.mark.parametrize("dim", [3, 4.5, 5.0, "5", MAX_DIM + 1])
+    def test_refuses_what_the_construction_refuses(self, dim):
+        messages = set()
+        for build in (expected_endpoints, edh_paths, edh_cycles):
+            with pytest.raises(DimensionError) as caught:
+                build(dim)
+            messages.add(str(caught.value))
+        assert len(messages) == 1
+
 
 class TestConstructedPaths:
     def test_dim_5_shape(self):
@@ -401,13 +410,21 @@ class TestHamiltonianPairType:
 
     @pytest.mark.parametrize("build", [edh_paths, edh_cycles])
     def test_keeps_the_masks_it_validated(self, build):
+        # each member keeps the masks the pair checked; a copied walk computes its own
         pair = build(6)
-        kept = pair._member_masks()
-        assert pair._member_masks() is kept
-        assert [len(masks) for masks in kept] == [64, 64]
+        for member in pair.members:
+            kept = member._masks()
+            assert member._masks() is kept and len(kept) == 64
+            for c in (pickle.loads(pickle.dumps(member)), copy.copy(member), copy.deepcopy(member)):
+                assert c == member and hash(c) == hash(member) and repr(c) == repr(member)
+                assert c._masks() == kept and c._masks() is not kept
+                assert c._masks() is c._masks()
         for other in (pickle.loads(pickle.dumps(pair)), copy.copy(pair), copy.deepcopy(pair)):
             assert other == pair and repr(other) == repr(pair)
-            assert other._member_masks() == kept and other._member_masks() is not kept
+            for c, member in zip(other.members, pair.members):
+                # a shallow copy of the pair holds the same members, so the same masks
+                assert c._masks() == member._masks()
+                assert (c._masks() is member._masks()) == (c is member)
 
 
 class TestFailureMessages:

@@ -21,6 +21,7 @@ from ltqcube import (
     enumerate_hamiltonian_cycles,
     residual_analysis,
     search_third_cycle,
+    simulate_split_broadcast,
 )
 from ltqcube.topology import EdgeSet, _neighbor_values, edge_pairs
 
@@ -279,3 +280,26 @@ class TestDerivedCountIsACheck:
         assert shared == 2
         with pytest.raises(InvalidPairError, match="residual has 2 edges, expected 0"):
             residual_analysis(4, self.tampered(4, other))
+
+
+class TestMeasuredContentionIsACheck:
+    """The broadcast side of `TestDerivedCountIsACheck`: the split broadcast
+    reads the rings the tampered pair holds, not those it validated."""
+
+    @pytest.mark.parametrize("dim", range(4, 11))
+    def test_second_ring_replaced_by_the_first(self, dim):
+        pair = TestDerivedCountIsACheck.tampered(dim, edh_cycles(dim).first.values)
+        report = simulate_split_broadcast(pair)
+        assert report.max_concurrent_per_edge == 2
+        assert report.contention_events == report.steps * 2**dim
+
+    def test_fewest_shared_edges(self):
+        first = edh_cycles(4).first
+        other = next(
+            c.values for c in enumerate_hamiltonian_cycles(4)
+            if len(c.edge_pairs() & first.edge_pairs()) == 2
+        )
+        report = simulate_split_broadcast(TestDerivedCountIsACheck.tampered(4, other))
+        assert report.max_concurrent_per_edge == 2
+        assert report.contention_events == report.steps * 2
+        assert len(report.per_edge_load) == 30
