@@ -29,7 +29,7 @@ from operator import and_, or_
 from ._record import _Record
 from .construction import Cycle, HamiltonianPair
 from .errors import InvalidPairError, LtqError
-from .topology import _TOP_BIT, Edge, _edges_of
+from .topology import Edge, _edges_of
 
 
 class TrafficReport(_Record):
@@ -86,8 +86,8 @@ class _EdgeLoads(Mapping):
     def __getitem__(self, edge: object) -> int:
         if isinstance(edge, Edge) and edge.dim == self._dim:
             u, v = edge.a.value, edge.b.value
-            bit = _TOP_BIT[(u ^ v).bit_length()]
-            rings = sum(1 for masks in self._masks if u < len(masks) and masks[u] & bit)
+            k = (u ^ v).bit_length() - 1
+            rings = sum(1 for masks in self._masks if u < len(masks) and masks[u] >> k & 1)
             if rings:
                 return self._steps * rings
         raise KeyError(edge)

@@ -56,7 +56,8 @@ from .topology import (
     _edges_of,
     _labels,
     _node_masks,
-    _steps_are_edges,
+    _ring_masks,
+    _step_tops,
     check_dim,
     make_label,
     walk_edges,
@@ -72,22 +73,26 @@ _BASE_SECOND = (
 )
 
 
-def _check_values(dim: int, values: list[int], *, closed: bool) -> None:
+def _check_values(dim: int, values: list[int], *, closed: bool) -> tuple[int, int, list[int]]:
     """Validate a walk once: in-range, distinct, consecutively adjacent integers.
 
     Each property is one C-level pass; only a walk that fails the adjacency
     pass is rescanned step by step, so that its first bad step is named.
+    Returns the least and greatest values and `topology._step_tops`.
     """
     if not values:
-        return
+        return 0, -1, []
     if not all(map(isinstance, values, repeat(int))):
         raise LabelFormatError(f"label values for dim {dim} must be integers")
-    if not 0 <= min(values) <= max(values) < 1 << dim:
+    low, high = min(values), max(values)
+    if not 0 <= low <= high < 1 << dim:
         raise LabelFormatError(f"label values out of range for dim {dim}")
     if len(set(values)) != len(values):
         raise OverlapError("sequence visits a node more than once")
-    if _steps_are_edges(dim, values, closed=closed):
-        return
+    try:
+        return low, high, _step_tops(values, closed=closed)
+    except KeyError:  # a tag outside the table: some step is no edge
+        pass
     width = f"0{dim}b"
     for i in range(len(values) - 1):
         if not _adjacent_values(dim, values[i], values[i + 1]):
@@ -95,10 +100,7 @@ def _check_values(dim: int, values: list[int], *, closed: bool) -> None:
                 f"nodes {values[i]:{width}} and {values[i + 1]:{width}} "
                 f"(positions {i}, {i + 1}) are not adjacent"
             )
-    if closed and not _adjacent_values(dim, values[-1], values[0]):
-        raise AdjacencyError(
-            f"closing edge {values[-1]:{width}} .. {values[0]:{width}} is not an edge"
-        )
+    raise AdjacencyError(f"closing edge {values[-1]:{width}} .. {values[0]:{width}} is not an edge")
 
 
 class _Walk(_Record):
@@ -127,13 +129,19 @@ class _Walk(_Record):
         for node in nodes:
             if node.dim != dim:
                 raise DimensionError(f"mixed dimensions in sequence: {dim} and {node.dim}")
-        _check_values(dim, values, closed=self._closed)
+        low, high, tops = _check_values(dim, values, closed=self._closed)
+        masks = None
+        if high < len(values):  # the mask array is no longer than the walk: fill it now
+            masks = array("L", [0]) * len(values)
+            any(map(masks.__setitem__, values, _ring_masks(tops)))
+        del tops  # before the rotation copies the values
         if self._closed:  # rotate after validating, so errors name input positions
-            at = values.index(min(values))
+            at = values.index(low)
             values = values[at:] + values[:at]
             if values[-1] < values[1]:
                 values = values[:1] + values[:0:-1]
         self._set((dim if values else None, tuple(values)))
+        object.__setattr__(self, "_kept_masks", (None if masks is None else self.values, masks))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -161,12 +169,14 @@ class _Walk(_Record):
 
     def _masks(self) -> array:
         """The edge masks by node value (see `topology._node_masks`): bit k of
-        entry u marks the walk's edge of dimension k at node u. Computed once
-        and kept while `values` is the very tuple they were read from; a copied,
-        unpickled or tampered walk computes them anew."""
+        entry u marks the walk's edge of dimension k at node u. A walk over
+        0 .. len - 1 (any Hamiltonian one) fills them as it is validated, any
+        other on first use; they are kept while `values` is the very tuple
+        they were read from, so a copied, unpickled or tampered walk computes
+        them anew."""
         values, masks = getattr(self, "_kept_masks", (None, None))
         if values is not self.values:
-            masks = _node_masks(self._dim, self.values, closed=self._closed)
+            masks = _node_masks(self.values, closed=self._closed)
             object.__setattr__(self, "_kept_masks", (self.values, masks))
         return masks
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from collections.abc import Iterable, Iterator, KeysView, Sequence, Set
+from functools import reduce
 from itertools import chain, repeat
 from operator import and_, itemgetter, lshift, or_, xor
 
@@ -260,56 +261,47 @@ def walk_edges(values: Sequence[int], *, closed: bool) -> KeysView[tuple[int, in
     return dict.fromkeys((u, v) if u < v else (v, u) for u, v in zip(values, successors)).keys()
 
 
-#: `_TOP_BIT[d.bit_length()]` is the top set bit of `d`, and 0 for `d == 0`.
-_TOP_BIT = (0, *(1 << k for k in range(MAX_DIM)))
+#: `_STEP_TOPS[(u ^ v) << 1 | (u & 1)]` is the top set bit of `u ^ v` for each
+#: step u -> v along an edge, read off `_FLIPS`: which differences are edges
+#: depends only on the parity of u, so a step whose tag is missing is no edge.
+_STEP_TOPS = {
+    flip << 1 | parity: 1 << k for parity in (0, 1) for k, flip in enumerate(_FLIPS[parity])
+}
 
 
-def _ring_masks(values: Sequence[int], *, closed: bool) -> list[int]:
-    """Each position's edge mask: the top set bits of `u ^ v` over the walk's
-    steps at that node (two, one at the ends of an open walk), ORed.
-
-    The n edges at a node of LTQ_n have n distinct top bits, so bit k of a
-    node's mask names exactly one edge there: the one of dimension k. That
-    holds only for steps that are edges; on a non-edge the bit names some
-    other edge, so the walk must already be proven adjacent. Computed in
-    C-level passes, with no tuple per step.
-    """
+def _step_tops(values: Sequence[int], *, closed: bool) -> list[int]:
+    """The top bit of the step leaving each position of a walk over in-range
+    values (0 at the end of an open walk), which names the step's edge among
+    the n at either end; KeyError if a step is no edge. One `_STEP_TOPS`
+    lookup per step, in C-level passes with no tuple per step."""
     ends = values[1:] + values[:1] if closed else values[1:]
-    tops = list(map(_TOP_BIT.__getitem__, map(int.bit_length, map(xor, values, ends))))
+    tags = map(or_, map(lshift, map(xor, values, ends), repeat(1)), map(and_, values, repeat(1)))
+    tops = list(map(_STEP_TOPS.__getitem__, tags))
     if len(tops) < len(values):
         tops.append(0)  # no step leaves the last node of an open walk
-    return list(map(or_, tops, chain(tops[-1:], tops)))
+    return tops
 
 
-def _node_masks(
-    dim: int, values: Sequence[int], *, closed: bool, into: array | None = None
-) -> array:
+def _ring_masks(tops: list[int]) -> Iterator[int]:
+    """Each position's edge mask, from `_step_tops`: the top bits of the
+    steps entering and leaving it, ORed, yielded with no list."""
+    return map(or_, tops, chain(tops[-1:], tops))
+
+
+def _node_masks(values: Sequence[int], *, closed: bool, into: array | None = None) -> array:
     """A walk's edge masks (see `_ring_masks`) in node order: entry u is node
     u's mask. Without `into`, they fill a new zero array that ends at the
     walk's largest value, so its memory grows with that label rather than
     with 2**dim, and the walk must visit each node once. With it, each is
     ORed into its entry of `into`, read just before it is written, so a node
     the walk visits twice keeps both visits."""
-    masks = _ring_masks(values, closed=closed)
+    masks = _ring_masks(_step_tops(values, closed=closed))
     if into is None:
         into = array("L", [0]) * (max(values, default=-1) + 1)
     else:
         masks = map(or_, map(into.__getitem__, values), masks)
     any(map(into.__setitem__, values, masks))  # one C-level store per node
     return into
-
-
-def _steps_are_edges(dim: int, values: Sequence[int], *, closed: bool) -> bool:
-    """True iff every step of a walk over in-range values is an edge.
-
-    A step u -> v is tagged `(u ^ v) << 1 | (u & 1)`, since which differences
-    are edges depends only on the parity of u; the walk's tags are collected
-    in one set and tested against the 2 * dim allowed ones, read off `_FLIPS`.
-    """
-    ends = values[1:] + values[:1] if closed else values[1:]
-    parities = map(and_, values, repeat(1))
-    tags = set(map(or_, map(lshift, map(xor, values, ends), repeat(1)), parities))
-    return tags <= {flip << 1 | parity for parity in (0, 1) for flip in _FLIPS[parity][:dim]}
 
 
 def edge_pairs(dim: int) -> Iterator[tuple[int, int]]:
@@ -337,9 +329,9 @@ class EdgeSet(Set):
     enumerates the members in ascending order, building an `Edge` per pair
     when iterated. It equals and hashes like the frozenset of the same edges;
     `-`, `&` and `|` return frozensets of `Edge`. Two `EdgeSet`s compare
-    their masks, and the hash is computed once. The removed walks are
-    trusted to step along edges of the cube: a mask bit cannot name a
-    non-edge.
+    their masks, and the hash is computed once. `_fixed_bits` reads the
+    masks alone to prove some sets disconnected. A removed walk must step
+    along edges of the cube; a step that is no edge raises KeyError.
     """
 
     __slots__ = ("dim", "_removed", "_popcounts", "_hash_cache")
@@ -355,7 +347,7 @@ class EdgeSet(Set):
         check_dim(dim)
         masks: Sequence[int] = ()
         for walk in removed:
-            masks = _node_masks(dim, walk, closed=True, into=masks or _no_masks(dim))
+            masks = _node_masks(walk, closed=True, into=masks or array("L", [0]) * (1 << dim))
         self.__setstate__((dim, masks))
 
     def __getstate__(self) -> tuple[int, Sequence[int]]:
@@ -374,13 +366,28 @@ class EdgeSet(Set):
         popcount of the node's mask."""
         return {self.dim - k: n for k, n in self._popcounts.items()}
 
+    def _fixed_bits(self) -> int:
+        """The label bits below `dim` that no member edge flips, as a mask.
+
+        A member edge at a node of parity p flips `_FLIPS[p][k]` for a k not
+        removed at every node of parity p (the AND of their masks). A bit no
+        such flip touches never changes along an edge, so if any is fixed the
+        set is disconnected and holds no Hamiltonian cycle. No edge is built.
+        """
+        flipped = 0
+        for parity in (0, 1):
+            gone = reduce(and_, self._removed[parity::2] or [0])  # `()` when none is removed
+            kept = (f for k, f in enumerate(_FLIPS[parity][: self.dim]) if not gone >> k & 1)
+            flipped = reduce(or_, kept, flipped)
+        return ~flipped & (1 << self.dim) - 1
+
     @property
     def pairs(self) -> KeysView[tuple[int, int]]:
         """The members as an ordered set-like view of ascending value pairs."""
-        removed, top = self._removed, _TOP_BIT
+        removed = self._removed
         every = edge_pairs(self.dim)
         if removed:
-            every = (e for e in every if not removed[e[0]] & top[(e[0] ^ e[1]).bit_length()])
+            every = (e for e in every if not removed[e[0]] >> ((e[0] ^ e[1]).bit_length() - 1) & 1)
         return dict.fromkeys(every).keys()
 
     def __len__(self) -> int:
@@ -391,7 +398,7 @@ class EdgeSet(Set):
         if not isinstance(edge, Edge) or edge.dim != self.dim:
             return False
         u, v = edge.a.value, edge.b.value
-        return not self._removed or not self._removed[u] & _TOP_BIT[(u ^ v).bit_length()]
+        return not self._removed or not self._removed[u] >> ((u ^ v).bit_length() - 1) & 1
 
     def __iter__(self) -> Iterator[Edge]:
         return _edges_of(self.dim, self.pairs)
@@ -418,11 +425,6 @@ class EdgeSet(Set):
 
     def __repr__(self) -> str:
         return f"EdgeSet(dim={self.dim}, {len(self)} edges)"
-
-
-def _no_masks(dim: int) -> array:
-    """A zero edge mask for each of the 2**dim nodes, indexed by value."""
-    return array("L", [0]) * (1 << dim)
 
 
 def _edges_of(dim: int, pairs: Iterable[tuple[int, int]]) -> Iterator[Edge]:

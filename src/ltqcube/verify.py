@@ -4,9 +4,10 @@ Everything here re-derives its verdicts from raw node sequences and the
 adjacency rule; nothing trusts the construction module. The enumeration
 engine exhaustively lists Hamiltonian cycles at desk scale (dim <= 4
 without a limit) and doubles as a bounded search for a Hamiltonian cycle
-in the edges a pair leaves unused. The constructed pair's residual is
-disconnected at every dim >= 5, so it is refuted at once; that says
-nothing of other pairs: LTQ_6 has three edge-disjoint Hamiltonian cycles.
+in the edges a pair leaves unused. The constructed pair's residual never
+changes label bits 0 and 2 at any dim >= 5, so `EdgeSet._fixed_bits`
+refutes it before any search; that says nothing of other pairs: LTQ_6 has
+three edge-disjoint Hamiltonian cycles.
 """
 
 from __future__ import annotations
@@ -420,10 +421,11 @@ class ResidualAnalysis(_Record):
     residual of this pair holds no Hamiltonian cycle; this says nothing
     about other pairs or about LTQ_n itself) or "budget exhausted" (no
     answer). "refuted" comes either from a search that covered its whole
-    space or, with 0 expansions, from a residual that some node of degree
-    < 2 or a split into components rules out; the constructed pair's
-    residual is disconnected at every dim >= 5. `search_expansions` counts
-    the nodes the search expanded.
+    space or, with 0 expansions, from a residual that a fixed label bit
+    (`EdgeSet._fixed_bits`), some node of degree < 2 or a split into
+    components rules out; the constructed pair's residual keeps bits 0 and
+    2 at every dim >= 5, so no edge list is built for it. `search_expansions`
+    counts the nodes the search expanded.
 
     `unused_edges` is an `EdgeSet` of the cube minus the ring edges, held as
     one edge mask per node: the OR of the two rings' masks, which each ring
@@ -466,6 +468,8 @@ def residual_analysis(
     a bounded hunt for a third edge-disjoint Hamiltonian cycle among them.
     Without a search the work is O(2**dim): one C-level pass ORs the two
     rings' edge masks, which each ring kept when the pair was validated.
+    A residual the fixed-bits certificate refutes from those masks costs 0
+    expansions and builds no edge list or adjacency map.
     """
     if search_budget is not None and search_budget <= 0:
         raise LtqError(f"budget must be positive, got {search_budget}")
@@ -478,20 +482,26 @@ def residual_analysis(
     histogram = unused._degree_histogram()
     if search_budget is None:
         return ResidualAnalysis(dim, unused, histogram)
-    third, verdict, expansions = _bounded_cycle_search(dim, unused.pairs, search_budget)
+    third, verdict, expansions = _bounded_cycle_search(dim, unused, search_budget)
     return ResidualAnalysis(dim, unused, histogram, third, search_budget, verdict, expansions)
 
 
 def _bounded_cycle_search(
-    dim: int, pairs: Iterable[tuple[int, int]], budget: int
+    dim: int, pairs: EdgeSet | Iterable[tuple[int, int]], budget: int
 ) -> tuple[Cycle | None, str, int]:
     """Search distinct edges (u, v) for a Hamiltonian cycle of all 2^dim nodes.
 
+    An `EdgeSet` with a fixed bit (`EdgeSet._fixed_bits`) is refuted with 0
+    expansions before any of its pairs is read; any other is searched.
     Returns (cycle or None, verdict, expansions), the verdict being one of
     "found", "refuted" or "budget exhausted".
     """
     if budget <= 0:
         raise LtqError(f"budget must be positive, got {budget}")
+    if isinstance(pairs, EdgeSet):
+        if pairs._fixed_bits():
+            return None, "refuted", 0
+        pairs = pairs.pairs
     adjacency: dict[int, list[int]] = {v: [] for v in range(1 << dim)}
     for u, v in pairs:
         adjacency[u].append(v)
@@ -512,16 +522,18 @@ def search_third_cycle(
     None. None means one of two things, which `residual_analysis` reports
     as its `search_verdict`: a Hamiltonian cycle in these edges is refuted,
     by a search that covered its whole space or, before any search, by a
-    node of residual degree < 2 or a residual that is not connected; or
-    the budget ran out first, which proves nothing.
+    label bit no edge changes, a node of residual degree < 2 or a residual
+    that is not connected; or the budget ran out first, which proves nothing.
 
-    An `EdgeSet`, such as `ResidualAnalysis.unused_edges`, is read through
-    its value pairs, so no `Edge` is built.
+    An `EdgeSet`, such as `ResidualAnalysis.unused_edges`, is first put to
+    its fixed-bits certificate (`EdgeSet._fixed_bits`), which reads its
+    masks alone; only if that proves nothing are its value pairs read, so
+    no `Edge` is built.
     """
     if isinstance(residual, EdgeSet):
         if residual.dim != dim:
             raise DimensionError(f"residual edge of dim {residual.dim} in a dim-{dim} search")
-        return _bounded_cycle_search(dim, residual.pairs, budget)[0]
+        return _bounded_cycle_search(dim, residual, budget)[0]
     pairs: set[tuple[int, int]] = set()
     for e in residual:
         if e.dim != dim:

@@ -128,6 +128,12 @@ def test_a_walk_that_revisits_nodes_removes_every_step(first):
     assert EdgeSet(4, [*first, walk]) == eager(4, set(edge_pairs(4)) - steps)
 
 
+def test_a_removed_walk_off_the_edges_is_refused():
+    # 0 .. 3 differs in two bits from an even node: no edge, so no mask bit names it
+    with pytest.raises(KeyError):
+        EdgeSet(4, [[0, 1], [0, 3]])
+
+
 LTQ5_PAIRS = sorted(edge_pairs(5))
 LTQ5_EDGES = eager(5, LTQ5_PAIRS)
 

@@ -1,11 +1,13 @@
 import copy
 import operator
 import pickle
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ltqcube.construction as construction_module
 import ltqcube.topology as topology_module
 from ltqcube import (
     DimensionError,
@@ -19,14 +21,15 @@ from ltqcube import (
     neighbors_recursive,
     successive_bits_property,
 )
-from ltqcube.construction import edh_cycles, edh_paths
+from ltqcube.construction import Cycle, edh_cycles, edh_paths
 from ltqcube.topology import (
+    _STEP_TOPS,
     _adjacent_values,
     _labels,
     _neighbor_values,
     _node_masks,
     _ring_masks,
-    _steps_are_edges,
+    _step_tops,
     edge_pairs,
     walk_edges,
 )
@@ -437,29 +440,44 @@ def test_adjacent_labels_differ_in_successive_bits(x):
 
 
 class TestBulkStepHelpers:
-    """The C-level passes construction validates with, against the per-step
-    rule and the per-step edge pairs they replace."""
+    """The step table construction validates with, against the per-step rule
+    and the per-step edge pairs it replaces."""
+
+    @staticmethod
+    def steps_are_edges(values, closed):
+        try:
+            _step_tops(values, closed=closed)
+        except KeyError:
+            return False
+        return True
 
     @pytest.mark.parametrize("dim", range(2, 8))
     def test_tags_agree_with_adjacency_on_every_step(self, dim):
         for u in range(1 << dim):
+            neighbors = _neighbor_values(dim, u)
             for v in range(1 << dim):
-                assert _steps_are_edges(dim, [u, v], closed=False) == _adjacent_values(dim, u, v)
+                adjacent = _adjacent_values(dim, u, v)
+                assert ((u ^ v) << 1 | u & 1 in _STEP_TOPS) == adjacent
+                assert self.steps_are_edges([u, v], closed=False) == adjacent
+                if adjacent:  # the top bit names the edge's dimension
+                    top = 1 << neighbors.index(v)
+                    assert _step_tops([u, v], closed=False) == [top, 0]
+                    assert _step_tops([u, v], closed=True) == [top, top]
 
     @pytest.mark.parametrize("dim", [4, 7])
     def test_tags_see_the_closing_step(self, dim):
         values = list(edh_paths(dim).first.values)
-        assert _steps_are_edges(dim, values, closed=True)
+        assert self.steps_are_edges(values, closed=True)
         values = values[:-1]
-        assert _steps_are_edges(dim, values, closed=False)
-        assert not _steps_are_edges(dim, values, closed=True)
+        assert self.steps_are_edges(values, closed=False)
+        assert not self.steps_are_edges(values, closed=True)
 
     def test_short_walks(self):
-        assert _steps_are_edges(4, [], closed=False)
-        assert _steps_are_edges(4, [5], closed=False)
-        assert _ring_masks([], closed=False) == []
-        assert _ring_masks([5], closed=False) == [0]
-        assert _ring_masks([5, 4], closed=False) == [1, 1]
+        assert _step_tops([], closed=False) == [] == list(_ring_masks([]))
+        assert _step_tops([5], closed=False) == [0] == list(_ring_masks([0]))
+        assert not self.steps_are_edges([5], closed=True)  # a step to itself
+        assert _step_tops([5, 4], closed=False) == [1, 0]
+        assert list(_ring_masks([1, 0])) == [1, 1]
 
     @staticmethod
     def reference_masks(values, closed):
@@ -475,12 +493,42 @@ class TestBulkStepHelpers:
         for build, closed in ((edh_paths, False), (edh_cycles, True)):
             for member in build(dim).members:
                 expected = self.reference_masks(member.values, closed)
-                assert _ring_masks(member.values, closed=closed) == expected
-                by_node = _node_masks(dim, member.values, closed=closed)
+                assert list(_ring_masks(_step_tops(member.values, closed=closed))) == expected
+                by_node = _node_masks(member.values, closed=closed)
                 assert by_node.typecode == "L" and len(by_node) == 1 << dim
                 assert list(map(by_node.__getitem__, member.values)) == expected
+                assert member._masks() == by_node  # kept from the validating pass
 
     def test_masks_of_every_hamiltonian_cycle_of_ltq4(self):
         for cycle in enumerate_hamiltonian_cycles(4):
-            masks = _ring_masks(cycle.values, closed=True)
+            masks = list(_ring_masks(_step_tops(cycle.values, closed=True)))
             assert masks == self.reference_masks(cycle.values, True)
+
+    def test_hamiltonian_walks_keep_their_validated_masks(self, monkeypatch):
+        expected = {
+            build: [_node_masks(m.values, closed=closed) for m in build(8).members]
+            for build, closed in ((edh_paths, False), (edh_cycles, True))
+        }
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("masks computed apart from the validating pass")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("ltqcube") and "_node_masks" in vars(module):
+                monkeypatch.setattr(module, "_node_masks", refuse)
+        for build, masks in expected.items():
+            for member, reference in zip(build(8).members, masks):
+                assert member._masks() == reference and member._masks() is member._masks()
+
+    def test_other_walks_compute_their_masks_on_first_use(self, monkeypatch):
+        calls = []
+
+        def counted(values, **kwargs):
+            calls.append(values)
+            return _node_masks(values, **kwargs)
+
+        monkeypatch.setattr(construction_module, "_node_masks", counted)
+        ring = Cycle.from_values(6, [4, 5, 7, 6])  # its array would end past the walk
+        assert calls == []
+        assert list(ring._masks()) == [0, 0, 0, 0, 3, 3, 3, 3]
+        assert ring._masks() is ring._masks() and calls == [ring.values]

@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from itertools import combinations, permutations
 
 import pytest
@@ -311,8 +313,10 @@ def ring_pairs(pair):
 class TestResidualSplitsOnBits0And2:
     """The constructed pair uses every edge with k in {0, 2, 3}, so every
     residual edge flips bit 1 only or has k >= 4: bits 0 and 2 never change
-    along the residual, which therefore has at least four components and no
-    Hamiltonian cycle. Counted here directly, with no verdict code."""
+    along the residual, which therefore has no Hamiltonian cycle. It falls
+    into 16 two-node components at dim 5, and from dim 6 on into exactly 14:
+    two of 2^(n-3) nodes and twelve of 2^(n-4). Counted here directly, with
+    no verdict code."""
 
     @pytest.mark.parametrize("dim", range(4, 15))
     def test_pair_uses_every_edge_with_k_0_2_or_3(self, dim):
@@ -345,8 +349,12 @@ class TestResidualSplitsOnBits0And2:
         components = {}
         for v in range(1 << dim):
             components.setdefault(find(v), set()).add(v & 0b101)
-        assert len(components) >= 4
         assert all(len(bits) == 1 for bits in components.values())
+        sizes = sorted(Counter(map(find, range(1 << dim))).values())
+        if dim == 5:
+            assert sizes == [2] * 16
+        else:
+            assert sizes == [1 << (dim - 4)] * 12 + [1 << (dim - 3)] * 2
 
 
 def search_cycles_full_rescan(adjacency, *, limit=None, budget=None):
@@ -605,6 +613,72 @@ class TestSearchVerdict:
             residual_analysis(6, pair, search_budget=budget)
 
 
+class TestFixedBitsCertificate:
+    """`EdgeSet._fixed_bits` refutes a third cycle before any search, so it
+    must fire only on sets that `_search_cycles` alone refutes too."""
+
+    @staticmethod
+    def drawn(dim, rng):
+        """The cube minus whole classes of edges (one dimension at the nodes
+        of one parity), then minus a few single edges."""
+        classes = rng.sample([(p, k) for p in (0, 1) for k in range(dim)], rng.randint(0, dim))
+        removed = [
+            (u, v) for u, v in edge_pairs(dim)
+            if any((w & 1, highest_bit((u, v))) in classes for w in (u, v)) or rng.random() < 0.05
+        ]
+        return EdgeSet(dim, removed=removed)
+
+    @staticmethod
+    def reached(adjacency):
+        """The nodes one traversal from the smallest node reaches."""
+        seen, frontier = {min(adjacency)}, [min(adjacency)]
+        while frontier:
+            fresh = set(adjacency[frontier.pop()]) - seen
+            seen |= fresh
+            frontier += fresh
+        return seen
+
+    @pytest.mark.parametrize("dim", range(4, 8))
+    def test_refutes_only_what_the_search_refutes(self, dim):
+        rng = random.Random(dim)
+        refuted = 0
+        for _ in range(60):
+            graph = self.drawn(dim, rng)
+            adjacency = adjacency_of(dim, graph.pairs)
+            flipped = 0
+            for u, v in graph.pairs:
+                flipped |= u ^ v
+            assert graph._fixed_bits() == ~flipped & (1 << dim) - 1  # exact, not just sound
+            if graph._fixed_bits():
+                refuted += 1
+                assert _search_cycles(adjacency, limit=1, budget=10_000) == ([], False, 0)
+                assert len(self.reached(adjacency)) < 1 << dim
+            assert _bounded_cycle_search(dim, graph, 2_000) == (
+                _bounded_cycle_search(dim, graph.pairs, 2_000)
+            )
+        assert 0 < refuted < 60
+
+    def test_silent_where_a_hamiltonian_cycle_remains(self):
+        for third in range(3):
+            graph = EdgeSet(6, [c for i, c in enumerate(LTQ6_DECOMPOSITION) if i != third])
+            assert graph._fixed_bits() == 0
+            assert search_third_cycle(6, graph, budget=100_000) is not None
+        assert edges(9)._fixed_bits() == 0
+
+    @pytest.mark.parametrize("dim", range(5, 17))
+    def test_constructed_residual_refuted_without_its_pairs(self, dim, monkeypatch):
+        pair = edh_cycles(dim)
+
+        def refuse(self):
+            raise AssertionError("the residual's pairs were read")
+
+        monkeypatch.setattr(EdgeSet, "pairs", property(refuse))
+        analysis = residual_analysis(dim, pair, search_budget=1)
+        assert (analysis.search_verdict, analysis.search_expansions) == ("refuted", 0)
+        assert search_third_cycle(dim, analysis.unused_edges, budget=1) is None
+        assert analysis.unused_edges._fixed_bits() == 0b101
+
+
 class TestVerifyPairReport:
     def test_constructed_pair_passes_everything(self):
         pair = edh_cycles(5)
@@ -818,10 +892,10 @@ class TestCheckerIndependence:
         import ltqcube.construction as construction_module
         import ltqcube.verify as verify_module
 
-        helpers = {"_ring_masks", "_steps_are_edges", "_no_masks", "_node_masks"}
+        helpers = {"_ring_masks", "_step_tops", "_STEP_TOPS", "_node_masks"}
         assert not helpers & set(vars(verify_module))
         assert helpers <= set(vars(topology_module))
-        assert {"_steps_are_edges", "_node_masks"} <= set(vars(construction_module))
+        assert {"_step_tops", "_node_masks"} <= set(vars(construction_module))
         cycles, paths = edh_cycles(7), edh_paths(7)  # built before the helpers are blocked
 
         def refuse(*args, **kwargs):
