@@ -13,37 +13,35 @@ broadcasts one half per ring, both rings running concurrently. A pair of
 contention event; with edge-disjoint rings there are none, which
 `simulate_split_broadcast` measures rather than assumes.
 
-The counts come from each ring's edge masks, indexed by node value (bit k
-of node u's mask marks the ring's edge of dimension k at u), not from a
-walk over its edges. Each ring keeps its masks, so the rings of a
-validated `HamiltonianPair` reuse those its validation computed.
+The counts, and the per-edge loads' keys in ascending order, come from the
+edge masks by node value that `topology` reads, not from a walk over each
+ring. Each ring keeps its masks, so the rings of a validated
+`HamiltonianPair` reuse those its validation computed.
 """
 
 from __future__ import annotations
 
-from array import array
 from collections.abc import Iterator, Mapping, Sequence, ValuesView
 from itertools import chain, repeat
-from operator import and_, or_
 
 from ._record import _Record
 from .construction import Cycle, HamiltonianPair
 from .errors import InvalidPairError, LtqError
-from .topology import Edge, _edges_of
+from .topology import Edge, _edges_of, _holds, _mask_edges, _sharing, _union
 
 
 class TrafficReport(_Record):
     """Outcome of one simulated broadcast.
 
     per_edge_load counts total traversals per undirected edge (only used
-    edges appear). It is a read-only mapping read from the rings' edge
-    masks: `len`, `values()`, `in` and lookup build no `Edge`; iteration and
-    `items()` build the keys, in ring order. max_concurrent_per_edge is the
-    peak number of messages crossing one edge in one step; contention_events
-    counts (edge, step) pairs contested by different rings. completed, that
-    every node ends holding every message of every ring, is asserted rather
-    than simulated: each ring is a Cycle, and m - 1 lock-step relays on a
-    ring of m nodes deliver every message.
+    edges appear): a read-only mapping read from the rings' edge masks, whose
+    `len`, `values()`, `in` and lookup build no `Edge`; iteration and
+    `items()` build the keys, in ascending order. max_concurrent_per_edge is
+    the peak number of messages crossing one edge in one step;
+    contention_events counts (edge, step) pairs contested by different
+    rings. completed, that every node ends holding every message of every
+    ring, is asserted rather than simulated: each ring is a Cycle, and m - 1
+    lock-step relays on a ring of m nodes deliver every message.
     """
 
     __slots__ = _fields = (
@@ -57,26 +55,12 @@ class TrafficReport(_Record):
         self._set((steps, per_edge_load, max_concurrent_per_edge, contention_events, completed))
 
 
-def _sharing(masks: Sequence[array]) -> dict[int, int]:
-    """{j: how many edges exactly j rings use}, from the rings' edge masks by
-    node. Each mask array is read as one integer bit vector and added into
-    bit-sliced levels: level j keeps the bits set in more than j rings. An
-    edge sets its bit at both of its ends."""
-    levels: list[int] = []
-    for ring in map(int.from_bytes, masks, repeat("little")):
-        levels = list(map(or_, [*levels, 0], [ring, *map(and_, levels, repeat(ring))]))
-    more = [level.bit_count() // 2 for level in levels] + [0]
-    return {j: n - fewer for j, (n, fewer) in enumerate(zip(more, more[1:]), 1) if n > fewer}
-
-
 class _EdgeLoads(Mapping):
-    """`Edge` -> load, read from the rings' edge masks by node: an edge's load
-    is `steps` times the number of rings whose masks reach its smaller end
-    and hold its bit there. Only iteration walks the rings, to build the keys
-    in ring order."""
+    """`Edge` -> load: `steps` times the number of rings whose edge masks
+    hold the edge. Iteration lists the edges of their OR, ascending."""
 
     def __init__(self, rings: Sequence[Cycle]) -> None:
-        self._rings, self._masks = rings, [ring._masks() for ring in rings]
+        self._masks = [ring._masks() for ring in rings]
         self._sharing = _sharing(self._masks)
         self._dim, self._steps = rings[0].dim, len(rings[0]) - 1
 
@@ -85,16 +69,14 @@ class _EdgeLoads(Mapping):
 
     def __getitem__(self, edge: object) -> int:
         if isinstance(edge, Edge) and edge.dim == self._dim:
-            u, v = edge.a.value, edge.b.value
-            k = (u ^ v).bit_length() - 1
-            rings = sum(1 for masks in self._masks if u < len(masks) and masks[u] >> k & 1)
+            rings = sum(map(_holds, self._masks, repeat(edge.a.value), repeat(edge.b.value)))
             if rings:
                 return self._steps * rings
         raise KeyError(edge)
 
     def __iter__(self) -> Iterator[Edge]:
-        walked = chain.from_iterable(ring.edge_pairs() for ring in self._rings)
-        return _edges_of(self._dim, dict.fromkeys(walked).keys())
+        used = _union(self._masks, max(map(len, self._masks)))
+        return _edges_of(self._dim, list(_mask_edges(used)))
 
     def values(self) -> ValuesView[int]:
         return _Loads(self)
@@ -123,10 +105,9 @@ def simulate_schedules(rings: Sequence[Cycle]) -> TrafficReport:
     it, and an edge used by two or more rings is contested at every step.
     Every ring must be a `Cycle`: a one-way relay along an open path never
     brings the last node's message to the others. The counts come from the
-    edge masks by node that each ring keeps (see `_sharing`); they end at the
-    ring's largest label, so memory grows with that label, not with 2**dim.
-    `per_edge_load` reads them and builds an `Edge` key only when iterated.
-    Delivery is asserted, not simulated (see TrafficReport).
+    edge masks each ring keeps, which end at its largest label, so memory
+    grows with that label, not with 2**dim. Delivery is asserted, not
+    simulated (see TrafficReport).
     """
     if not rings:
         raise LtqError("need at least one ring")

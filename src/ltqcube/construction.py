@@ -30,15 +30,15 @@ edge.
 The doubling runs on plain integer labels. `Path` and `Cycle` hold the
 dimension plus a tuple of label values (`values`); each member is validated
 once, by `from_values`, and the package reads its edges as value pairs
-(`edge_pairs()`). `nodes` builds the `NodeLabel`s only when it is read.
+(`edge_pairs()`, in ascending order, from the edge masks the validating
+pass fills). `nodes` builds the `NodeLabel`s only when it is read.
 """
 
 from __future__ import annotations
 
-from array import array
-from collections.abc import Iterable, Iterator, KeysView
+from collections.abc import Iterable, Iterator, Sequence, Set
 from itertools import repeat
-from operator import and_, or_
+from operator import or_
 
 from ._record import _Record
 from .errors import (
@@ -52,15 +52,16 @@ from .errors import (
 from .topology import (
     Edge,
     NodeLabel,
+    _Pairs,
     _adjacent_values,
     _edges_of,
     _labels,
+    _mask_edges,
     _node_masks,
-    _ring_masks,
+    _sharing,
     _step_tops,
     check_dim,
     make_label,
-    walk_edges,
 )
 
 _BASE_FIRST = (
@@ -130,10 +131,7 @@ class _Walk(_Record):
             if node.dim != dim:
                 raise DimensionError(f"mixed dimensions in sequence: {dim} and {node.dim}")
         low, high, tops = _check_values(dim, values, closed=self._closed)
-        masks = None
-        if high < len(values):  # the mask array is no longer than the walk: fill it now
-            masks = array("L", [0]) * len(values)
-            any(map(masks.__setitem__, values, _ring_masks(tops)))
+        masks = _node_masks(values, tops) if high < len(values) else None  # no longer than the walk
         del tops  # before the rotation copies the values
         if self._closed:  # rotate after validating, so errors name input positions
             at = values.index(low)
@@ -160,23 +158,22 @@ class _Walk(_Record):
             raise LtqError("empty path has no dimension")
         return self._dim
 
-    def edge_pairs(self) -> KeysView[tuple[int, int]]:
-        """Every edge walked, as a (smaller, larger) label-value pair."""
-        return walk_edges(self.values, closed=self._closed)
+    def edge_pairs(self) -> Set[tuple[int, int]]:
+        """Every edge walked, as a (smaller, larger) label-value pair, in
+        ascending order (see `topology._mask_edges`)."""
+        return _Pairs(_mask_edges(self._masks()))
 
     def edge_set(self) -> frozenset[Edge]:
         return frozenset(_edges_of(self._dim, self.edge_pairs()))
 
-    def _masks(self) -> array:
-        """The edge masks by node value (see `topology._node_masks`): bit k of
-        entry u marks the walk's edge of dimension k at node u. A walk over
-        0 .. len - 1 (any Hamiltonian one) fills them as it is validated, any
-        other on first use; they are kept while `values` is the very tuple
-        they were read from, so a copied, unpickled or tampered walk computes
-        them anew."""
+    def _masks(self) -> Sequence[int]:
+        """The edge masks by node value (`topology._node_masks`), filled as
+        the walk is validated if it runs over 0 .. len - 1 (as a Hamiltonian
+        one does), else on first use, and kept while `values` is the very
+        tuple they came from: a copied, unpickled or tampered walk recomputes."""
         values, masks = getattr(self, "_kept_masks", (None, None))
         if values is not self.values:
-            masks = _node_masks(self.values, closed=self._closed)
+            masks = _node_masks(self.values, _step_tops(self.values, closed=self._closed))
             object.__setattr__(self, "_kept_masks", (self.values, masks))
         return masks
 
@@ -220,18 +217,16 @@ class HamiltonianPair(_Record):
 
     The invariants are enforced at construction, so holding a pair is proof
     it was verified: both members visit all 2**dim nodes exactly once and
-    their edge sets are disjoint. Disjointness is checked on each member's
-    edge masks, indexed by node value (`_Walk._masks`): bit k of node u's
-    mask marks the member's edge of dimension k at u (the top set bit of
-    `u ^ v`), so the members share an edge iff some node's two masks share
-    a bit. A mask bit names an edge only for a step that is one, which each
-    member's own validation has proven. The members keep their masks, so
-    the residual and the broadcast model read them without recomputing.
+    their edge sets are disjoint, which `topology._sharing` checks on the
+    edge masks each member keeps (`_Walk._masks`). A mask bit names an edge
+    only for a step that is one, which each member's own validation has
+    proven. The residual and the broadcast model read the same masks.
     """
 
     __slots__ = _fields = ("first", "second", "dim")
 
     def __init__(self, first: Path | Cycle, second: Path | Cycle, dim: int) -> None:
+        check_dim(dim)
         if type(first) is not type(second):
             raise InvalidPairError("pair members must both be paths or both be cycles")
         for member in (first, second):
@@ -240,7 +235,7 @@ class HamiltonianPair(_Record):
             # distinct valid labels, so full count means full coverage
             if len(member) != 1 << dim:
                 raise InvalidPairError(f"member visits {len(member)} nodes, expected {1 << dim}")
-        if any(map(and_, first._masks(), second._masks())):
+        if 2 in _sharing((first._masks(), second._masks())):
             raise InvalidPairError("pair members share an edge")
         self._set((first, second, dim))
 

@@ -25,14 +25,21 @@ on bit strings: it passes the fixed leading bits down as a prefix,
 recurses on the suffix down to the LTQ_2 edge list, and adds one twist
 partner per level. It shares no code with the closed form, and exists as
 the oracle the closed form is tested against.
+
+Walks and edge sets are read in bulk as edge masks, one integer per node
+indexed by value: bit k marks the node's edge of dimension k, the top set
+bit of `u ^ v` for an edge u .. v. Only this module reads or writes those
+bits, and `_mask_edges` is its one edge enumerator: every edge list of the
+package comes out of it, in ascending order.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from collections import Counter
-from collections.abc import Iterable, Iterator, KeysView, Sequence, Set
-from functools import reduce
+from collections.abc import Iterable, Iterator, Sequence, Set
+from functools import partial, reduce
 from itertools import chain, repeat
 from operator import and_, itemgetter, lshift, or_, xor
 
@@ -250,17 +257,6 @@ def is_adjacent(x: NodeLabel, y: NodeLabel) -> bool:
     return _adjacent_values(x.dim, x.value, y.value)
 
 
-def walk_edges(values: Sequence[int], *, closed: bool) -> KeysView[tuple[int, int]]:
-    """The (smaller, larger) value pair of every step of a walk over `values`.
-
-    With `closed`, the step from the last value back to the first counts
-    too. Adjacency is not checked. The set-like result iterates in walk order,
-    in which building one object per edge runs much faster than in hash order.
-    """
-    successors = values[1:] + values[:1] if closed and len(values) > 1 else values[1:]
-    return dict.fromkeys((u, v) if u < v else (v, u) for u, v in zip(values, successors)).keys()
-
-
 #: `_STEP_TOPS[(u ^ v) << 1 | (u & 1)]` is the top set bit of `u ^ v` for each
 #: step u -> v along an edge, read off `_FLIPS`: which differences are edges
 #: depends only on the parity of u, so a step whose tag is missing is no edge.
@@ -282,20 +278,12 @@ def _step_tops(values: Sequence[int], *, closed: bool) -> list[int]:
     return tops
 
 
-def _ring_masks(tops: list[int]) -> Iterator[int]:
-    """Each position's edge mask, from `_step_tops`: the top bits of the
-    steps entering and leaving it, ORed, yielded with no list."""
-    return map(or_, tops, chain(tops[-1:], tops))
-
-
-def _node_masks(values: Sequence[int], *, closed: bool, into: array | None = None) -> array:
-    """A walk's edge masks (see `_ring_masks`) in node order: entry u is node
-    u's mask. Without `into`, they fill a new zero array that ends at the
-    walk's largest value, so its memory grows with that label rather than
-    with 2**dim, and the walk must visit each node once. With it, each is
-    ORed into its entry of `into`, read just before it is written, so a node
-    the walk visits twice keeps both visits."""
-    masks = _ring_masks(_step_tops(values, closed=closed))
+def _node_masks(values: Sequence[int], tops: list[int], *, into: array | None = None) -> array:
+    """A walk's edge masks by node, from its `_step_tops`: entry u ORs the top
+    bits of the steps entering and leaving u. Without `into`, a new array ends
+    at the walk's largest value (not 2**dim) and each node is visited once;
+    with it, each is ORed into its entry, so a node visited twice keeps both."""
+    masks = map(or_, tops, chain(tops[-1:], tops))
     if into is None:
         into = array("L", [0]) * (max(values, default=-1) + 1)
     else:
@@ -304,51 +292,100 @@ def _node_masks(values: Sequence[int], *, closed: bool, into: array | None = Non
     return into
 
 
+def _union(masks: Sequence[array], size: int) -> array:
+    """The entrywise OR of one or more mask arrays, `size` entries long, in
+    one C-level pass that builds no array but the result."""
+    padded = (chain(walk, repeat(0, size - len(walk))) for walk in masks)
+    return array("L", reduce(partial(map, or_), padded))
+
+
+def _sharing(masks: Sequence[array]) -> dict[int, int]:
+    """{j: edges exactly j walks use}: each mask array, read as one integer, joins
+    bit-sliced levels (level j: bits set in over j walks; an edge sets a bit per end)."""
+    levels: list[int] = []
+    for walk in map(int.from_bytes, masks, repeat("little")):
+        levels = list(map(or_, [*levels, 0], [walk, *map(and_, levels, repeat(walk))]))
+    more = [level.bit_count() // 2 for level in levels] + [0]
+    return {j: n - fewer for j, (n, fewer) in enumerate(zip(more, more[1:]), 1) if n > fewer}
+
+
+def _holds(masks: Sequence[int], u: int, v: int) -> bool:
+    """Whether the mask array holds the edge u .. v, u < v (none past its end)."""
+    return u < len(masks) and masks[u] >> ((u ^ v).bit_length() - 1) & 1 == 1
+
+
+def _mask_edges(masks: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """Every edge a node-indexed mask array holds, as (smaller, larger) value
+    pairs in strictly ascending order: the edge of dimension k leads up from
+    v exactly when v lacks bit k (its flip sets bit k and no higher bit), so
+    v's larger ends ascend with k. Nodes past the array's end have none."""
+    for v, mask in enumerate(masks):
+        up, flips = mask & ~v, _FLIPS[v & 1]
+        while up:
+            low = up & -up
+            yield v, v ^ flips[low.bit_length() - 1]
+            up ^= low
+
+
 def edge_pairs(dim: int) -> Iterator[tuple[int, int]]:
     """Every edge of the dim-dimensional cube as a (smaller, larger) value
-    pair, in strictly ascending order: at each smaller end v, a flip of a
-    higher dimension sets a higher bit that v lacks."""
+    pair, in strictly ascending order (see `_mask_edges`)."""
     check_dim(dim)
-    flips = _FLIPS[0][:dim], _FLIPS[1][:dim]
-    for v in range(1 << dim):
-        for flip in flips[v & 1]:
-            u = v ^ flip
-            if u > v:
-                yield v, u
+    return _mask_edges(repeat((1 << dim) - 1, 1 << dim))
+
+
+class _Pairs(Set, tuple):
+    """Value pairs in strictly ascending order, held as a tuple and read as a
+    set: `in` is a binary search; `&`, `|` and `-` return frozensets."""
+
+    __slots__ = ()
+    __len__, __iter__ = tuple.__len__, tuple.__iter__
+    _from_iterable = staticmethod(frozenset)
+
+    def __new__(cls, pairs: Iterable[tuple[int, int]]) -> _Pairs:
+        return tuple.__new__(cls, list(pairs))  # from a list: growing a tuple subclass is slow
+
+    def __contains__(self, pair: object) -> bool:
+        try:
+            at = bisect_left(self, pair)
+        except TypeError:  # it does not order against a pair of ints
+            return False
+        return at < len(self) and self[at] == pair
 
 
 class EdgeSet(Set):
     """A read-only set of edges of one cube: every edge of the dim-cube
-    except some removed ones, held as one edge mask per node.
-
-    Bit k of node u's mask is set when u's edge of dimension k is removed;
-    an edge u .. v has the dimension of the top set bit of `u ^ v`, which the
-    n edges at a node never share. The masks live in an array indexed by
-    node value (empty when nothing is removed), so `len` and `in` are
-    answered from them alone. Each read of `.pairs` and each iteration
-    enumerates the members in ascending order, building an `Edge` per pair
-    when iterated. It equals and hashes like the frozenset of the same edges;
-    `-`, `&` and `|` return frozensets of `Edge`. Two `EdgeSet`s compare
-    their masks, and the hash is computed once. `_fixed_bits` reads the
-    masks alone to prove some sets disconnected. A removed walk must step
-    along edges of the cube; a step that is no edge raises KeyError.
+    except some removed ones, held as one edge mask per node (bit k set when
+    the node's edge of dimension k is removed; no array when none is). `len`
+    and `in` are answered from the masks alone, two `EdgeSet`s compare them,
+    and `_fixed_bits` proves some sets disconnected from them. `.pairs` and
+    iteration enumerate the members in ascending order, iteration building
+    an `Edge` per pair. It equals and hashes like the frozenset of the same
+    edges, hashing once; `-`, `&` and `|` return frozensets of `Edge`. A
+    removed walk must step along edges; a step that is no edge raises KeyError.
     """
 
     __slots__ = ("dim", "_removed", "_popcounts", "_hash_cache")
 
     def __init__(self, dim: int, removed: Iterable[Sequence[int]] = ()) -> None:
-        """The dim-cube minus the edges of the closed walks in `removed`.
-
-        Each walk is a sequence of label values whose steps, the closing one
-        included, are edges of the cube; a removed edge (u, v) is the
-        two-node walk. The mask array is allocated on the first walk, so
-        the whole cube costs no allocation.
-        """
+        """The dim-cube minus the edges of the closed walks in `removed`, each
+        a sequence of label values whose steps, the closing one included, are
+        edges; a removed edge (u, v) is the two-node walk. The mask array is
+        allocated on the first walk, so the whole cube costs none."""
         check_dim(dim)
         masks: Sequence[int] = ()
         for walk in removed:
-            masks = _node_masks(walk, closed=True, into=masks or array("L", [0]) * (1 << dim))
+            tops = _step_tops(walk, closed=True)
+            masks = _node_masks(walk, tops, into=masks or array("L", [0]) * (1 << dim))
         self.__setstate__((dim, masks))
+
+    @classmethod
+    def _without(cls, dim: int, masks: Sequence[array]) -> EdgeSet:
+        """The proven dim-cube minus every edge the mask arrays hold, such as
+        those each `Path` or `Cycle` keeps; none may reach past node 2**dim."""
+        unused = cls.__new__(cls)
+        unused.__setstate__((dim, _union(masks, 1 << dim)))
+        return unused
 
     def __getstate__(self) -> tuple[int, Sequence[int]]:
         """The dimension and the per-node removed masks (pickle and copy)."""
@@ -362,8 +399,7 @@ class EdgeSet(Set):
         self._hash_cache: int | None = None
 
     def _degree_histogram(self) -> dict[int, int]:
-        """How many nodes have each degree in this set: dim minus the
-        popcount of the node's mask."""
+        """Node count by degree in this set: dim minus a mask's popcount."""
         return {self.dim - k: n for k, n in self._popcounts.items()}
 
     def _fixed_bits(self) -> int:
@@ -382,13 +418,10 @@ class EdgeSet(Set):
         return ~flipped & (1 << self.dim) - 1
 
     @property
-    def pairs(self) -> KeysView[tuple[int, int]]:
+    def pairs(self) -> Set[tuple[int, int]]:
         """The members as an ordered set-like view of ascending value pairs."""
-        removed = self._removed
-        every = edge_pairs(self.dim)
-        if removed:
-            every = (e for e in every if not removed[e[0]] >> ((e[0] ^ e[1]).bit_length() - 1) & 1)
-        return dict.fromkeys(every).keys()
+        full, removed = (1 << self.dim) - 1, self._removed or repeat(0, 1 << self.dim)
+        return _Pairs(_mask_edges(map(xor, repeat(full), removed)))
 
     def __len__(self) -> int:
         removed = sum(k * n for k, n in self._popcounts.items()) // 2
@@ -397,8 +430,7 @@ class EdgeSet(Set):
     def __contains__(self, edge: object) -> bool:
         if not isinstance(edge, Edge) or edge.dim != self.dim:
             return False
-        u, v = edge.a.value, edge.b.value
-        return not self._removed or not self._removed[u] >> ((u ^ v).bit_length() - 1) & 1
+        return not _holds(self._removed, edge.a.value, edge.b.value)
 
     def __iter__(self) -> Iterator[Edge]:
         return _edges_of(self.dim, self.pairs)
@@ -438,12 +470,8 @@ def _edges_of(dim: int, pairs: Iterable[tuple[int, int]]) -> Iterator[Edge]:
 
 
 def edges(dim: int) -> Set[Edge]:
-    """Every edge of the dim-dimensional cube, each stored smaller value first.
-
-    The result is a read-only `EdgeSet` of exactly dim * 2**(dim-1) members.
-    `len` and `in` are answered from the dimension alone; the edges are
-    enumerated, in ascending order, when iterated or `.pairs` is read.
-    """
+    """Every edge of the dim-dimensional cube, each stored smaller value
+    first: an `EdgeSet` of dim * 2**(dim-1) members that removes none."""
     return EdgeSet(dim)
 
 

@@ -12,7 +12,6 @@ three edge-disjoint Hamiltonian cycles.
 
 from __future__ import annotations
 
-from array import array
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence, Set
 from itertools import chain, combinations, repeat
@@ -427,15 +426,12 @@ class ResidualAnalysis(_Record):
     2 at every dim >= 5, so no edge list is built for it. `search_expansions`
     counts the nodes the search expanded.
 
-    `unused_edges` is an `EdgeSet` of the cube minus the ring edges, held as
-    one edge mask per node: the OR of the two rings' masks, which each ring
-    kept when the pair was validated (see `HamiltonianPair`), bit k marking the
-    node's edge of dimension k. `degree_histogram` is *measured* at every
-    node as dim minus the popcount of its mask; the residual's size is
+    `unused_edges` is an `EdgeSet` of the cube minus the edges the rings'
+    kept masks hold (see `HamiltonianPair`). `degree_histogram` is *measured*
+    at every node as dim minus its mask's popcount; the residual's size is
     *derived* from the same popcounts (the cube's edges minus half their
     sum). A pair sharing an edge leaves one bit fewer at both ends, so it
-    fails both checks below. The unused edges are enumerated, in ascending
-    order, when iterated or `.pairs` is read.
+    fails both checks below.
     """
 
     __slots__ = _fields = (
@@ -466,19 +462,19 @@ def residual_analysis(
 ) -> ResidualAnalysis:
     """Edges unused by a verified cycle pair, their degrees, and optionally
     a bounded hunt for a third edge-disjoint Hamiltonian cycle among them.
-    Without a search the work is O(2**dim): one C-level pass ORs the two
-    rings' edge masks, which each ring kept when the pair was validated.
-    A residual the fixed-bits certificate refutes from those masks costs 0
-    expansions and builds no edge list or adjacency map.
+    Without a search the work is one O(2**dim) union of the masks each
+    ring kept when the pair was validated; a residual the fixed-bits
+    certificate refutes from them costs 0 expansions and builds no edge list
+    or adjacency map.
     """
+    check_dim(dim)
     if search_budget is not None and search_budget <= 0:
         raise LtqError(f"budget must be positive, got {search_budget}")
     if pair.kind != "cycles":
         raise InvalidPairError("residual analysis needs a pair of cycles")
     if pair.dim != dim:
         raise DimensionError(f"pair dim {pair.dim} does not match {dim}")
-    unused = EdgeSet.__new__(EdgeSet)
-    unused.__setstate__((dim, array("L", map(or_, pair.first._masks(), pair.second._masks()))))
+    unused = EdgeSet._without(dim, [member._masks() for member in pair.members])
     histogram = unused._degree_histogram()
     if search_budget is None:
         return ResidualAnalysis(dim, unused, histogram)
@@ -515,8 +511,7 @@ def _bounded_cycle_search(
 def search_third_cycle(
     dim: int, residual: Iterable[Edge], budget: int = DEFAULT_SEARCH_BUDGET
 ) -> Cycle | None:
-    """Bounded backtracking search for a Hamiltonian cycle using only the
-    given residual edges.
+    """Bounded backtracking search for a Hamiltonian cycle in the given edges.
 
     Returns the first cycle found within the node-expansion budget, else
     None. None means one of two things, which `residual_analysis` reports
@@ -526,10 +521,10 @@ def search_third_cycle(
     that is not connected; or the budget ran out first, which proves nothing.
 
     An `EdgeSet`, such as `ResidualAnalysis.unused_edges`, is first put to
-    its fixed-bits certificate (`EdgeSet._fixed_bits`), which reads its
-    masks alone; only if that proves nothing are its value pairs read, so
-    no `Edge` is built.
+    its fixed-bits certificate; only if that proves nothing are its value
+    pairs read, so no `Edge` is built.
     """
+    check_dim(dim)
     if isinstance(residual, EdgeSet):
         if residual.dim != dim:
             raise DimensionError(f"residual edge of dim {residual.dim} in a dim-{dim} search")

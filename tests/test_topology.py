@@ -1,11 +1,12 @@
 import copy
 import operator
 import pickle
-import sys
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_verify import LTQ6_DECOMPOSITION
 
 import ltqcube.construction as construction_module
 import ltqcube.topology as topology_module
@@ -21,19 +22,24 @@ from ltqcube import (
     neighbors_recursive,
     successive_bits_property,
 )
-from ltqcube.construction import Cycle, edh_cycles, edh_paths
+from ltqcube.construction import Cycle, Path, edh_cycles, edh_paths
 from ltqcube.topology import (
     _STEP_TOPS,
     _adjacent_values,
     _labels,
     _neighbor_values,
     _node_masks,
-    _ring_masks,
     _step_tops,
     edge_pairs,
-    walk_edges,
 )
 from ltqcube.verify import enumerate_hamiltonian_cycles
+
+
+def walked_pairs(values, closed):
+    """Each step's (smaller, larger) value pair, in walk order, the closing
+    step last when `closed`."""
+    ends = list(values[1:]) + list(values[:1] if closed else [])
+    return [tuple(sorted(step)) for step in zip(values, ends)]
 
 
 def labels(min_dim=2, max_dim=10):
@@ -416,6 +422,15 @@ class TestLtqGraph:
         assert sorted(set(ends)) == list(range(1 << 6))
         assert {ends.count(v) for v in range(1 << 6)} == {6}
 
+    def test_pairs_read_as_a_set(self):
+        # an ascending tuple searched by bisection answers as a set of pairs
+        pairs = edges(4).pairs
+        assert (0, 1) in pairs and (0, 3) not in pairs and (1, 0) not in pairs
+        assert None not in pairs and (0, "a") not in pairs and [0, 1] not in pairs
+        assert Edge(NodeLabel(4, 0), NodeLabel(4, 1)) not in pairs
+        assert pairs & {(0, 1), (5, 8)} == {(0, 1)} and pairs == set(pairs) != set()
+        assert pairs - {(0, 1)} == set(list(pairs)[1:]) and not pairs.isdisjoint({(0, 1)})
+
     def test_delegation(self):
         nodes = [NodeLabel(4, v) for v in range(16)]
         every = edges(4)
@@ -431,6 +446,32 @@ class TestLtqGraph:
         assert Edge(make_label(5, "00000"), make_label(5, "00001")) not in edges(4)
         assert {y.dim for y in neighbors(make_label(5, "00000"))} == {5}
 
+
+
+def hamiltonian_walks(dim):
+    """Hamiltonian paths and cycles of the dim-cube, some paths reversed."""
+    if dim < 4:
+        cycles = enumerate_hamiltonian_cycles(dim)[:2]
+        paths = [Path.from_values(dim, c.values) for c in cycles]
+    else:
+        cycles, paths = edh_cycles(dim).members, edh_paths(dim).members
+    return [*cycles, *paths, *(Path.from_values(dim, p.values[::-1]) for p in paths)]
+
+
+LISTED_WALKS = {
+    **{f"dim {dim}": partial(hamiltonian_walks, dim) for dim in range(2, 11)},
+    "every Hamiltonian cycle of LTQ_4": partial(enumerate_hamiltonian_cycles, 4),
+    "LTQ_6 decomposition": lambda: [Cycle.from_values(6, v) for v in LTQ6_DECOMPOSITION],
+    "dim-24 4-cycle": lambda: [Cycle.from_values(24, [0, 1, 3, 2])],
+}
+
+
+@pytest.mark.parametrize("case", LISTED_WALKS)
+def test_walk_edges_are_listed_in_ascending_order(case):
+    # whatever the walk's order, its edges come out sorted, as every edge list does
+    for walk in LISTED_WALKS[case]():
+        steps = walked_pairs(walk.values, isinstance(walk, Cycle))
+        assert list(walk.edge_pairs()) == sorted(steps)
 
 @settings(max_examples=60)
 @given(labels(max_dim=9))
@@ -473,16 +514,17 @@ class TestBulkStepHelpers:
         assert not self.steps_are_edges(values, closed=True)
 
     def test_short_walks(self):
-        assert _step_tops([], closed=False) == [] == list(_ring_masks([]))
-        assert _step_tops([5], closed=False) == [0] == list(_ring_masks([0]))
+        assert _step_tops([], closed=False) == [] == list(_node_masks([], []))
+        assert _step_tops([5], closed=False) == [0]
+        assert list(_node_masks([5], [0])) == [0] * 6
         assert not self.steps_are_edges([5], closed=True)  # a step to itself
         assert _step_tops([5, 4], closed=False) == [1, 0]
-        assert list(_ring_masks([1, 0])) == [1, 1]
+        assert list(_node_masks([5, 4], [1, 0])) == [0, 0, 0, 0, 1, 1]
 
     @staticmethod
     def reference_masks(values, closed):
         masks = dict.fromkeys(values, 0)
-        for u, v in walk_edges(values, closed=closed):
+        for u, v in walked_pairs(values, closed):
             top = 1 << ((u ^ v).bit_length() - 1)
             masks[u] |= top
             masks[v] |= top
@@ -493,39 +535,42 @@ class TestBulkStepHelpers:
         for build, closed in ((edh_paths, False), (edh_cycles, True)):
             for member in build(dim).members:
                 expected = self.reference_masks(member.values, closed)
-                assert list(_ring_masks(_step_tops(member.values, closed=closed))) == expected
-                by_node = _node_masks(member.values, closed=closed)
+                by_node = _node_masks(member.values, _step_tops(member.values, closed=closed))
                 assert by_node.typecode == "L" and len(by_node) == 1 << dim
                 assert list(map(by_node.__getitem__, member.values)) == expected
                 assert member._masks() == by_node  # kept from the validating pass
 
     def test_masks_of_every_hamiltonian_cycle_of_ltq4(self):
         for cycle in enumerate_hamiltonian_cycles(4):
-            masks = list(_ring_masks(_step_tops(cycle.values, closed=True)))
-            assert masks == self.reference_masks(cycle.values, True)
+            masks = _node_masks(cycle.values, _step_tops(cycle.values, closed=True))
+            expected = self.reference_masks(cycle.values, True)
+            assert list(map(masks.__getitem__, cycle.values)) == expected
 
     def test_hamiltonian_walks_keep_their_validated_masks(self, monkeypatch):
-        expected = {
-            build: [_node_masks(m.values, closed=closed) for m in build(8).members]
-            for build, closed in ((edh_paths, False), (edh_cycles, True))
-        }
+        # the validating pass reads each member's steps once, and the masks
+        # filled from it are kept, not read again
+        calls = []
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("masks computed apart from the validating pass")
+        def counted(values, **kwargs):
+            calls.append(len(values))
+            return _step_tops(values, **kwargs)
 
-        for name, module in list(sys.modules.items()):
-            if name.startswith("ltqcube") and "_node_masks" in vars(module):
-                monkeypatch.setattr(module, "_node_masks", refuse)
-        for build, masks in expected.items():
-            for member, reference in zip(build(8).members, masks):
+        monkeypatch.setattr(construction_module, "_step_tops", counted)
+        for build, closed in ((edh_paths, False), (edh_cycles, True)):
+            calls.clear()
+            pair = build(8)
+            assert calls == [256, 256]
+            for member in pair.members:
+                reference = _node_masks(member.values, _step_tops(member.values, closed=closed))
                 assert member._masks() == reference and member._masks() is member._masks()
+            assert calls == [256, 256]
 
     def test_other_walks_compute_their_masks_on_first_use(self, monkeypatch):
         calls = []
 
-        def counted(values, **kwargs):
+        def counted(values, *args, **kwargs):
             calls.append(values)
-            return _node_masks(values, **kwargs)
+            return _node_masks(values, *args, **kwargs)
 
         monkeypatch.setattr(construction_module, "_node_masks", counted)
         ring = Cycle.from_values(6, [4, 5, 7, 6])  # its array would end past the walk

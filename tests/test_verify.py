@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from functools import partial
 from itertools import combinations, permutations
 
 import pytest
@@ -33,7 +34,7 @@ from ltqcube import (
     verify_pair,
 )
 from ltqcube.topology import EdgeSet, NodeLabel, _adjacent_values, _neighbor_values, edge_pairs
-from ltqcube.topology import Edge, walk_edges
+from ltqcube.topology import Edge
 from ltqcube.verify import _bounded_cycle_search, _first_non_edge, _search_cycles, _shared_edges
 
 # Found by depth-first search: a Hamiltonian path of the dim-4 cube whose
@@ -43,6 +44,13 @@ OPEN_ENDED_HAM_PATH = (
     "0000", "0001", "0011", "0010", "0110", "0100", "0101", "0111",
     "1011", "1001", "1000", "1010", "1110", "1100", "1101", "1111",
 )
+
+
+def walked_pairs(values, closed):
+    """The (smaller, larger) value pair of every step of a walk, in walk
+    order; with `closed`, the step from the last value back to the first too."""
+    ends = values[1:] + values[:1] if closed and len(values) > 1 else values[1:]
+    return [(min(u, v), max(u, v)) for u, v in zip(values, ends)]
 
 
 def nodes_of(dim, bits_seq):
@@ -501,6 +509,24 @@ class TestSearchTreeUnchanged:
         assert search_cycles_full_rescan(adjacency)[0] == []
 
 
+
+ENTRY_DIM_CHECKS = {
+    **{
+        f"search_third_cycle({dim!r}, {kind})": partial(search_third_cycle, dim, residual, 1)
+        for dim in (-1, 0, 1, 2.5, "4", 31)
+        for kind, residual in (("list", []), ("EdgeSet", edges(4)))
+    },
+    "residual_analysis(4.0)": lambda: residual_analysis(4.0, edh_cycles(4)),
+    "HamiltonianPair(4.0)": lambda: HamiltonianPair(*edh_cycles(4).members, 4.0),
+}
+
+
+@pytest.mark.parametrize("case", ENTRY_DIM_CHECKS)
+def test_entry_points_check_the_dim_first(case):
+    # no verdict, no 2**31-node allocation and no other error for a dim that is no cube's
+    with pytest.raises(DimensionError):
+        ENTRY_DIM_CHECKS[case]()
+
 class TestThirdCycleSearch:
     def test_empty_residual_no_result(self):
         analysis = residual_analysis(4, edh_cycles(4), search_budget=1000)
@@ -892,10 +918,10 @@ class TestCheckerIndependence:
         import ltqcube.construction as construction_module
         import ltqcube.verify as verify_module
 
-        helpers = {"_ring_masks", "_step_tops", "_STEP_TOPS", "_node_masks"}
+        helpers = {"_step_tops", "_STEP_TOPS", "_node_masks", "_sharing", "_mask_edges"}
         assert not helpers & set(vars(verify_module))
         assert helpers <= set(vars(topology_module))
-        assert {"_step_tops", "_node_masks"} <= set(vars(construction_module))
+        assert {"_step_tops", "_node_masks", "_sharing"} <= set(vars(construction_module))
         cycles, paths = edh_cycles(7), edh_paths(7)  # built before the helpers are blocked
 
         def refuse(*args, **kwargs):
@@ -920,7 +946,7 @@ WALKS = st.lists(st.integers(0, 31), max_size=12)
 @given(WALKS, st.booleans(), WALKS, st.booleans())
 def test_shared_edges_match_the_walked_pairs(a, a_closed, b, b_closed):
     shared = _shared_edges(a, a_closed, b, b_closed)
-    assert shared == set(walk_edges(a, closed=a_closed)) & set(walk_edges(b, closed=b_closed))
+    assert shared == set(walked_pairs(a, a_closed)) & set(walked_pairs(b, b_closed))
 
 
 @st.composite
