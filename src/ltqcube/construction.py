@@ -28,15 +28,24 @@ flips the leading bit alone: that is why each path closes through a twist
 edge.
 
 The doubling runs on plain integer labels. `Path` and `Cycle` hold the
-dimension plus a tuple of label values (`values`); each member is validated
-once, by `from_values`, and the package reads its edges as value pairs
-(`edge_pairs()`, in ascending order, from the edge masks the validating
-pass fills). `nodes` builds the `NodeLabel`s only when it is read.
+dimension plus a tuple of label values (`values`) and read their edges as
+value pairs (`edge_pairs()`, in ascending order) from per-node edge masks;
+`nodes` builds the `NodeLabel`s only when it is read. A walk built with
+`Path(nodes)` or `from_values` is validated once, and that pass fills its
+masks. A constructed pair is not validated node by node: the doubling
+carries the induction's proof. The seeds are validated as `from_values`
+would, each level doubles the mask array (each half holds a copy of the
+old path) and adds its junction edge after checking that the old end is
+even, and a cycle's closing edge is checked the same way at its start. So
+the masks are *derived*, and `HamiltonianPair` checks on them that the
+members share no edge. `verify.verify_pair` and the CLI `verify` stay the
+*measured* check: they re-derive every verdict from the node sequences and
+the adjacency rule, with none of the mask helpers.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence, Set
+from collections.abc import Iterable, Iterator, MutableSequence, Sequence, Set
 from itertools import repeat
 from operator import or_
 
@@ -133,6 +142,13 @@ class _Walk(_Record):
         low, high, tops = _check_values(dim, values, closed=self._closed)
         masks = _node_masks(values, tops) if high < len(values) else None  # no longer than the walk
         del tops  # before the rotation copies the values
+        self._keep(dim, values, low, masks)
+
+    def _keep(
+        self, dim: int | None, values: list[int], low: int, masks: Sequence[int] | None
+    ) -> None:
+        """Store proven `values`, least value `low`, with the edge masks proven
+        for them (None: computed on first use)."""
         if self._closed:  # rotate after validating, so errors name input positions
             at = values.index(low)
             values = values[at:] + values[:at]
@@ -169,8 +185,9 @@ class _Walk(_Record):
     def _masks(self) -> Sequence[int]:
         """The edge masks by node value (`topology._node_masks`), filled as
         the walk is validated if it runs over 0 .. len - 1 (as a Hamiltonian
-        one does), else on first use, and kept while `values` is the very
-        tuple they came from: a copied, unpickled or tampered walk recomputes."""
+        one does), derived by the doubling for a constructed member, else
+        computed on first use, and kept while `values` is the very tuple they
+        came from: a copied, unpickled or tampered walk recomputes."""
         values, masks = getattr(self, "_kept_masks", (None, None))
         if values is not self.values:
             masks = _node_masks(self.values, _step_tops(self.values, closed=self._closed))
@@ -219,8 +236,10 @@ class HamiltonianPair(_Record):
     it was verified: both members visit all 2**dim nodes exactly once and
     their edge sets are disjoint, which `topology._sharing` checks on the
     edge masks each member keeps (`_Walk._masks`). A mask bit names an edge
-    only for a step that is one, which each member's own validation has
-    proven. The residual and the broadcast model read the same masks.
+    only for a step that is one: a member's own validation proves that, or,
+    for `edh_paths` and `edh_cycles`, the seed check and the parity of each
+    level's junction from which their masks are derived. The residual and
+    the broadcast model read the same masks.
     """
 
     __slots__ = _fields = ("first", "second", "dim")
@@ -284,24 +303,45 @@ def expected_endpoints(dim: int) -> tuple[NodeLabel, NodeLabel, NodeLabel, NodeL
     return labels[0], labels[1], labels[2], labels[3]
 
 
-def _constructed_pair(member: type[Path] | type[Cycle], dim: int) -> HamiltonianPair:
-    """Double both seed paths up to `dim` on plain label values, then wrap
-    each once through `member.from_values` (Path or Cycle) and the two into
-    a pair.
+def _join(masks: MutableSequence[int], end: int, n: int, what: str) -> None:
+    """OR the edge `end` .. `end | 2^(n-1)` into the masks of a level-n walk.
+    The two differ in bit n-1 alone, which is an edge exactly when `end` is
+    even: from an odd node the twist flips bit n-2 with it."""
+    top = 1 << (n - 1)
+    if end & 1:
+        width = f"0{n}b"
+        raise AdjacencyError(f"{what} {end:{width}} .. {end | top:{width}} is not an edge")
+    masks[end] |= top
+    masks[end | top] |= top
 
-    Level n lays the level n-1 path down in the 0-half and appends its
-    reversed copy from the 1-half; the junction is the twist edge between
-    the copies' old end nodes. No level is validated on its own: every
-    level's path is a prefix of the final one, so validating the final
-    path covers every junction.
+
+def _constructed_pair(member: type[Path] | type[Cycle], dim: int) -> HamiltonianPair:
+    """Double both seed paths up to `dim` on label values and edge masks,
+    and store each as a `member` (Path or Cycle) with the masks it derived.
+
+    Only the seeds are validated, as `from_values` would. Level n lays the
+    level n-1 path down in the 0-half and its reversed copy in the 1-half,
+    each half a copy of the level n-1 cube, so the mask array doubles;
+    `_join` adds the junction at the old end, and a cycle's closing edge at
+    its start, once their parity proves them edges. `HamiltonianPair`
+    counts the members' nodes and checks on these masks that they share no
+    edge.
     """
     _check_pair_dim(dim)
     members = []
     for seed in (_BASE_FIRST, _BASE_SECOND):
         values = [int(bits, 2) for bits in seed]
+        low, _, tops = _check_values(4, values, closed=member._closed and dim == 4)
+        masks = _node_masks(values, tops)
         for n in range(5, dim + 1):
+            masks *= 2
+            _join(masks, values[-1], n, f"level-{n} junction")
             values += map(or_, values[::-1], repeat(1 << (n - 1)))
-        members.append(member.from_values(dim, values))
+        if member._closed and dim > 4:
+            _join(masks, values[0], dim, "closing edge")
+        walk = member.__new__(member)
+        walk._keep(dim, values, low, masks)
+        members.append(walk)
     return HamiltonianPair(members[0], members[1], dim)
 
 
@@ -317,8 +357,10 @@ def edh_paths(dim: int) -> HamiltonianPair:
 def edh_cycles(dim: int) -> HamiltonianPair:
     """Two edge-disjoint Hamiltonian cycles of the dim-dimensional cube.
 
-    Each path of `edh_paths(dim)` closes through its start-end twist edge;
-    the two closing edges are distinct and unused by either path, which the
-    pair invariants re-verify on construction.
+    Each path of `edh_paths(dim)` closes through its start-end twist edge,
+    an edge because the start is even. The members' masks are derived from
+    the doubling, certified by the seed check and that parity at each level;
+    the pair checks on them that the two closing edges are distinct and
+    unused by either path. `verify.verify_pair` remains the measured check.
     """
     return _constructed_pair(Cycle, dim)

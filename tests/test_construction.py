@@ -27,7 +27,7 @@ from ltqcube import (
     is_adjacent,
     make_label,
 )
-from ltqcube.verify import enumerate_hamiltonian_cycles
+from ltqcube.verify import enumerate_hamiltonian_cycles, verify_pair
 
 FIRST_SEED = (
     "0010", "0110", "0111", "0101", "0100", "1100", "1110", "1010",
@@ -294,7 +294,8 @@ class TestConstructedPaths:
 
 
 class TestValidateOnce:
-    """The doubling runs unchecked on label values; only its result is checked."""
+    """Only the seeds are validated step by step; the doubling carries their
+    proof up to the result, one parity check per level."""
 
     @pytest.mark.parametrize("at", [0, 7, 14])
     @pytest.mark.parametrize("build", [edh_paths, edh_cycles])
@@ -309,6 +310,65 @@ class TestValidateOnce:
     def test_dim_above_max_refused_before_building(self, build):
         with pytest.raises(DimensionError):
             build(MAX_DIM + 1)
+
+
+class TestCertifiedDoubling:
+    """The doubling derives each member's edge masks from the seed check and
+    the parity of each junction (and of a cycle's closing edge); the
+    independent checkers in `verify` measure the result, and a seed whose
+    ends have the wrong parity is refused at the level it would break."""
+
+    @pytest.mark.parametrize("dim", range(4, 17))
+    @pytest.mark.parametrize("build", [edh_paths, edh_cycles])
+    def test_the_checkers_pass_every_constructed_pair(self, build, dim):
+        pair = build(dim)
+        assert verify_pair(dim, pair.first, pair.second, pair.kind).passed
+
+    @staticmethod
+    def cut_seed(start_parity, end_parity):
+        """A Hamiltonian path of LTQ_4 sharing no edge with the second seed,
+        cut from the one Hamiltonian cycle that allows it, at a step from an
+        `end_parity` node to a `start_parity` one."""
+        second = edh_paths(4).second.edge_pairs()
+        (cycle,) = [c for c in enumerate_hamiltonian_cycles(4) if second.isdisjoint(c.edge_pairs())]
+        values = cycle.values
+        at = next(
+            i for i in range(16) if (values[i] & 1, values[i - 1] & 1) == (start_parity, end_parity)
+        )
+        return tuple(f"{v:04b}" for v in values[at:] + values[:at])
+
+    def test_a_seed_ending_at_an_odd_node_is_refused_above_dim_4(self, monkeypatch):
+        seed = self.cut_seed(0, 1)
+        monkeypatch.setattr(construction, "_BASE_FIRST", seed)
+        for build in (edh_paths, edh_cycles):
+            pair = build(4)  # the seed itself is a valid member, and so is its cycle
+            assert verify_pair(4, pair.first, pair.second, pair.kind).passed
+        end = int(seed[-1], 2)
+        message = f"^level-5 junction {end:05b} .. {end | 16:05b} is not an edge$"
+        for build in (edh_paths, edh_cycles):
+            with pytest.raises(AdjacencyError, match=message):
+                build(6)
+
+    def test_a_seed_starting_at_an_odd_node_closes_no_cycle(self, monkeypatch):
+        seed = self.cut_seed(1, 0)
+        monkeypatch.setattr(construction, "_BASE_FIRST", seed)
+        pair = edh_paths(5)  # the level-5 junction leaves the even end
+        assert verify_pair(5, pair.first, pair.second, "paths").passed
+        start = int(seed[0], 2)
+        with pytest.raises(AdjacencyError, match=f"^closing edge {start:05b} .. {start | 16:05b} "):
+            edh_cycles(5)
+        # the level-5 path ends at its start with bit 4 set: level 6 joins there
+        message = f"^level-6 junction {start | 16:06b} .. {start | 48:06b} is not an edge$"
+        for build in (edh_paths, edh_cycles):
+            with pytest.raises(AdjacencyError, match=message):
+                build(6)
+
+    @pytest.mark.parametrize("dim", [4, 6])
+    @pytest.mark.parametrize("build", [edh_paths, edh_cycles])
+    def test_equal_seeds_share_every_edge(self, monkeypatch, build, dim):
+        monkeypatch.setattr(construction, "_BASE_SECOND", construction._BASE_FIRST)
+        with pytest.raises(InvalidPairError, match="share an edge"):
+            build(dim)
 
 
 class TestConstructedCycles:
