@@ -2,7 +2,6 @@
 """Build the two edge-disjoint Hamiltonian cycles and watch the induction work."""
 
 from ltqcube import (
-    base_paths_ltq4,
     edh_cycles,
     edh_paths,
     expected_endpoints,
@@ -10,7 +9,7 @@ from ltqcube import (
 )
 
 print("The dimension-4 seed: two explicit edge-disjoint Hamiltonian paths.")
-seed = base_paths_ltq4()
+seed = edh_paths(4)
 for tag, member in zip(("first ", "second"), seed.members):
     print(f"  {tag}: " + " -> ".join(str(n) for n in member.nodes))
 

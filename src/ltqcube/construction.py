@@ -30,17 +30,18 @@ edge.
 The doubling runs on plain integer labels. `Path` and `Cycle` hold the
 dimension plus a tuple of label values (`values`) and read their edges as
 value pairs (`edge_pairs()`, in ascending order) from per-node edge masks;
-`nodes` builds the `NodeLabel`s only when it is read. A walk built with
-`Path(nodes)` or `from_values` is validated once, and that pass fills its
-masks. A constructed pair is not validated node by node: the doubling
-carries the induction's proof. The seeds are validated as `from_values`
-would, each level doubles the mask array (each half holds a copy of the
-old path) and adds its junction edge after checking that the old end is
-even, and a cycle's closing edge is checked the same way at its start. So
-the masks are *derived*, and `HamiltonianPair` checks on them that the
-members share no edge. `verify.verify_pair` and the CLI `verify` stay the
-*measured* check: they re-derive every verdict from the node sequences and
-the adjacency rule, with none of the mask helpers.
+`nodes` builds the `NodeLabel`s only when it is read. The masks have two
+sources. A walk built with `Path(nodes)` or `from_values` is validated once
+and computes its masks on first use. A constructed pair is not validated
+node by node: the doubling carries the induction's proof. The seeds are
+validated as `from_values` would, each level doubles the mask array (each
+half holds a copy of the old path) and adds its junction edge after
+checking that the old end is even, and a cycle's closing edge is checked
+the same way at its start. So these masks are *derived*, and
+`HamiltonianPair` checks on them that the members share no edge.
+`verify.verify_pair` and the CLI `verify` stay the *measured* check: they
+re-derive every verdict from the node sequences and the adjacency rule,
+with none of the mask helpers.
 """
 
 from __future__ import annotations
@@ -83,15 +84,15 @@ _BASE_SECOND = (
 )
 
 
-def _check_values(dim: int, values: list[int], *, closed: bool) -> tuple[int, int, list[int]]:
+def _check_values(dim: int, values: list[int], *, closed: bool) -> tuple[int, list[int]]:
     """Validate a walk once: in-range, distinct, consecutively adjacent integers.
 
     Each property is one C-level pass; only a walk that fails the adjacency
     pass is rescanned step by step, so that its first bad step is named.
-    Returns the least and greatest values and `topology._step_tops`.
+    Returns the least value and `topology._step_tops`.
     """
     if not values:
-        return 0, -1, []
+        return 0, []
     if not all(map(isinstance, values, repeat(int))):
         raise LabelFormatError(f"label values for dim {dim} must be integers")
     low, high = min(values), max(values)
@@ -100,7 +101,7 @@ def _check_values(dim: int, values: list[int], *, closed: bool) -> tuple[int, in
     if len(set(values)) != len(values):
         raise OverlapError("sequence visits a node more than once")
     try:
-        return low, high, _step_tops(values, closed=closed)
+        return low, _step_tops(values, closed=closed)
     except KeyError:  # a tag outside the table: some step is no edge
         pass
     width = f"0{dim}b"
@@ -139,10 +140,8 @@ class _Walk(_Record):
         for node in nodes:
             if node.dim != dim:
                 raise DimensionError(f"mixed dimensions in sequence: {dim} and {node.dim}")
-        low, high, tops = _check_values(dim, values, closed=self._closed)
-        masks = _node_masks(values, tops) if high < len(values) else None  # no longer than the walk
-        del tops  # before the rotation copies the values
-        self._keep(dim, values, low, masks)
+        low = _check_values(dim, values, closed=self._closed)[0]
+        self._keep(dim, values, low, None)
 
     def _keep(
         self, dim: int | None, values: list[int], low: int, masks: Sequence[int] | None
@@ -183,11 +182,10 @@ class _Walk(_Record):
         return frozenset(_edges_of(self._dim, self.edge_pairs()))
 
     def _masks(self) -> Sequence[int]:
-        """The edge masks by node value (`topology._node_masks`), filled as
-        the walk is validated if it runs over 0 .. len - 1 (as a Hamiltonian
-        one does), derived by the doubling for a constructed member, else
-        computed on first use, and kept while `values` is the very tuple they
-        came from: a copied, unpickled or tampered walk recomputes."""
+        """The edge masks by node value (`topology._node_masks`), derived by
+        the doubling for a constructed member, else computed on first use,
+        and kept while `values` is the very tuple they came from: a copied,
+        unpickled or tampered walk recomputes."""
         values, masks = getattr(self, "_kept_masks", (None, None))
         if values is not self.values:
             masks = _node_masks(self.values, _step_tops(self.values, closed=self._closed))
@@ -267,15 +265,6 @@ class HamiltonianPair(_Record):
         return (self.first, self.second)
 
 
-def base_paths_ltq4() -> HamiltonianPair:
-    """The explicit edge-disjoint Hamiltonian path pair seeding the induction.
-
-    First path runs 0010 -> 0000, second runs 0110 -> 0100; both visit all
-    16 nodes of the 4-dimensional cube and share no edge.
-    """
-    return edh_paths(4)
-
-
 def _check_pair_dim(dim: int) -> None:
     """`check_dim`, then refuse the dims below 4, which admit no pair."""
     check_dim(dim)
@@ -331,7 +320,7 @@ def _constructed_pair(member: type[Path] | type[Cycle], dim: int) -> Hamiltonian
     members = []
     for seed in (_BASE_FIRST, _BASE_SECOND):
         values = [int(bits, 2) for bits in seed]
-        low, _, tops = _check_values(4, values, closed=member._closed and dim == 4)
+        low, tops = _check_values(4, values, closed=member._closed and dim == 4)
         masks = _node_masks(values, tops)
         for n in range(5, dim + 1):
             masks *= 2

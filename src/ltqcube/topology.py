@@ -28,9 +28,13 @@ the oracle the closed form is tested against.
 
 Walks and edge sets are read in bulk as edge masks, one integer per node
 indexed by value: bit k marks the node's edge of dimension k, the top set
-bit of `u ^ v` for an edge u .. v. Only this module reads or writes those
-bits, and `_mask_edges` is its one edge enumerator: every edge list of the
-package comes out of it, in ascending order.
+bit of `u ^ v` for an edge u .. v. `_node_masks` makes a walk's masks and
+`EdgeSet._without` removes them from the cube. The one writer outside this
+module is the construction, which derives its members' masks from the
+seeds': `construction._constructed_pair` doubles the array at each level
+and `construction._join` ORs in each junction's bits. `_mask_edges` is the
+one edge enumerator: every edge list of the package comes out of it, in
+ascending order.
 """
 
 from __future__ import annotations
@@ -202,6 +206,8 @@ def neighbors(x: NodeLabel) -> set[NodeLabel]:
     For dim 2 the rule degenerates to flipping either bit, which is exactly
     the four-cycle adjacency of LTQ_2.
     """
+    if not isinstance(x, NodeLabel):  # a plain tuple was never validated
+        raise TypeError(f"neighbors needs a NodeLabel, got {type(x).__name__}")
     dim, value = x
     return set(_labels(dim, _neighbor_values(dim, value)))
 
@@ -278,18 +284,13 @@ def _step_tops(values: Sequence[int], *, closed: bool) -> list[int]:
     return tops
 
 
-def _node_masks(values: Sequence[int], tops: list[int], *, into: array | None = None) -> array:
+def _node_masks(values: Sequence[int], tops: list[int]) -> array:
     """A walk's edge masks by node, from its `_step_tops`: entry u ORs the top
-    bits of the steps entering and leaving u. Without `into`, a new array ends
-    at the walk's largest value (not 2**dim) and each node is visited once;
-    with it, each is ORed into its entry, so a node visited twice keeps both."""
-    masks = map(or_, tops, chain(tops[-1:], tops))
-    if into is None:
-        into = array("L", [0]) * (max(values, default=-1) + 1)
-    else:
-        masks = map(or_, map(into.__getitem__, values), masks)
-    any(map(into.__setitem__, values, masks))  # one C-level store per node
-    return into
+    bits of the steps entering and leaving u, in a new array that ends at the
+    walk's largest value (not 2**dim). Each node is visited once."""
+    masks = array("L", [0]) * (max(values, default=-1) + 1)
+    any(map(masks.__setitem__, values, map(or_, tops, chain(tops[-1:], tops))))  # C-level stores
+    return masks
 
 
 def _union(masks: Sequence[array], size: int) -> array:
@@ -361,30 +362,25 @@ class EdgeSet(Set):
     and `_fixed_bits` proves some sets disconnected from them. `.pairs` and
     iteration enumerate the members in ascending order, iteration building
     an `Edge` per pair. It equals and hashes like the frozenset of the same
-    edges, hashing once; `-`, `&` and `|` return frozensets of `Edge`. A
-    removed walk must step along edges; a step that is no edge raises KeyError.
+    edges, hashing once; `-`, `&` and `|` return frozensets of `Edge`.
+    `EdgeSet(dim)` is the whole cube, and `EdgeSet._without(dim, masks)` the
+    cube minus the edges of some walks, read from their mask arrays.
     """
 
     __slots__ = ("dim", "_removed", "_popcounts", "_hash_cache")
 
-    def __init__(self, dim: int, removed: Iterable[Sequence[int]] = ()) -> None:
-        """The dim-cube minus the edges of the closed walks in `removed`, each
-        a sequence of label values whose steps, the closing one included, are
-        edges; a removed edge (u, v) is the two-node walk. The mask array is
-        allocated on the first walk, so the whole cube costs none."""
+    def __init__(self, dim: int) -> None:
+        """Every edge of the dim-cube, with no mask array."""
         check_dim(dim)
-        masks: Sequence[int] = ()
-        for walk in removed:
-            tops = _step_tops(walk, closed=True)
-            masks = _node_masks(walk, tops, into=masks or array("L", [0]) * (1 << dim))
-        self.__setstate__((dim, masks))
+        self.__setstate__((dim, ()))
 
     @classmethod
     def _without(cls, dim: int, masks: Sequence[array]) -> EdgeSet:
         """The proven dim-cube minus every edge the mask arrays hold, such as
-        those each `Path` or `Cycle` keeps; none may reach past node 2**dim."""
+        those each `Path` or `Cycle` keeps; none may reach past node 2**dim.
+        With no arrays it is the whole cube."""
         unused = cls.__new__(cls)
-        unused.__setstate__((dim, _union(masks, 1 << dim)))
+        unused.__setstate__((dim, _union(masks, 1 << dim) if masks else ()))
         return unused
 
     def __getstate__(self) -> tuple[int, Sequence[int]]:

@@ -334,6 +334,14 @@ def _search_cycles(
     return found, exhausted, expansions
 
 
+def _check_count(name: str, count: int) -> None:
+    """Refuse a search `limit` or `budget` that is not a positive int, or is a bool."""
+    if isinstance(count, bool) or not isinstance(count, int):
+        raise LtqError(f"{name} must be an integer, got {count!r}")
+    if count < 1:
+        raise LtqError(f"{name} must be positive, got {count}")
+
+
 def enumerate_hamiltonian_cycles(dim: int, limit: int | None = None) -> list[Cycle]:
     """All Hamiltonian cycles of the dim-cube, canonical, deterministic order.
 
@@ -353,8 +361,8 @@ def enumerate_hamiltonian_cycles(dim: int, limit: int | None = None) -> list[Cyc
         raise OracleScopeError(
             f"exhaustive enumeration is guarded at dim <= 4; pass limit= for dim {dim}"
         )
-    if limit is not None and limit < 1:
-        raise LtqError(f"limit must be >= 1, got {limit}")
+    if limit is not None:
+        _check_count("limit", limit)
     adjacency = {v: _neighbor_values(dim, v) for v in range(1 << dim)}
     raw, _, _ = _search_cycles(adjacency, limit=limit)
     return [Cycle.from_values(dim, cycle) for cycle in raw]
@@ -380,6 +388,7 @@ def exists_two_edge_disjoint_hc(dim: int) -> PairExistence:
     enumerated Hamiltonian cycles. Dimension 4 is confirmed with the
     constructed pair as witness.
     """
+    check_dim(dim)
     if dim not in (3, 4):
         raise OracleScopeError(f"exhaustive pair existence is guarded to dim 3 and 4, got {dim}")
     if dim == 3:
@@ -468,8 +477,8 @@ def residual_analysis(
     or adjacency map.
     """
     check_dim(dim)
-    if search_budget is not None and search_budget <= 0:
-        raise LtqError(f"budget must be positive, got {search_budget}")
+    if search_budget is not None:
+        _check_count("budget", search_budget)
     if pair.kind != "cycles":
         raise InvalidPairError("residual analysis needs a pair of cycles")
     if pair.dim != dim:
@@ -492,8 +501,7 @@ def _bounded_cycle_search(
     Returns (cycle or None, verdict, expansions), the verdict being one of
     "found", "refuted" or "budget exhausted".
     """
-    if budget <= 0:
-        raise LtqError(f"budget must be positive, got {budget}")
+    _check_count("budget", budget)
     if isinstance(pairs, EdgeSet):
         if pairs._fixed_bits():
             return None, "refuted", 0

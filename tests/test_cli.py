@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import sys
@@ -692,6 +693,58 @@ class TestDimensionRefusals:
         )
 
 
+#: Exit code and stdout sha256 of each run of `cli_digests`, recorded from a
+#: known-good tree. Regenerate it, for a deliberate change of output only, with
+#: `PYTHONPATH=src python tests/test_cli.py`.
+CLI_DIGESTS = Path(__file__).parent / "data" / "cli_sha256.json"
+
+
+def cli_digests(tmp: Path) -> dict[str, list]:
+    """{run name: [exit code, stdout sha256]} over every subcommand in both
+    formats at dims 4-7 (verify reads each constructed document by path; the
+    residual runs with and without a search budget) and the oracle's two
+    modes at dims 3-4, all in-process."""
+    runs: dict[str, list] = {}
+
+    def digest(name, argv):
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = main(argv)
+        runs[name] = [code, hashlib.sha256(out.getvalue().encode()).hexdigest()]
+        return out.getvalue()
+
+    reports = ("report-text", "report-json")
+    for dim in map(str, range(4, 8)):
+        for fmt in ("edgelist", "dot"):
+            digest(f"topology {dim} {fmt}", ["topology", "--dim", dim, "--format", fmt])
+        for kind in ("paths", "cycles"):
+            doc = tmp / f"{kind}-{dim}.json"
+            argv = ["construct", "--dim", dim, "--kind", kind]
+            doc.write_text(digest(f"construct {dim} {kind}", argv))
+            for fmt in reports:
+                digest(f"verify {dim} {kind} {fmt}", ["verify", str(doc), "--format", fmt])
+        for fmt in reports:
+            for mode in ("single", "split"):
+                argv = ["simulate", "--dim", dim, "--mode", mode, "--format", fmt]
+                digest(f"simulate {dim} {mode} {fmt}", argv)
+            for budget in ([], ["--budget", "1000"]):
+                argv = ["residual", "--dim", dim, *budget, "--format", fmt]
+                digest(" ".join(["residual", dim, *budget[1:], fmt]), argv)
+    for dim in ("3", "4"):
+        for mode in ("pair-existence", "enumerate"):
+            for fmt in reports:
+                argv = ["oracle", "--dim", dim, "--mode", mode, "--format", fmt]
+                digest(f"oracle {dim} {mode} {fmt}", argv)
+    return runs
+
+
+class TestByteStability:
+    def test_outputs_match_the_recorded_digests(self, tmp_path):
+        recorded = json.loads(CLI_DIGESTS.read_text())
+        assert len(recorded) == 72
+        assert cli_digests(tmp_path) == recorded
+
+
 VALID_BYTES = [
     render_document(pair_document(build(4))).encode() for build in (edh_cycles, edh_paths)
 ]
@@ -739,3 +792,8 @@ def test_verify_any_bytes_exits_0_1_or_3(data, by_stdin):
             code = main(["verify", str(path)])
     assert code in (0, 1, 3)
     assert "Traceback" not in err.getvalue()
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        CLI_DIGESTS.write_text(json.dumps(cli_digests(Path(tmp)), indent=2, sort_keys=True) + "\n")

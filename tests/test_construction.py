@@ -19,7 +19,6 @@ from ltqcube import (
     LtqError,
     OverlapError,
     Path,
-    base_paths_ltq4,
     edges,
     edh_cycles,
     edh_paths,
@@ -203,24 +202,24 @@ class TestReverseAndConcat:
 
 class TestBasePair:
     def test_exact_node_sequences(self):
-        pair = base_paths_ltq4()
+        pair = edh_paths(4)
         assert tuple(n.bits for n in pair.first.nodes) == FIRST_SEED
         assert tuple(n.bits for n in pair.second.nodes) == SECOND_SEED
 
     def test_endpoints(self):
-        pair = base_paths_ltq4()
+        pair = edh_paths(4)
         assert (pair.first.start.bits, pair.first.end.bits) == ("0010", "0000")
         assert (pair.second.start.bits, pair.second.end.bits) == ("0110", "0100")
 
     def test_sizes_and_disjointness(self):
-        pair = base_paths_ltq4()
+        pair = edh_paths(4)
         for member in pair.members:
             assert len(member) == 16
             assert len(member.edge_set()) == 15
         assert not pair.first.edge_set() & pair.second.edge_set()
 
     def test_sixth_edge_of_first_path(self):
-        pair = base_paths_ltq4()
+        pair = edh_paths(4)
         fifth, sixth = pair.first.nodes[5], pair.first.nodes[6]
         assert {pair.first.nodes[4].bits, fifth.bits} == {"0100", "1100"}
         assert is_adjacent(fifth, sixth)

@@ -16,6 +16,7 @@ from ltqcube import broadcast, cli, construction, errors, topology, verify
 REMOVED = (
     "JunctionError",
     "LtqGraph",
+    "base_paths_ltq4",
     "concat_paths",
     "cross_neighbor",
     "repeat_bits",

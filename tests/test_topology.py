@@ -230,6 +230,13 @@ class TestNeighbors:
         assert neighbors_recursive(x) == expected
         assert neighbors(x) == expected
 
+    @pytest.mark.parametrize("label", [(4, 99), (40, 3), (4, 3), [4, 3], 3])
+    def test_anything_but_a_label_refused_before_any_is_built(self, monkeypatch, label):
+        # (4, 99) and (40, 3) are no labels, and even (4, 3) was never validated
+        monkeypatch.setattr(topology_module, "_labels", None)
+        with pytest.raises(TypeError, match="^neighbors needs a NodeLabel, got "):
+            neighbors(label)
+
     def test_recursive_base_level(self):
         got = neighbors_recursive(make_label(3, "000"))
         assert got == {make_label(3, b) for b in ("001", "010", "100")}
@@ -578,3 +585,22 @@ class TestBulkStepHelpers:
         assert calls == []
         assert list(ring._masks()) == [0, 0, 0, 0, 3, 3, 3, 3]
         assert ring._masks() is ring._masks() and calls == [ring.values]
+
+    def test_validation_makes_no_masks(self, monkeypatch):
+        # a Hamiltonian walk too: only `_masks` makes them, on first use
+        ring = edh_cycles(6).first
+        calls = []
+
+        def counted(values, *args):
+            calls.append(values)
+            return _node_masks(values, *args)
+
+        monkeypatch.setattr(construction_module, "_node_masks", counted)
+        for build in (Cycle.from_values, Path.from_values):
+            walk = build(6, ring.values)
+            assert calls == []
+            tops = _step_tops(walk.values, closed=isinstance(walk, Cycle))
+            assert walk._masks() == _node_masks(walk.values, tops)
+            assert walk._masks() is walk._masks() and calls == [walk.values]
+            calls.clear()
+        assert Cycle(ring.nodes)._masks() == ring._masks() and len(calls) == 1

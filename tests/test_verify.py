@@ -18,7 +18,6 @@ from ltqcube import (
     OracleScopeError,
     Path,
     are_edge_disjoint,
-    base_paths_ltq4,
     edges,
     edh_cycles,
     edh_paths,
@@ -85,7 +84,7 @@ class TestCheckers:
         assert are_edge_disjoint(*cycles.members)
 
     def test_base_path_read_as_cycle_closes(self):
-        pair = base_paths_ltq4()
+        pair = edh_paths(4)
         assert is_hamiltonian_cycle(4, list(pair.first.nodes))
 
     def test_non_adjacent_step_fails(self):
@@ -124,7 +123,7 @@ class TestCheckers:
 
 class TestMutationBattery:
     def setup_method(self):
-        self.valid = list(base_paths_ltq4().first.nodes)
+        self.valid = list(edh_paths(4).first.nodes)
 
     def test_valid_baseline(self):
         assert is_hamiltonian_path(4, self.valid)
@@ -156,7 +155,7 @@ class TestMutationBattery:
             "closing edge": nodes_of(4, OPEN_ENDED_HAM_PATH),
         }
         for name, mutated in cases.items():
-            report = verify_pair(4, mutated, base_paths_ltq4().second.nodes, "cycles")
+            report = verify_pair(4, mutated, edh_paths(4).second.nodes, "cycles")
             failed = {c.name for c in report.checks if not c.passed}
             assert any(name in f for f in failed), (name, failed)
 
@@ -173,15 +172,15 @@ class TestMutationBattery:
 
 class TestEdgeDisjoint:
     def test_seed_pair_is_disjoint(self):
-        pair = base_paths_ltq4()
+        pair = edh_paths(4)
         assert are_edge_disjoint(pair.first, pair.second)
 
     def test_self_is_not(self):
-        p = base_paths_ltq4().first
+        p = edh_paths(4).first
         assert not are_edge_disjoint(p, p)
 
     def test_reversal_keeps_edges(self):
-        p = base_paths_ltq4().first
+        p = edh_paths(4).first
         assert not are_edge_disjoint(p, Path(p.nodes[::-1]))
 
     def test_dim_mismatch(self):
@@ -249,6 +248,13 @@ class TestEnumeration:
         with pytest.raises(LtqError):
             enumerate_hamiltonian_cycles(4, limit=0)
 
+    @pytest.mark.parametrize("dim", [4, 5])
+    @pytest.mark.parametrize("limit", [2.5, True, False, "2"])
+    def test_limit_that_is_no_int_refused(self, monkeypatch, dim, limit):
+        monkeypatch.setattr(verify_module, "_search_cycles", None)
+        with pytest.raises(LtqError, match=f"^limit must be an integer, got {limit!r}$"):
+            enumerate_hamiltonian_cycles(dim, limit=limit)
+
 
 class TestPairExistence:
     def test_dim_3_impossible_both_ways(self):
@@ -272,6 +278,11 @@ class TestPairExistence:
     def test_out_of_scope(self):
         with pytest.raises(OracleScopeError):
             exists_two_edge_disjoint_hc(5)
+
+    @pytest.mark.parametrize("dim", [3.0, 4.0, True, "4"])
+    def test_dim_that_is_no_int_refused(self, dim):
+        with pytest.raises(DimensionError, match="^dim must be an integer in"):
+            exists_two_edge_disjoint_hc(dim)
 
 
 class TestResidual:
@@ -560,7 +571,7 @@ class TestThirdCycleSearch:
     def test_budget_exhaustion_is_quiet(self):
         # LTQ_7 minus one ring is connected and 5-regular, so the search
         # really runs and stops at its budget
-        graph = EdgeSet(7, removed=edh_cycles(7).first.edge_pairs())
+        graph = EdgeSet._without(7, [edh_cycles(7).first._masks()])
         assert search_third_cycle(7, graph, budget=50) is None
         assert _bounded_cycle_search(7, graph.pairs, 50) == (None, "budget exhausted", 50)
 
@@ -631,12 +642,30 @@ class TestSearchVerdict:
     def test_bad_budget_refused_before_the_residual_is_built(self, monkeypatch, budget):
         pair = edh_cycles(6)
 
-        def no_residual(dim):
+        def no_residual(*_):
             raise AssertionError("the residual was built before the budget was checked")
 
-        monkeypatch.setattr(topology_module, "edge_pairs", no_residual)
+        monkeypatch.setattr(EdgeSet, "_without", no_residual)
         with pytest.raises(LtqError, match=f"budget must be positive, got {budget}"):
             residual_analysis(6, pair, search_budget=budget)
+
+    @pytest.mark.parametrize("budget", [0.5, 2.5, True, "10"])
+    def test_budget_that_is_no_int_refused_before_the_residual_is_built(
+        self, monkeypatch, budget
+    ):
+        pair = edh_cycles(6)
+        monkeypatch.setattr(EdgeSet, "_without", None)
+        with pytest.raises(LtqError, match=f"^budget must be an integer, got {budget!r}$"):
+            residual_analysis(6, pair, search_budget=budget)
+
+    @pytest.mark.parametrize("budget", [2.5, True, None])
+    def test_search_budget_that_is_no_int_refused(self, monkeypatch, budget):
+        unused = residual_analysis(6, edh_cycles(6)).unused_edges
+        monkeypatch.setattr(verify_module, "_search_cycles", None)
+        with pytest.raises(LtqError, match=f"^budget must be an integer, got {budget!r}$"):
+            search_third_cycle(6, unused, budget=budget)
+        with pytest.raises(LtqError, match=f"^budget must be an integer, got {budget!r}$"):
+            search_third_cycle(4, edges(4), budget=budget)
 
 
 class TestFixedBitsCertificate:
@@ -652,7 +681,7 @@ class TestFixedBitsCertificate:
             (u, v) for u, v in edge_pairs(dim)
             if any((w & 1, highest_bit((u, v))) in classes for w in (u, v)) or rng.random() < 0.05
         ]
-        return EdgeSet(dim, removed=removed)
+        return EdgeSet._without(dim, [Path.from_values(dim, [u, v])._masks() for u, v in removed])
 
     @staticmethod
     def reached(adjacency):
@@ -686,7 +715,8 @@ class TestFixedBitsCertificate:
 
     def test_silent_where_a_hamiltonian_cycle_remains(self):
         for third in range(3):
-            graph = EdgeSet(6, [c for i, c in enumerate(LTQ6_DECOMPOSITION) if i != third])
+            rings = [c for i, c in enumerate(LTQ6_DECOMPOSITION) if i != third]
+            graph = EdgeSet._without(6, [Cycle.from_values(6, c)._masks() for c in rings])
             assert graph._fixed_bits() == 0
             assert search_third_cycle(6, graph, budget=100_000) is not None
         assert edges(9)._fixed_bits() == 0
@@ -908,7 +938,8 @@ class TestLtq6HasThreeDisjointCycles:
             assert HamiltonianPair(a, b, 6).kind == "cycles"
 
     def test_together_they_use_every_edge(self):
-        assert len(EdgeSet(6, LTQ6_DECOMPOSITION)) == 0
+        masks = [Cycle.from_values(6, c)._masks() for c in LTQ6_DECOMPOSITION]
+        assert len(EdgeSet._without(6, masks)) == 0
 
 
 class TestCheckerIndependence:
