@@ -7,7 +7,6 @@ from ltqcube import (
     make_label,
     neighbors,
     neighbors_recursive,
-    successive_bits_property,
 )
 
 
@@ -48,8 +47,8 @@ print(f"  disagreements across all nodes of dims 2..10: {mismatches}")
 print("\nAdjacent labels always differ in at most two successive bits:")
 x = make_label(4, "0011")
 for y in sorted(neighbors(x)):
-    print(f"  {x} vs {y}: xor {x.value ^ y.value:04b}, "
-          f"successive: {successive_bits_property(x, y)}")
+    d = x.value ^ y.value
+    print(f"  {x} vs {y}: xor {d:04b}, {'one bit' if d & (d - 1) == 0 else 'two successive bits'}")
 
 print("\nSize bookkeeping (2^n nodes, n * 2^(n-1) edges, n-regular):")
 for dim in range(2, 9):

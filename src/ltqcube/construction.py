@@ -46,7 +46,7 @@ with none of the mask helpers.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, MutableSequence, Sequence, Set
+from collections.abc import Iterable, Iterator, MutableSequence, Sequence
 from itertools import repeat
 from operator import or_
 
@@ -62,7 +62,6 @@ from .errors import (
 from .topology import (
     Edge,
     NodeLabel,
-    _Pairs,
     _adjacent_values,
     _edges_of,
     _labels,
@@ -173,10 +172,10 @@ class _Walk(_Record):
             raise LtqError("empty path has no dimension")
         return self._dim
 
-    def edge_pairs(self) -> Set[tuple[int, int]]:
+    def edge_pairs(self) -> tuple[tuple[int, int], ...]:
         """Every edge walked, as a (smaller, larger) label-value pair, in
         ascending order (see `topology._mask_edges`)."""
-        return _Pairs(_mask_edges(self._masks()))
+        return tuple(list(_mask_edges(self._masks())))  # a list grows faster than a tuple
 
     def edge_set(self) -> frozenset[Edge]:
         return frozenset(_edges_of(self._dim, self.edge_pairs()))

@@ -40,7 +40,6 @@ ascending order.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence, Set
 from functools import partial, reduce
@@ -335,33 +334,14 @@ def edge_pairs(dim: int) -> Iterator[tuple[int, int]]:
     return _mask_edges(repeat((1 << dim) - 1, 1 << dim))
 
 
-class _Pairs(Set, tuple):
-    """Value pairs in strictly ascending order, held as a tuple and read as a
-    set: `in` is a binary search; `&`, `|` and `-` return frozensets."""
-
-    __slots__ = ()
-    __len__, __iter__ = tuple.__len__, tuple.__iter__
-    _from_iterable = staticmethod(frozenset)
-
-    def __new__(cls, pairs: Iterable[tuple[int, int]]) -> _Pairs:
-        return tuple.__new__(cls, list(pairs))  # from a list: growing a tuple subclass is slow
-
-    def __contains__(self, pair: object) -> bool:
-        try:
-            at = bisect_left(self, pair)
-        except TypeError:  # it does not order against a pair of ints
-            return False
-        return at < len(self) and self[at] == pair
-
-
 class EdgeSet(Set):
     """A read-only set of edges of one cube: every edge of the dim-cube
     except some removed ones, held as one edge mask per node (bit k set when
     the node's edge of dimension k is removed; no array when none is). `len`
     and `in` are answered from the masks alone, two `EdgeSet`s compare them,
-    and `_fixed_bits` proves some sets disconnected from them. `.pairs` and
-    iteration enumerate the members in ascending order, iteration building
-    an `Edge` per pair. It equals and hashes like the frozenset of the same
+    and `_fixed_bits` proves some sets disconnected from them. `.pairs` (a
+    tuple of value pairs) and iteration (an `Edge` each) list the members in
+    ascending order. It equals and hashes like the frozenset of the same
     edges, hashing once; `-`, `&` and `|` return frozensets of `Edge`.
     `EdgeSet(dim)` is the whole cube, and `EdgeSet._without(dim, masks)` the
     cube minus the edges of some walks, read from their mask arrays.
@@ -414,10 +394,10 @@ class EdgeSet(Set):
         return ~flipped & (1 << self.dim) - 1
 
     @property
-    def pairs(self) -> Set[tuple[int, int]]:
-        """The members as an ordered set-like view of ascending value pairs."""
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """The members as (smaller, larger) value pairs, in ascending order."""
         full, removed = (1 << self.dim) - 1, self._removed or repeat(0, 1 << self.dim)
-        return _Pairs(_mask_edges(map(xor, repeat(full), removed)))
+        return tuple(list(_mask_edges(map(xor, repeat(full), removed))))  # a list grows faster
 
     def __len__(self) -> int:
         removed = sum(k * n for k, n in self._popcounts.items()) // 2
@@ -470,17 +450,3 @@ def edges(dim: int) -> Set[Edge]:
     first: an `EdgeSet` of dim * 2**(dim-1) members that removes none."""
     return EdgeSet(dim)
 
-
-def successive_bits_property(x: NodeLabel, y: NodeLabel) -> bool:
-    """True iff the labels differ in no bits, one bit, or two successive bits.
-
-    Every edge of the cube satisfies this; it is the defining "locally
-    twisted" trait.
-    """
-    if x.dim != y.dim:
-        raise DimensionError(f"cannot compare labels of dim {x.dim} and {y.dim}")
-    d = x.value ^ y.value
-    if d == 0 or d & (d - 1) == 0:
-        return True
-    low = (d & -d).bit_length() - 1
-    return d >> low == 3

@@ -1,11 +1,12 @@
 """Independent checkers and small-scale exhaustive oracles.
 
-Everything here re-derives its verdicts from raw node sequences and the
-adjacency rule; nothing trusts the construction module. The enumeration
-engine exhaustively lists Hamiltonian cycles at desk scale (dim <= 4
-without a limit) and doubles as a bounded search for a Hamiltonian cycle
-in the edges a pair leaves unused. The constructed pair's residual never
-changes label bits 0 and 2 at any dim >= 5, so `EdgeSet._fixed_bits`
+The checkers re-derive every verdict from raw node sequences and the
+adjacency rule; the residual, like the broadcast model, reads the edge masks
+each ring keeps, which the doubling derives for a constructed pair. The
+enumeration engine exhaustively lists Hamiltonian cycles at desk scale (dim
+<= 4 without a limit) and doubles as a bounded search for a Hamiltonian
+cycle in the edges a pair leaves unused. The constructed pair's residual
+never changes label bits 0 and 2 at any dim >= 5, so `EdgeSet._fixed_bits`
 refutes it before any search; that says nothing of other pairs: LTQ_6 has
 three edge-disjoint Hamiltonian cycles.
 """
@@ -13,7 +14,7 @@ three edge-disjoint Hamiltonian cycles.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Iterator, Sequence, Set
+from collections.abc import Iterable, Iterator, Mapping, Sequence, Set
 from itertools import chain, combinations, repeat
 from operator import and_, itemgetter, lshift, or_, xor
 
@@ -73,16 +74,16 @@ class VerificationReport(_Record):
         }
 
 
-def _raw(obj: Path | Cycle | Sequence[NodeLabel]) -> tuple[Sequence[int], Sequence[int]]:
-    """Each label's dimension and value, in walk order; a Path or Cycle builds no NodeLabel."""
+def _raw(obj: Path | Cycle | Sequence[NodeLabel]) -> tuple[Mapping[int, int], Sequence[int]]:
+    """Label counts by dimension, the first label's first, and values in walk order."""
     if isinstance(obj, (Path, Cycle)):
-        return (obj.dim,) * len(obj) if obj.values else (), obj.values
+        return {obj.dim: len(obj)} if obj.values else {}, obj.values
     nodes = tuple(obj)
-    return list(map(itemgetter(0), nodes)), list(map(itemgetter(1), nodes))
+    return Counter(map(itemgetter(0), nodes)), list(map(itemgetter(1), nodes))
 
 
 def _sequence_checks(
-    dim: int, dims: Sequence[int], values: Sequence[int], *, closed: bool
+    dim: int, dims: Mapping[int, int], values: Sequence[int], *, closed: bool
 ) -> list[CheckResult]:
     check_dim(dim)
     checks = []
@@ -90,7 +91,7 @@ def _sequence_checks(
     checks.append(
         CheckResult("node count", len(values) == expected, f"{len(values)} of {expected}")
     )
-    bad_dim = len(dims) - dims.count(dim)
+    bad_dim = len(values) - dims.get(dim, 0)
     checks.append(
         CheckResult(
             "label dimensions",
@@ -193,7 +194,7 @@ def are_edge_disjoint(
     `Path`, is an open walk. Wrap a sequence in `Cycle` to count it closed.
     """
     (dims_a, values_a), (dims_b, values_b) = _raw(a), _raw(b)
-    if dims_a and dims_b and dims_a[0] != dims_b[0]:
+    if dims_a and dims_b and next(iter(dims_a)) != next(iter(dims_b)):
         raise DimensionError("cannot compare walks of different dimensions")
     return not _shared_edges(values_a, isinstance(a, Cycle), values_b, isinstance(b, Cycle))
 
@@ -214,11 +215,11 @@ def _verify_values(
     dim: int, kind: str, first: Sequence[int], second: Sequence[int]
 ) -> VerificationReport:
     """`verify_pair` over two walks given as label values of dimension `dim`."""
-    return _verify_members(dim, kind, [((dim,) * len(m), m, False) for m in (first, second)])
+    return _verify_members(dim, kind, [({dim: len(m)}, m, False) for m in (first, second)])
 
 
 def _verify_members(dim: int, kind: str, members: Sequence[tuple]) -> VerificationReport:
-    """The checks of `verify_pair` over each member's (label dimensions,
+    """The checks of `verify_pair` over each member's (label count by dim,
     label values, whether it is a Cycle); `kind` is 'paths' or 'cycles'."""
     closed = kind == "cycles"
     checks: list[CheckResult] = []
@@ -393,17 +394,18 @@ def exists_two_edge_disjoint_hc(dim: int) -> PairExistence:
         raise OracleScopeError(f"exhaustive pair existence is guarded to dim 3 and 4, got {dim}")
     if dim == 3:
         degrees = {len(set(_neighbor_values(3, v))) for v in range(8)}
-        assert degrees == {3}
         cycles = enumerate_hamiltonian_cycles(3)
         disjoint = sum(1 for a, b in combinations(cycles, 2) if are_edge_disjoint(a, b))
+        if degrees != {3} or disjoint:  # a raise, not an assert: `python -O` keeps it
+            raise AssertionError(
+                f"dim-3 proof fails: degrees {sorted(degrees)}, {disjoint} edge-disjoint pairs"
+            )
         certificates = (
             "degree argument: two edge-disjoint Hamiltonian cycles need degree >= 4 "
             "at every node; every node here has degree 3",
             f"exhaustive scan: {len(cycles)} Hamiltonian cycles, "
             f"{disjoint} edge-disjoint pairs among {len(cycles) * (len(cycles) - 1) // 2}",
         )
-        if disjoint:
-            raise AssertionError("degree argument and exhaustive scan disagree")
         return PairExistence(3, False, None, certificates)
 
     pair = edh_cycles(4)

@@ -328,7 +328,7 @@ class TestCertifiedDoubling:
         """A Hamiltonian path of LTQ_4 sharing no edge with the second seed,
         cut from the one Hamiltonian cycle that allows it, at a step from an
         `end_parity` node to a `start_parity` one."""
-        second = edh_paths(4).second.edge_pairs()
+        second = frozenset(edh_paths(4).second.edge_pairs())
         (cycle,) = [c for c in enumerate_hamiltonian_cycles(4) if second.isdisjoint(c.edge_pairs())]
         values = cycle.values
         at = next(

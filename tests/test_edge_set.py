@@ -93,7 +93,7 @@ def test_matches_the_eager_reference(dim, build):
     assert_same_set(lazy, ref, [*walk_edge_sets(dim), frozenset(), ref])
     for edge in ref:
         assert edge in lazy
-    assert lazy.pairs == {(edge.a.value, edge.b.value) for edge in ref}
+    assert set(lazy.pairs) == {(edge.a.value, edge.b.value) for edge in ref}
     assert list(lazy) == sorted(lazy) and list(lazy.pairs) == sorted(lazy.pairs)
 
 
@@ -281,9 +281,9 @@ class TestDerivedCountIsACheck:
         # the Hamiltonian cycles of LTQ_4 that share an edge with the first
         # ring share at least two
         shared, other = min(
-            (len(c.edge_pairs() & first.edge_pairs()), c.values)
+            (len(set(c.edge_pairs()) & set(first.edge_pairs())), c.values)
             for c in enumerate_hamiltonian_cycles(4)
-            if not c.edge_pairs().isdisjoint(first.edge_pairs())
+            if not set(c.edge_pairs()).isdisjoint(first.edge_pairs())
         )
         assert shared == 2
         with pytest.raises(InvalidPairError, match="residual has 2 edges, expected 0"):
@@ -305,7 +305,7 @@ class TestMeasuredContentionIsACheck:
         first = edh_cycles(4).first
         other = next(
             c.values for c in enumerate_hamiltonian_cycles(4)
-            if len(c.edge_pairs() & first.edge_pairs()) == 2
+            if len(set(c.edge_pairs()) & set(first.edge_pairs())) == 2
         )
         report = simulate_split_broadcast(TestDerivedCountIsACheck.tampered(4, other))
         assert report.max_concurrent_per_edge == 2

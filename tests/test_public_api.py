@@ -22,6 +22,7 @@ REMOVED = (
     "repeat_bits",
     "reverse_path",
     "subcube_of",
+    "successive_bits_property",
 )
 
 

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from functools import partial
 from itertools import combinations, permutations
@@ -279,6 +282,26 @@ class TestPairExistence:
         with pytest.raises(OracleScopeError):
             exists_two_edge_disjoint_hc(5)
 
+    def test_broken_degree_certificate_raises_under_python_O(self):
+        # with two neighbours per node the degree argument fails; `python -O`
+        # strips asserts, and the verdict must still not be returned
+        probe = (
+            "import sys, ltqcube.verify as v\n"
+            "whole = v._neighbor_values\n"
+            "v._neighbor_values = lambda dim, value: whole(dim, value)[:2]\n"
+            "try:\n"
+            "    print(v.exists_two_edge_disjoint_hc(3))\n"
+            "except AssertionError as e:\n"
+            "    print(sys.flags.optimize, e)\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(verify_module.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", probe],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "1 dim-3 proof fails: degrees [2], 0 edge-disjoint pairs\n"
+
     @pytest.mark.parametrize("dim", [3.0, 4.0, True, "4"])
     def test_dim_that_is_no_int_refused(self, dim):
         with pytest.raises(DimensionError, match="^dim must be an integer in"):
@@ -352,7 +375,7 @@ class TestResidualSplitsOnBits0And2:
             for y in neighbors_recursive(NodeLabel(dim, x))
         }
         residual = every - ring_pairs(pair)
-        assert residual == residual_analysis(dim, pair).unused_edges.pairs
+        assert residual == set(residual_analysis(dim, pair).unused_edges.pairs)
         assert all((u ^ v) & 0b101 == 0 for u, v in residual)
 
         root = list(range(1 << dim))
