@@ -30,14 +30,15 @@ edge.
 The doubling runs on plain integer labels. `Path` and `Cycle` hold the
 dimension plus a tuple of label values (`values`) and read their edges as
 value pairs (`edge_pairs()`, in ascending order) from per-node edge masks;
-`nodes` builds the `NodeLabel`s only when it is read. The masks have two
-sources. A walk built with `Path(nodes)` or `from_values` is validated once
-and computes its masks on first use. A constructed pair is not validated
-node by node: the doubling carries the induction's proof. The seeds are
-validated as `from_values` would, each level doubles the mask array (each
-half holds a copy of the old path) and adds its junction edge after
-checking that the old end is even, and a cycle's closing edge is checked
-the same way at its start. So these masks are *derived*, and
+`nodes` makes the `NodeLabel`s only when it is read, and a whole read
+shares them with later reads of its cube (`topology._hold`). The masks
+have two sources. A walk built with `Path(nodes)` or `from_values` is
+validated once and computes its masks on first use. A constructed pair is
+not validated node by node: the doubling carries the induction's proof.
+The seeds are validated as `from_values` would, each level doubles the
+mask array (each half holds a copy of the old path) and adds its junction
+edge after checking that the old end is even, and a cycle's closing edge
+is checked the same way at its start. So these masks are *derived*, and
 `HamiltonianPair` checks on them that the members share no edge.
 `verify.verify_pair` and the CLI `verify` stay the *measured* check: they
 re-derive every verdict from the node sequences and the adjacency rule,
@@ -64,6 +65,7 @@ from .topology import (
     NodeLabel,
     _adjacent_values,
     _edges_of,
+    _hold,
     _labels,
     _mask_edges,
     _node_masks,
@@ -115,7 +117,8 @@ def _check_values(dim: int, values: list[int], *, closed: bool) -> tuple[int, li
 
 class _Walk(_Record):
     """What Path and Cycle share: a dimension and a tuple of label values.
-    NodeLabels are built only when `nodes`, iteration or `edge_set()` ask."""
+    NodeLabels are made, or taken from the cube `topology._CUBE` holds, only
+    when `nodes`, iteration or `edge_set()` ask."""
 
     __slots__ = ("_dim", "values", "_kept_masks")
     _fields = ("_dim", "values")
@@ -163,8 +166,13 @@ class _Walk(_Record):
 
     @property
     def nodes(self) -> tuple[NodeLabel, ...]:
-        """The labels in order, built anew on each read."""
-        return tuple(self)
+        """The labels in order. The first whole read of a walk over every
+        node of a cube keeps its labels (`topology._hold`), and every label
+        read of that cube reuses them until a whole read of another cube."""
+        nodes = tuple(self)
+        if nodes:
+            _hold(self._dim, self.values, nodes)
+        return nodes
 
     @property
     def dim(self) -> int:
@@ -204,13 +212,13 @@ class Path(_Walk):
     def start(self) -> NodeLabel:
         if not self.values:
             raise LtqError("empty path has no start")
-        return NodeLabel._trusted((self._dim, self.values[0]))
+        return next(_labels(self._dim, self.values[:1]))
 
     @property
     def end(self) -> NodeLabel:
         if not self.values:
             raise LtqError("empty path has no end")
-        return NodeLabel._trusted((self._dim, self.values[-1]))
+        return next(_labels(self._dim, self.values[-1:]))
 
 
 class Cycle(_Walk):

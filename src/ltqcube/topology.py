@@ -13,7 +13,11 @@ label read as an unsigned integer; an edge is an `Edge`, the tuple `(a, b)`
 of its two labels, smaller value first. Both equal and order only against
 their own class. `NodeLabel(dim, value)`, `make_label(dim, bits)` and
 `Edge(a, b)` validate once; where the parts are already proven, the package
-builds labels and edges with no further check.
+builds labels and edges with no further check. The first whole read of a
+walk's `.nodes` over every node of a cube keeps its labels, indexed by value,
+as `_CUBE`, and every later label of that cube the package returns is one of
+them: one NodeLabel per node. At most one cube's labels are kept (about 56
+bytes a node); a whole read of another cube replaces them.
 
 Two neighbor routines are provided. `neighbors` applies the closed-form
 rule the recursion unfolds to: flip bit 0, flip bit 1, or, for any
@@ -44,7 +48,7 @@ from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence, Set
 from functools import partial, reduce
 from itertools import chain, repeat
-from operator import and_, itemgetter, lshift, or_, xor
+from operator import and_, is_, itemgetter, lshift, or_, setitem, xor
 
 from .errors import AdjacencyError, DimensionError, LabelFormatError
 
@@ -135,9 +139,37 @@ class NodeLabel(_Value):
         return self.bits
 
 
+#: The labels of the last cube a whole walk's `.nodes` read (`_hold`), indexed
+#: by value, or `()`: at most one cube's labels are kept.
+_CUBE: tuple[NodeLabel, ...] = ()
+
+
 def _labels(dim: int, values: Iterable[int]) -> Iterator[NodeLabel]:
-    """A NodeLabel per value, unchecked: `dim` and every value are proven valid."""
+    """A NodeLabel per value, unchecked: `dim` and every value are proven
+    valid. The labels are `_CUBE`'s own when it holds the dim-cube."""
+    cube = _CUBE  # one read: another thread may replace it
+    if cube and cube[0][0] == dim:
+        return map(cube.__getitem__, values)
     return map(NodeLabel._trusted, zip(repeat(dim), values))
+
+
+def _hold(dim: int, values: Sequence[int], labels: Sequence[NodeLabel]) -> None:
+    """Make `labels`, a walk's labels of `values`, the new `_CUBE`, scattered
+    by value, when it holds no dim-cube and the scatter proves the values
+    0 .. 2**dim - 1, each once, so that no tampered walk is held."""
+    global _CUBE
+    size = 1 << dim
+    if len(values) != size or _CUBE and _CUBE[0][0] == dim:
+        return
+    if set(map(type, values)) != {int} or min(values) < 0:
+        return
+    cube = [None] * size
+    try:
+        any(map(setitem, repeat(cube), values, labels))  # C-level stores
+    except IndexError:  # a value past the cube
+        return
+    if not any(map(is_, cube, repeat(None))):  # `size` values fill `size` slots
+        _CUBE = tuple(cube)
 
 
 class Edge(_Value):

@@ -75,7 +75,7 @@ class VerificationReport(_Record):
 
 
 def _raw(obj: Path | Cycle | Sequence[NodeLabel]) -> tuple[Mapping[int, int], Sequence[int]]:
-    """Label counts by dimension, the first label's first, and values in walk order."""
+    """Label counts by dimension, and values in walk order."""
     if isinstance(obj, (Path, Cycle)):
         return {obj.dim: len(obj)} if obj.values else {}, obj.values
     nodes = tuple(obj)
@@ -194,7 +194,7 @@ def are_edge_disjoint(
     `Path`, is an open walk. Wrap a sequence in `Cycle` to count it closed.
     """
     (dims_a, values_a), (dims_b, values_b) = _raw(a), _raw(b)
-    if dims_a and dims_b and next(iter(dims_a)) != next(iter(dims_b)):
+    if len(dims_a.keys() | dims_b.keys()) > 1:
         raise DimensionError("cannot compare walks of different dimensions")
     return not _shared_edges(values_a, isinstance(a, Cycle), values_b, isinstance(b, Cycle))
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ltqcube.topology as topology_module
 import ltqcube.verify as verify_module
 from ltqcube import MAX_DIM, cli
 from ltqcube.broadcast import simulate_split_broadcast
@@ -225,11 +226,14 @@ class TestNoNodeLabels:
         assert run(capsys, "verify", str(path))[0] == 0
         assert built == []
 
-    def test_reading_nodes_builds_them(self, built):
-        cycle = edh_cycles(4).first
+    def test_reading_nodes_builds_them(self, built, monkeypatch):
+        monkeypatch.setattr(topology_module, "_CUBE", ())  # no cube's labels held yet
+        pair = edh_cycles(4)
         built.clear()
-        assert len(cycle.nodes) == 16
+        assert len(pair.first.nodes) == 16
         assert len(built) == 16
+        # the first whole read keeps them: later reads of the cube build none
+        assert len(pair.second.nodes) == 16 and pair.first.nodes and len(built) == 16
 
     def test_the_count_sees_both_constructors(self, built):
         NodeLabel(4, 3)

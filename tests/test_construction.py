@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ltqcube import construction
+from ltqcube import construction, topology
 from ltqcube import (
     MAX_DIM,
     AdjacencyError,
@@ -484,6 +484,49 @@ class TestHamiltonianPairType:
                 # a shallow copy of the pair holds the same members, so the same masks
                 assert c._masks() == member._masks()
                 assert (c._masks() is member._masks()) == (c is member)
+
+
+class TestHeldCubeNeedsAPermutation:
+    """A whole `.nodes` read keeps its labels as the cube's only when its
+    values are exactly 0 .. 2**dim - 1, so no tampered walk is kept."""
+
+    @pytest.fixture(autouse=True)
+    def no_cube(self, monkeypatch):
+        monkeypatch.setattr(topology, "_CUBE", ())
+
+    @staticmethod
+    def tampered(values):
+        """Walks of dim 6 whose state holds `values`, set in place or unpickled."""
+        walk = edh_cycles(6).first
+        object.__setattr__(walk, "values", tuple(values))
+        return walk, pickle.loads(pickle.dumps(walk))
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {63: 0},  # a repeat, so some node is missing
+            {63: 64},  # past the cube
+            {63: -1},  # indexes the last slot from the end
+            {0: False, 1: True},  # equal to 0 and 1, but not an int
+        ],
+    )
+    def test_tampered_values_keep_no_table(self, change):
+        values = [change.get(v, v) for v in range(64)]
+        for walk in self.tampered(values):
+            assert [label.value for label in walk.nodes] == values
+            assert topology._CUBE == ()
+
+    def test_a_validated_walk_of_bools_keeps_no_table(self):
+        values = [{0: False, 1: True}.get(v, v) for v in edh_cycles(6).first.values]
+        assert Cycle.from_values(6, values).nodes and topology._CUBE == ()
+
+    def test_a_held_table_stays_after_a_tampered_read(self):
+        walk, unpickled = self.tampered([v % 63 for v in range(64)])  # 0 twice, no 63
+        edh_cycles(6).second.nodes
+        held = topology._CUBE
+        for other in (walk, unpickled, Path.from_values(6, range(1))):
+            other.nodes
+            assert topology._CUBE is held
 
 
 class TestFailureMessages:

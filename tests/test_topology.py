@@ -600,3 +600,58 @@ class TestBulkStepHelpers:
             assert walk._masks() is walk._masks() and calls == [walk.values]
             calls.clear()
         assert Cycle(ring.nodes)._masks() == ring._masks() and len(calls) == 1
+
+
+class TestHeldCube:
+    """The first whole read of a walk's `.nodes` keeps its cube's labels in
+    `_CUBE`, and every later label read of that cube returns those objects."""
+
+    @pytest.fixture(autouse=True)
+    def no_cube(self, monkeypatch):
+        monkeypatch.setattr(topology_module, "_CUBE", ())
+
+    def test_one_label_object_per_node(self):
+        pair = edh_cycles(8)
+        held = {label.value: label for label in pair.first.nodes}
+
+        def shared(labels):
+            return all(held[label.value] is label for label in labels)
+
+        assert shared(pair.second.nodes) and shared(pair.second) and shared(pair.first)
+        for label in list(held.values())[::17]:
+            assert shared(neighbors(label)) and shared(neighbors_recursive(label))
+        assert all(shared(edge) for edge in edges(8))
+        assert all(shared(edge) for edge in pair.first.edge_set())
+        path = edh_paths(8).first
+        assert shared([path.start, path.end]) and shared(path.nodes)
+
+    @pytest.mark.parametrize("dim", range(4, 13))
+    def test_the_table_is_every_label_by_value(self, dim):
+        edh_cycles(dim).second.nodes
+        cube = topology_module._CUBE
+        assert cube == tuple(NodeLabel(dim, v) for v in range(1 << dim))
+        assert all(type(label) is NodeLabel and type(label.value) is int for label in cube)
+
+    def test_only_a_whole_read_keeps_a_table(self, monkeypatch):
+        pair = edh_cycles(6)
+        list(pair.first), tuple(iter(pair.second)), pair.first.edge_set(), list(edges(6))
+        Path([]).nodes, Path.from_values(6, pair.first.values[:-1]).nodes
+        built, trusted = [], NodeLabel._trusted
+
+        def counting_trusted(cls, items):
+            built.append(items)
+            return trusted(items)
+
+        monkeypatch.setattr(NodeLabel, "_trusted", classmethod(counting_trusted))
+        assert len(neighbors(NodeLabel(30, 5))) == 30 and len(built) == 30
+        assert len(neighbors_recursive(NodeLabel(30, 5))) == 30 and len(built) == 60
+        assert topology_module._CUBE == ()
+
+    def test_a_whole_read_of_another_dim_replaces_the_table(self):
+        small, large = edh_cycles(5), edh_paths(6)
+        small.first.nodes
+        held = topology_module._CUBE
+        assert len(held) == 32 and small.second.nodes[0] is held[small.second.values[0]]
+        large.second.nodes
+        assert topology_module._CUBE == tuple(NodeLabel(6, v) for v in range(64))
+        assert not any(label is held[label.value] for label in small.first.nodes)

@@ -190,6 +190,18 @@ class TestEdgeDisjoint:
         with pytest.raises(DimensionError):
             are_edge_disjoint(edh_paths(4).first, edh_paths(5).first)
 
+    def test_labels_of_two_dims_raise_in_either_order(self):
+        mixed = [NodeLabel(4, 0), NodeLabel(5, 1)]
+        plain = [NodeLabel(4, 0), NodeLabel(4, 1)]
+        for walk in (mixed, mixed[::-1]):
+            for a, b in ((walk, plain), (plain, walk), (walk, [])):
+                with pytest.raises(DimensionError):
+                    are_edge_disjoint(a, b)
+        report = verify_pair(4, mixed, plain, "paths")
+        assert [c.detail for c in report.checks if c.name == "first: label dimensions"] == [
+            "1 labels of wrong dim"
+        ]
+
 
 class TestEnumeration:
     def test_dim_2_single_four_cycle(self):
