@@ -15,8 +15,8 @@ contention event; with edge-disjoint rings there are none, which
 
 The counts, and the per-edge loads' keys in ascending order, come from the
 edge masks by node value that `topology` reads, not from a walk over each
-ring. Each ring keeps its masks, so the rings of a validated
-`HamiltonianPair` reuse those its validation computed.
+ring. Each ring keeps its masks: the rings of `edh_cycles` hold those the
+doubling derived, and a user-built ring computes its own on first use.
 """
 
 from __future__ import annotations
@@ -135,7 +135,8 @@ def simulate_split_broadcast(pair: HamiltonianPair) -> TrafficReport:
 
     The pair type guarantees edge-disjointness, so the measured contention
     must come out zero; the report states what was measured. The counts
-    read the edge masks each ring kept when the pair was validated.
+    read the edge masks each ring keeps: derived by the doubling for a
+    constructed pair, computed on first use for user-built rings.
     """
     if pair.kind != "cycles":
         raise InvalidPairError("split broadcast needs a pair of cycles")

@@ -138,7 +138,7 @@ def _edge_lines(dim: int, pairs: Iterable[tuple[int, int]], template: str) -> li
 
 def _render_report(payload: dict, text_lines: list[str], fmt: str) -> str:
     if fmt == "report-json":
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return render_document(payload)
     return "\n".join(text_lines) + "\n"
 
 
@@ -307,7 +307,6 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="emit the two edge-disjoint Hamiltonian paths/cycles")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--kind", choices=["paths", "cycles"], default="cycles")
-    p.add_argument("--format", choices=["cycles-json"], default="cycles-json")
     p.add_argument("--output", default=None)
     p.set_defaults(handler=cmd_construct)
 

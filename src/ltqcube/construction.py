@@ -92,8 +92,6 @@ def _check_values(dim: int, values: list[int], *, closed: bool) -> tuple[int, li
     pass is rescanned step by step, so that its first bad step is named.
     Returns the least value and `topology._step_tops`.
     """
-    if not values:
-        return 0, []
     if not all(map(isinstance, values, repeat(int))):
         raise LabelFormatError(f"label values for dim {dim} must be integers")
     low, high = min(values), max(values)
@@ -116,17 +114,17 @@ def _check_values(dim: int, values: list[int], *, closed: bool) -> tuple[int, li
 
 
 class _Walk(_Record):
-    """What Path and Cycle share: a dimension and a tuple of label values.
-    NodeLabels are made, or taken from the cube `topology._CUBE` holds, only
-    when `nodes`, iteration or `edge_set()` ask."""
+    """What Path and Cycle share: a dimension and a non-empty tuple of label
+    values. NodeLabels are made, or taken from the cube `topology._CUBE`
+    holds, only when `nodes`, iteration or `edge_set()` ask."""
 
-    __slots__ = ("_dim", "values", "_kept_masks")
-    _fields = ("_dim", "values")
+    __slots__ = ("dim", "values", "_kept_masks")
+    _fields = ("dim", "values")
     _closed = False
 
     def __init__(self, nodes: Iterable[NodeLabel]) -> None:
         nodes = tuple(nodes)
-        self._store(nodes[0].dim if nodes else None, [node.value for node in nodes], nodes)
+        self._store(None, [node.value for node in nodes], nodes)
 
     @classmethod
     def from_values(cls, dim: int, values: Iterable[int]) -> Path | Cycle:
@@ -137,17 +135,18 @@ class _Walk(_Record):
         return walk
 
     def _store(self, dim: int | None, values: list[int], nodes: tuple[NodeLabel, ...]) -> None:
-        if self._closed and len(values) < 3:
-            raise LtqError(f"a cycle needs at least 3 nodes, got {len(values)}")
+        """Validate and keep `values`; a `dim` of None is the first node's."""
+        if len(values) < (3 if self._closed else 1):
+            what = "cycle needs at least 3 nodes" if self._closed else "path needs at least 1 node"
+            raise LtqError(f"a {what}, got {len(values)}")
+        dim = nodes[0].dim if dim is None else dim
         for node in nodes:
             if node.dim != dim:
                 raise DimensionError(f"mixed dimensions in sequence: {dim} and {node.dim}")
         low = _check_values(dim, values, closed=self._closed)[0]
         self._keep(dim, values, low, None)
 
-    def _keep(
-        self, dim: int | None, values: list[int], low: int, masks: Sequence[int] | None
-    ) -> None:
+    def _keep(self, dim: int, values: list[int], low: int, masks: Sequence[int] | None) -> None:
         """Store proven `values`, least value `low`, with the edge masks proven
         for them (None: computed on first use)."""
         if self._closed:  # rotate after validating, so errors name input positions
@@ -155,14 +154,14 @@ class _Walk(_Record):
             values = values[at:] + values[:at]
             if values[-1] < values[1]:
                 values = values[:1] + values[:0:-1]
-        self._set((dim if values else None, tuple(values)))
+        self._set((dim, tuple(values)))
         object.__setattr__(self, "_kept_masks", (None if masks is None else self.values, masks))
 
     def __len__(self) -> int:
         return len(self.values)
 
     def __iter__(self) -> Iterator[NodeLabel]:
-        return _labels(self._dim, self.values)
+        return _labels(self.dim, self.values)
 
     @property
     def nodes(self) -> tuple[NodeLabel, ...]:
@@ -170,15 +169,8 @@ class _Walk(_Record):
         node of a cube keeps its labels (`topology._hold`), and every label
         read of that cube reuses them until a whole read of another cube."""
         nodes = tuple(self)
-        if nodes:
-            _hold(self._dim, self.values, nodes)
+        _hold(self.dim, self.values, nodes)
         return nodes
-
-    @property
-    def dim(self) -> int:
-        if self._dim is None:
-            raise LtqError("empty path has no dimension")
-        return self._dim
 
     def edge_pairs(self) -> tuple[tuple[int, int], ...]:
         """Every edge walked, as a (smaller, larger) label-value pair, in
@@ -186,7 +178,7 @@ class _Walk(_Record):
         return tuple(list(_mask_edges(self._masks())))  # a list grows faster than a tuple
 
     def edge_set(self) -> frozenset[Edge]:
-        return frozenset(_edges_of(self._dim, self.edge_pairs()))
+        return frozenset(_edges_of(self.dim, self.edge_pairs()))
 
     def _masks(self) -> Sequence[int]:
         """The edge masks by node value (`topology._node_masks`), derived by
@@ -201,24 +193,17 @@ class _Walk(_Record):
 
 
 class Path(_Walk):
-    """A sequence of distinct, consecutively adjacent nodes.
-
-    The empty path is allowed; it has no dimension and no end nodes.
-    """
+    """A sequence of at least one node: distinct, consecutively adjacent nodes."""
 
     __slots__ = ()
 
     @property
     def start(self) -> NodeLabel:
-        if not self.values:
-            raise LtqError("empty path has no start")
-        return next(_labels(self._dim, self.values[:1]))
+        return next(_labels(self.dim, self.values[:1]))
 
     @property
     def end(self) -> NodeLabel:
-        if not self.values:
-            raise LtqError("empty path has no end")
-        return next(_labels(self._dim, self.values[-1:]))
+        return next(_labels(self.dim, self.values[-1:]))
 
 
 class Cycle(_Walk):

@@ -77,7 +77,7 @@ class VerificationReport(_Record):
 def _raw(obj: Path | Cycle | Sequence[NodeLabel]) -> tuple[Mapping[int, int], Sequence[int]]:
     """Label counts by dimension, and values in walk order."""
     if isinstance(obj, (Path, Cycle)):
-        return {obj.dim: len(obj)} if obj.values else {}, obj.values
+        return {obj.dim: len(obj)}, obj.values
     nodes = tuple(obj)
     return Counter(map(itemgetter(0), nodes)), list(map(itemgetter(1), nodes))
 
@@ -409,13 +409,9 @@ def exists_two_edge_disjoint_hc(dim: int) -> PairExistence:
         return PairExistence(3, False, None, certificates)
 
     pair = edh_cycles(4)
-    ok = (
-        is_hamiltonian_cycle(4, pair.first)
-        and is_hamiltonian_cycle(4, pair.second)
-        and are_edge_disjoint(pair.first, pair.second)
-    )
-    if not ok:
-        raise AssertionError("constructed witness failed its own checkers")
+    failed = [c.name for c in verify_pair(4, pair.first, pair.second).checks if not c.passed]
+    if failed:  # a raise, not an assert: `python -O` keeps it
+        raise AssertionError(f"constructed witness failed its own checkers: {failed}")
     certificates = (
         "constructive: the dimension-4 pair closes into two Hamiltonian cycles",
         "checkers: both members Hamiltonian, edge sets disjoint",
@@ -474,7 +470,8 @@ def residual_analysis(
     """Edges unused by a verified cycle pair, their degrees, and optionally
     a bounded hunt for a third edge-disjoint Hamiltonian cycle among them.
     Without a search the work is one O(2**dim) union of the masks each
-    ring kept when the pair was validated; a residual the fixed-bits
+    ring keeps (derived by the doubling for a constructed pair, computed on
+    first use for user-built rings); a residual the fixed-bits
     certificate refutes from them costs 0 expansions and builds no edge list
     or adjacency map.
     """

@@ -61,16 +61,10 @@ class TestPathType:
         assert p.end == make_label(4, "0001")
         assert p.dim == 4 and len(p) == 3
 
-    def test_empty_path_has_no_ends(self):
-        empty = Path(())
-        with pytest.raises(LtqError):
-            empty.start
-        with pytest.raises(LtqError):
-            empty.dim
-
-    def test_empty_path_has_no_end(self):
-        with pytest.raises(LtqError, match="^empty path has no end$"):
-            Path([]).end
+    @pytest.mark.parametrize("build", [lambda: Path(()), lambda: Path.from_values(4, [])])
+    def test_empty_path_is_refused(self, build):
+        with pytest.raises(LtqError, match="^a path needs at least 1 node, got 0$"):
+            build()
 
 
 class TestCycleType:
@@ -144,12 +138,6 @@ class TestFromValues:
         with pytest.raises(LabelFormatError):
             Path.from_values(4, [value])
 
-    def test_empty_path_has_no_dim(self):
-        empty = Path.from_values(4, [])
-        assert empty == Path(())
-        with pytest.raises(LtqError):
-            empty.dim
-
 
 def concat(p, q):
     """Join two paths through the edge from p's end to q's start."""
@@ -178,12 +166,6 @@ class TestReverseAndConcat:
     def test_concat_requires_disjoint_nodes(self):
         with pytest.raises(OverlapError):
             concat(path_of(4, "0000", "0001"), path_of(4, "0011", "0001"))
-
-    def test_concat_empty_is_neutral(self):
-        p = path_of(4, "0000", "0001")
-        assert concat(p, Path(())) == p
-        assert concat(Path(()), p) == p
-        assert concat(Path(()), Path(())) == Path(())
 
     def test_concat_edge_set_is_union_plus_junction(self):
         p = path_of(4, "0010", "0110", "0111")

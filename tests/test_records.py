@@ -68,8 +68,8 @@ def records():
     loads = frozenset({(0, 1)})
     return [
         (Edge(a, b), ("a", "b"), (a, b)),
-        (path, ("_dim", "values"), (4, path.values)),
-        (cycle, ("_dim", "values"), (4, cycle.values)),
+        (path, ("dim", "values"), (4, path.values)),
+        (cycle, ("dim", "values"), (4, cycle.values)),
         (pair, ("first", "second", "dim"), (pair.first, pair.second, 4)),
         (
             TrafficReport(15, loads, 1, 0, True),
@@ -161,9 +161,8 @@ class TestRepr:
         )
 
     def test_walks(self):
-        assert repr(Path.from_values(4, [0, 1, 3])) == "Path(_dim=4, values=(0, 1, 3))"
-        assert repr(Path([])) == "Path(_dim=None, values=())"
-        assert repr(Cycle.from_values(2, [3, 1, 0, 2])) == "Cycle(_dim=2, values=(0, 1, 3, 2))"
+        assert repr(Path.from_values(4, [0, 1, 3])) == "Path(dim=4, values=(0, 1, 3))"
+        assert repr(Cycle.from_values(2, [3, 1, 0, 2])) == "Cycle(dim=2, values=(0, 1, 3, 2))"
 
     def test_pair(self):
         pair = edh_cycles(4)
@@ -304,6 +303,18 @@ class TestRoundTrips:
         assert hash(back) == hash(rec)
         for name in names:
             assert getattr(back, name) == getattr(rec, name)
+
+    def test_walk_state_keeps_its_format(self):
+        # a walk's state has always been the positional (dim, values); these
+        # protocol-2 bytes were written when the dimension was a private field
+        walk = Path.__new__(Path)
+        walk.__setstate__((4, (0, 1, 3)))
+        assert walk == Path.from_values(4, [0, 1, 3]) and walk.dim == 4
+        old = (
+            b"\x80\x02cltqcube.construction\nPath\nq\x00)\x81q\x01"
+            b"K\x04K\x00K\x01K\x03\x87q\x02\x86q\x03b."
+        )
+        assert pickle.loads(old) == walk and pickle.dumps(walk, 2) == old
 
     def test_copied_records_stay_frozen(self, record):
         rec, names, _ = record

@@ -635,7 +635,7 @@ class TestHeldCube:
     def test_only_a_whole_read_keeps_a_table(self, monkeypatch):
         pair = edh_cycles(6)
         list(pair.first), tuple(iter(pair.second)), pair.first.edge_set(), list(edges(6))
-        Path([]).nodes, Path.from_values(6, pair.first.values[:-1]).nodes
+        Path.from_values(6, pair.first.values[:-1]).nodes
         built, trusted = [], NodeLabel._trusted
 
         def counting_trusted(cls, items):
