@@ -61,7 +61,9 @@ class TestPathType:
         assert p.end == make_label(4, "0001")
         assert p.dim == 4 and len(p) == 3
 
-    @pytest.mark.parametrize("build", [lambda: Path(()), lambda: Path.from_values(4, [])])
+    @pytest.mark.parametrize(
+        "build", [lambda: Path(()), lambda: Path.from_values(4, []), lambda: Path([])]
+    )
     def test_empty_path_is_refused(self, build):
         with pytest.raises(LtqError, match="^a path needs at least 1 node, got 0$"):
             build()
