@@ -5,8 +5,9 @@ importing `dataclasses` loads `inspect`, `ast` and `dis` into a CLI process."""
 class _Record:
     """A frozen record over the slots named in `_fields`, in constructor
     order. It equals only a record of its own class with an equal `_key()`,
-    hashes as that key, shows as `Name(field=value, ...)` and pickles as its
-    fields; setting or deleting an attribute raises AttributeError."""
+    hashes as that key, pickles as its fields (`__getstate__`) and shows
+    them as `Name(field=value, ...)`; setting or deleting an attribute raises
+    AttributeError."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -28,7 +29,8 @@ class _Record:
         return hash(self._key())
 
     def __repr__(self) -> str:
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        fields = zip(self._fields, self.__getstate__())
+        shown = ", ".join(f"{name}={value!r}" for name, value in fields)
         return f"{self.__class__.__qualname__}({shown})"
 
     def __setattr__(self, name: str, value: object) -> None:

@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from collections.abc import Iterable, Sequence
+from itertools import repeat
 
 from .broadcast import TrafficReport, simulate_ring_broadcast, simulate_split_broadcast
 from .construction import Cycle, Path, edh_cycles, edh_paths
@@ -38,9 +39,9 @@ class DocumentError(ValueError):
 
 
 def _bits(walk: Path | Cycle) -> list[str]:
-    """A walk's labels as fixed-width binary strings, read from its values."""
-    width = f"0{walk.dim}b"
-    return [format(v, width) for v in walk.values]
+    """A walk's labels as fixed-width binary strings, read from its values
+    in one C-level pass."""
+    return list(map(format, walk.values, repeat(f"0{walk.dim}b")))
 
 
 def pair_document(pair) -> dict:

@@ -27,9 +27,11 @@ leading bit set. Both seeds start at an even node, where the twist edge
 flips the leading bit alone: that is why each path closes through a twist
 edge.
 
-The doubling runs on plain integer labels. `Path` and `Cycle` hold the
-dimension plus a tuple of label values (`values`) and read their edges as
-value pairs (`edge_pairs()`, in ascending order) from per-node edge masks;
+The doubling runs on plain integer labels, in 4-byte arrays: it never
+holds one Python int per node. `Path` and `Cycle` hold the dimension plus
+their label values in an `array("I")`, shown as a read-only `memoryview`
+(`values`), and read their edges as value pairs (`edge_pairs()`, in
+ascending order) from per-node edge masks, an `array("I")` as well;
 `nodes` makes the `NodeLabel`s only when it is read, and a whole read
 shares them with later reads of its cube (`topology._hold`). The masks
 have two sources. A walk built with `Path(nodes)` or `from_values` is
@@ -47,6 +49,7 @@ with none of the mask helpers.
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Iterable, Iterator, MutableSequence, Sequence
 from itertools import repeat
 from operator import or_
@@ -85,7 +88,7 @@ _BASE_SECOND = (
 )
 
 
-def _check_values(dim: int, values: list[int], *, closed: bool) -> tuple[int, list[int]]:
+def _check_values(dim: int, values: Sequence[int], *, closed: bool) -> tuple[int, list[int]]:
     """Validate a walk once: in-range, distinct, consecutively adjacent integers.
 
     Each property is one C-level pass; only a walk that fails the adjacency
@@ -114,9 +117,13 @@ def _check_values(dim: int, values: list[int], *, closed: bool) -> tuple[int, li
 
 
 class _Walk(_Record):
-    """What Path and Cycle share: a dimension and a non-empty tuple of label
-    values. NodeLabels are made, or taken from the cube `topology._CUBE`
-    holds, only when `nodes`, iteration or `edge_set()` ask."""
+    """What Path and Cycle share: a dimension and a non-empty sequence of
+    label values, kept in a 4-byte `array("I")` that `values` shows as a
+    read-only `memoryview` (the array cannot be resized while it does).
+    Equality and the hash read the dimension and the array's bytes; the
+    pickled state and the repr show the values as a tuple. NodeLabels are
+    made, or taken from the cube `topology._CUBE` holds, only when `nodes`,
+    iteration or `edge_set()` ask."""
 
     __slots__ = ("dim", "values", "_kept_masks")
     _fields = ("dim", "values")
@@ -144,9 +151,9 @@ class _Walk(_Record):
             if node.dim != dim:
                 raise DimensionError(f"mixed dimensions in sequence: {dim} and {node.dim}")
         low = _check_values(dim, values, closed=self._closed)[0]
-        self._keep(dim, values, low, None)
+        self._keep(dim, array("I", values), low, None)
 
-    def _keep(self, dim: int, values: list[int], low: int, masks: Sequence[int] | None) -> None:
+    def _keep(self, dim: int, values: array, low: int, masks: Sequence[int] | None) -> None:
         """Store proven `values`, least value `low`, with the edge masks proven
         for them (None: computed on first use)."""
         if self._closed:  # rotate after validating, so errors name input positions
@@ -154,8 +161,37 @@ class _Walk(_Record):
             values = values[at:] + values[:at]
             if values[-1] < values[1]:
                 values = values[:1] + values[:0:-1]
-        self._set((dim, tuple(values)))
+        self._set((dim, memoryview(values).toreadonly()))
         object.__setattr__(self, "_kept_masks", (None if masks is None else self.values, masks))
+
+    def __getstate__(self) -> tuple[int, tuple[int, ...]]:
+        return self.dim, tuple(self.values)
+
+    def __setstate__(self, state: tuple[int, Sequence[int]]) -> None:
+        """Unpickle `(dim, values)`, values into a 4-byte array. A state that
+        no such array holds as it is is kept as given, so that no check reads
+        another walk: a bool, which a walk validated before values were
+        arrays kept as given, or a negative value or one past 32 bits, which
+        only a tampered walk holds."""
+        dim, values = state
+        if set(map(type, values)) == {int}:  # no bool, which the array would take as an int
+            try:
+                values = memoryview(array("I", values)).toreadonly()
+            except OverflowError:  # a negative value, or one past 32 bits
+                pass
+        self._set((dim, values))
+
+    def _key(self) -> tuple[int, bytes | tuple]:
+        """The dimension and the values' bytes in a 4-byte array, so that a
+        walk unpickled with bools equals the walk of the ints they equal; a
+        state that no such array takes keys as its tuple."""
+        values = self.values
+        if type(values) is not memoryview:
+            try:
+                values = array("I", values)
+            except OverflowError:  # a negative value, or one past 32 bits
+                return self.dim, tuple(values)
+        return self.dim, values.tobytes()
 
     def __len__(self) -> int:
         return len(self.values)
@@ -183,11 +219,12 @@ class _Walk(_Record):
     def _masks(self) -> Sequence[int]:
         """The edge masks by node value (`topology._node_masks`), derived by
         the doubling for a constructed member, else computed on first use,
-        and kept while `values` is the very tuple they came from: a copied,
+        and kept while `values` is the very view they came from: a copied,
         unpickled or tampered walk recomputes."""
         values, masks = getattr(self, "_kept_masks", (None, None))
         if values is not self.values:
-            masks = _node_masks(self.values, _step_tops(self.values, closed=self._closed))
+            values = list(self.values)  # one read of the view for both helpers
+            masks = _node_masks(values, _step_tops(values, closed=self._closed))
             object.__setattr__(self, "_kept_masks", (self.values, masks))
         return masks
 
@@ -311,13 +348,13 @@ def _constructed_pair(member: type[Path] | type[Cycle], dim: int) -> Hamiltonian
     _check_pair_dim(dim)
     members = []
     for seed in (_BASE_FIRST, _BASE_SECOND):
-        values = [int(bits, 2) for bits in seed]
+        values = array("I", [int(bits, 2) for bits in seed])
         low, tops = _check_values(4, values, closed=member._closed and dim == 4)
         masks = _node_masks(values, tops)
         for n in range(5, dim + 1):
             masks *= 2
             _join(masks, values[-1], n, f"level-{n} junction")
-            values += map(or_, values[::-1], repeat(1 << (n - 1)))
+            values.extend(map(or_, values[::-1], repeat(1 << (n - 1))))
         if member._closed and dim > 4:
             _join(masks, values[0], dim, "closing edge")
         walk = member.__new__(member)

@@ -30,8 +30,9 @@ recurses on the suffix down to the LTQ_2 edge list, and adds one twist
 partner per level. It shares no code with the closed form, and exists as
 the oracle the closed form is tested against.
 
-Walks and edge sets are read in bulk as edge masks, one integer per node
-indexed by value: bit k marks the node's edge of dimension k, the top set
+Walks and edge sets are read in bulk as edge masks, one 4-byte `array("I")`
+entry per node indexed by value (`MAX_DIM` is 30, so every label and mask
+fits in 32 bits): bit k marks the node's edge of dimension k, the top set
 bit of `u ^ v` for an edge u .. v. `_node_masks` makes a walk's masks and
 `EdgeSet._without` removes them from the cube. The one writer outside this
 module is the construction, which derives its members' masks from the
@@ -52,7 +53,8 @@ from operator import and_, is_, itemgetter, lshift, or_, setitem, xor
 
 from .errors import AdjacencyError, DimensionError, LabelFormatError
 
-#: Largest supported dimension. Keeps exhaustive edge sets addressable.
+#: Largest supported dimension. Keeps exhaustive edge sets addressable, and
+#: every label and edge mask within a 4-byte `array("I")` entry.
 MAX_DIM = 30
 
 
@@ -307,7 +309,7 @@ def _step_tops(values: Sequence[int], *, closed: bool) -> list[int]:
     values (0 at the end of an open walk), which names the step's edge among
     the n at either end; KeyError if a step is no edge. One `_STEP_TOPS`
     lookup per step, in C-level passes with no tuple per step."""
-    ends = values[1:] + values[:1] if closed else values[1:]
+    ends = chain(values[1:], values[:1]) if closed else values[1:]
     tags = map(or_, map(lshift, map(xor, values, ends), repeat(1)), map(and_, values, repeat(1)))
     tops = list(map(_STEP_TOPS.__getitem__, tags))
     if len(tops) < len(values):
@@ -319,8 +321,8 @@ def _node_masks(values: Sequence[int], tops: list[int]) -> array:
     """A walk's edge masks by node, from its `_step_tops`: entry u ORs the top
     bits of the steps entering and leaving u, in a new array that ends at the
     walk's largest value (not 2**dim). Each node is visited once."""
-    masks = array("L", [0]) * (max(values, default=-1) + 1)
-    any(map(masks.__setitem__, values, map(or_, tops, chain(tops[-1:], tops))))  # C-level stores
+    masks = array("I", [0]) * (max(values, default=-1) + 1)
+    any(map(setitem, repeat(masks), values, map(or_, tops, chain(tops[-1:], tops))))  # C-level
     return masks
 
 
@@ -328,7 +330,7 @@ def _union(masks: Sequence[array], size: int) -> array:
     """The entrywise OR of one or more mask arrays, `size` entries long, in
     one C-level pass that builds no array but the result."""
     padded = (chain(walk, repeat(0, size - len(walk))) for walk in masks)
-    return array("L", reduce(partial(map, or_), padded))
+    return array("I", reduce(partial(map, or_), padded))
 
 
 def _sharing(masks: Sequence[array]) -> dict[int, int]:

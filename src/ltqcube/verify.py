@@ -13,10 +13,11 @@ three edge-disjoint Hamiltonian cycles.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence, Set
 from itertools import chain, combinations, repeat
-from operator import and_, itemgetter, lshift, or_, xor
+from operator import and_, eq, getitem, itemgetter, lshift, or_, setitem, xor
 
 from ._record import _Record
 from .construction import Cycle, HamiltonianPair, Path, edh_cycles
@@ -75,10 +76,12 @@ class VerificationReport(_Record):
 
 
 def _raw(obj: Path | Cycle | Sequence[NodeLabel]) -> tuple[Mapping[int, int], Sequence[int]]:
-    """Label counts by dimension, and values in walk order."""
+    """Label counts by dimension, and values in walk order: a walk's own
+    4-byte view, which each check below reads once, as a list it drops when
+    done, so that at most one walk's values are Python ints at a time."""
     if isinstance(obj, (Path, Cycle)):
         return {obj.dim: len(obj)}, obj.values
-    nodes = tuple(obj)
+    nodes = obj if isinstance(obj, (list, tuple)) else tuple(obj)
     return Counter(map(itemgetter(0), nodes)), list(map(itemgetter(1), nodes))
 
 
@@ -86,6 +89,7 @@ def _sequence_checks(
     dim: int, dims: Mapping[int, int], values: Sequence[int], *, closed: bool
 ) -> list[CheckResult]:
     check_dim(dim)
+    values = list(values)  # one read of a walk's view, dropped on return
     checks = []
     expected = 1 << dim
     checks.append(
@@ -103,7 +107,7 @@ def _sequence_checks(
         return checks
     bits = f"0{dim}b"
     dupes = []
-    if len(set(values)) != len(values):  # counted only to name the first repeat
+    if not _distinct(values):  # counted only to name the first repeat
         dupes = [v for v, c in Counter(values).items() if c > 1]
     checks.append(
         CheckResult(
@@ -131,6 +135,22 @@ def _sequence_checks(
     return checks
 
 
+def _distinct(values: Sequence[int]) -> bool:
+    """True when the values are shown distinct: each marks its byte of a
+    table that ends at the largest value, and no two mark the same one.
+    False when two do, or when the walk is too sparse for the table or
+    holds a value that indexes past it; `Counter` then decides."""
+    size = max(values, default=-1) + 1
+    if size > len(values) << 5:  # a byte per value up to the largest would cost more
+        return False
+    marks = bytearray(size)
+    try:
+        any(map(setitem, repeat(marks), values, repeat(1)))  # C-level stores
+    except IndexError:
+        return False
+    return marks.count(1) == len(values)
+
+
 def _first_non_edge(dim: int, values: Sequence[int]) -> int | None:
     """The position of the first step of a walk over in-range values that
     is not an edge, or None.
@@ -154,12 +174,44 @@ def _successors(values: Sequence[int], closed: bool) -> Sequence[int]:
     return values[1:] + values[:1] if closed and len(values) > 1 else values[1:]
 
 
+def _no_shared_step(
+    a: Sequence[int], a_closed: bool, b: Sequence[int], b_closed: bool
+) -> bool:
+    """True when the walks are shown to step between no common pair of
+    values, in either direction, with no object per step: `after[u]` holds
+    the value `a` steps to from u, and no step of `b` is found there either
+    way round. Each walk is read once, as a list, one after the other.
+    False when some step of `b` is found, or when `a` leaves some value
+    twice or is too sparse for the array, or `b` holds a value past it."""
+    a = list(a)
+    a_next = _successors(a, a_closed)
+    size, steps = max(a, default=-1) + 1, len(a_next)
+    if size > len(a) << 5:  # four bytes per value up to the largest would cost more
+        return False
+    after = array("i", [-1]) * size
+    try:
+        any(map(setitem, repeat(after), a, a_next))  # C-level stores
+        del a, a_next
+        if after.count(-1) != size - steps:  # a step overwrote another
+            return False
+        b = list(b)
+        b_next = _successors(b, b_closed)
+        found = any(map(eq, map(getitem, repeat(after), b), b_next))
+        return not (found or any(map(eq, map(getitem, repeat(after), b_next), b)))
+    except (IndexError, OverflowError):
+        return False
+
+
 def _shared_edges(
     a: Sequence[int], a_closed: bool, b: Sequence[int], b_closed: bool
 ) -> set[tuple[int, int]]:
     """Every (smaller, larger) value pair that both walks step between, in
-    either direction. Steps are compared as integer keys, not as edges, so
-    the answer stays exact on walks that hold non-edges or repeated steps."""
+    either direction. Walks `_no_shared_step` clears share none; any other
+    is compared step by step as integer keys, not as edges, so the answer
+    stays exact on walks that hold non-edges or repeated steps."""
+    if _no_shared_step(a, a_closed, b, b_closed):
+        return set()
+    a, b = list(a), list(b)
     width = max(max(a, default=0), max(b, default=0)).bit_length()
 
     def keys(tails: Sequence[int], heads: Sequence[int]) -> Iterator[int]:

@@ -114,7 +114,7 @@ class TestFromValues:
         by_values = outcome(lambda: kind.from_values(4, [int(b, 2) for b in bits]))
         assert by_values == by_labels
         if isinstance(by_values, kind):
-            assert by_values.values == tuple(n.value for n in by_labels.nodes)
+            assert tuple(by_values.values) == tuple(n.value for n in by_labels.nodes)
 
     @pytest.mark.parametrize("values", [[0, 1, 16], [-1, 0]])
     def test_rejects_values_out_of_range(self, values):
@@ -314,7 +314,7 @@ class TestCertifiedDoubling:
         `end_parity` node to a `start_parity` one."""
         second = frozenset(edh_paths(4).second.edge_pairs())
         (cycle,) = [c for c in enumerate_hamiltonian_cycles(4) if second.isdisjoint(c.edge_pairs())]
-        values = cycle.values
+        values = list(cycle.values)
         at = next(
             i for i in range(16) if (values[i] & 1, values[i - 1] & 1) == (start_parity, end_parity)
         )
@@ -500,9 +500,13 @@ class TestHeldCubeNeedsAPermutation:
             assert [label.value for label in walk.nodes] == values
             assert topology._CUBE == ()
 
-    def test_a_validated_walk_of_bools_keeps_no_table(self):
+    def test_a_validated_walk_of_bools_holds_ints(self):
+        # validation takes False and True as the ints they equal, and the walk
+        # stores them as ints: the table a whole read keeps holds no bool
         values = [{0: False, 1: True}.get(v, v) for v in edh_cycles(6).first.values]
-        assert Cycle.from_values(6, values).nodes and topology._CUBE == ()
+        assert Cycle.from_values(6, values).nodes
+        assert [label.value for label in topology._CUBE] == list(range(64))
+        assert {type(label.value) for label in topology._CUBE} == {int}
 
     def test_a_held_table_stays_after_a_tampered_read(self):
         walk, unpickled = self.tampered([v % 63 for v in range(64)])  # 0 twice, no 63

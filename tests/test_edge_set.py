@@ -281,7 +281,7 @@ class TestDerivedCountIsACheck:
         # the Hamiltonian cycles of LTQ_4 that share an edge with the first
         # ring share at least two
         shared, other = min(
-            (len(set(c.edge_pairs()) & set(first.edge_pairs())), c.values)
+            (len(set(c.edge_pairs()) & set(first.edge_pairs())), tuple(c.values))
             for c in enumerate_hamiltonian_cycles(4)
             if not set(c.edge_pairs()).isdisjoint(first.edge_pairs())
         )

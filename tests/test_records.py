@@ -68,8 +68,8 @@ def records():
     loads = frozenset({(0, 1)})
     return [
         (Edge(a, b), ("a", "b"), (a, b)),
-        (path, ("dim", "values"), (4, path.values)),
-        (cycle, ("dim", "values"), (4, cycle.values)),
+        (path, ("dim", "values"), (4, path.values.tobytes())),
+        (cycle, ("dim", "values"), (4, cycle.values.tobytes())),
         (pair, ("first", "second", "dim"), (pair.first, pair.second, 4)),
         (
             TrafficReport(15, loads, 1, 0, True),
