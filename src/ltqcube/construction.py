@@ -27,8 +27,10 @@ leading bit set. Both seeds start at an even node, where the twist edge
 flips the leading bit alone: that is why each path closes through a twist
 edge.
 
-The doubling runs on plain integer labels, in 4-byte arrays: it never
-holds one Python int per node. `Path` and `Cycle` hold the dimension plus
+The doubling runs on plain integer labels, in 4-byte arrays, and makes no
+Python int per node: each level's reversed half is copied as bytes, and the
+new high bit is set in the one byte column that holds it, by one table
+lookup per entry (`_doubled_half`). `Path` and `Cycle` hold the dimension plus
 their label values in an `array("I")`, shown as a read-only `memoryview`
 (`values`), and read their edges as value pairs (`edge_pairs()`, in
 ascending order) from per-node edge masks, an `array("I")` as well;
@@ -37,11 +39,12 @@ shares them with later reads of its cube (`topology._hold`). The masks
 have two sources. A walk built with `Path(nodes)` or `from_values` is
 validated once and computes its masks on first use. A constructed pair is
 not validated node by node: the doubling carries the induction's proof.
-The seeds are validated as `from_values` would, each level doubles the
-mask array (each half holds a copy of the old path) and adds its junction
-edge after checking that the old end is even, and a cycle's closing edge
-is checked the same way at its start. So these masks are *derived*, and
-`HamiltonianPair` checks on them that the members share no edge.
+The seeds are validated as `from_values` would, each seed tuple once per
+process (`_seed`); each level doubles the mask array (each half holds a
+copy of the old path) and adds its junction edge after checking that the
+old end is even, and a cycle's closing edge is checked the same way at
+its start. So these masks are *derived*, and `HamiltonianPair` checks on
+them that the members share no edge.
 `verify.verify_pair` and the CLI `verify` stay the *measured* check: they
 re-derive every verdict from the node sequences and the adjacency rule,
 with none of the mask helpers.
@@ -49,10 +52,11 @@ with none of the mask helpers.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from collections.abc import Iterable, Iterator, MutableSequence, Sequence
+from functools import cache
 from itertools import repeat
-from operator import or_
 
 from ._record import _Record
 from .errors import (
@@ -180,6 +184,14 @@ class _Walk(_Record):
             except OverflowError:  # a negative value, or one past 32 bits
                 pass
         self._set((dim, values))
+
+    def __copy__(self) -> Path | Cycle:
+        """A walk that shares this one's read-only `values` view, and with it
+        the masks kept for that view: no value is read or copied."""
+        walk = self.__class__.__new__(self.__class__)
+        walk._set((self.dim, self.values))
+        object.__setattr__(walk, "_kept_masks", getattr(self, "_kept_masks", (None, None)))
+        return walk
 
     def _key(self) -> tuple[int, bytes | tuple]:
         """The dimension and the values' bytes in a 4-byte array, so that a
@@ -333,28 +345,56 @@ def _join(masks: MutableSequence[int], end: int, n: int, what: str) -> None:
     masks[end | top] |= top
 
 
+#: Entry k ORs bit k into a byte, as a 256-byte table for `bytes.translate`.
+_OR_TABLES = tuple(bytes(b | 1 << k for b in range(256)) for k in range(8))
+
+
+def _doubled_half(values: array, bit: int) -> bytearray:
+    """The bytes of `values` reversed, with `bit` set in every entry: those
+    of `map(or_, values[::-1], repeat(1 << bit))` when every entry is below
+    2**bit, with no Python int per entry. The bit lies in one byte column of
+    the array, set by one table lookup per entry; which column depends on
+    the machine's byte order."""
+    half = bytearray(values[::-1])
+    step, byte = values.itemsize, bit >> 3
+    at = byte if sys.byteorder == "little" else step - 1 - byte
+    half[at::step] = half[at::step].translate(_OR_TABLES[bit & 7])
+    return half
+
+
+@cache
+def _seed(seed: tuple[str, ...], closed: bool) -> tuple[bytes, int, bytes]:
+    """A seed path's values, least value and edge masks, validated as
+    `from_values` would, as bytes of 4-byte arrays: each seed tuple is
+    validated once per process."""
+    values = array("I", [int(bits, 2) for bits in seed])
+    low, tops = _check_values(4, values, closed=closed)
+    return values.tobytes(), low, _node_masks(values, tops).tobytes()
+
+
 def _constructed_pair(member: type[Path] | type[Cycle], dim: int) -> HamiltonianPair:
     """Double both seed paths up to `dim` on label values and edge masks,
     and store each as a `member` (Path or Cycle) with the masks it derived.
 
-    Only the seeds are validated, as `from_values` would. Level n lays the
-    level n-1 path down in the 0-half and its reversed copy in the 1-half,
-    each half a copy of the level n-1 cube, so the mask array doubles;
-    `_join` adds the junction at the old end, and a cycle's closing edge at
-    its start, once their parity proves them edges. `HamiltonianPair`
-    counts the members' nodes and checks on these masks that they share no
-    edge.
+    Only the seeds are validated, as `from_values` would, and each seed
+    tuple once per process (`_seed`); every call copies them into fresh
+    arrays. Level n lays the level n-1 path down in the 0-half and its
+    reversed copy in the 1-half (`_doubled_half`, with no Python int per
+    node), each half a copy of the level n-1 cube, so the mask array
+    doubles; `_join` adds the junction at the old end, and a cycle's
+    closing edge at its start, once their parity proves them edges.
+    `HamiltonianPair` counts the members' nodes and checks on these masks
+    that they share no edge.
     """
     _check_pair_dim(dim)
     members = []
     for seed in (_BASE_FIRST, _BASE_SECOND):
-        values = array("I", [int(bits, 2) for bits in seed])
-        low, tops = _check_values(4, values, closed=member._closed and dim == 4)
-        masks = _node_masks(values, tops)
+        values, low, masks = _seed(seed, member._closed and dim == 4)
+        values, masks = array("I", values), array("I", masks)
         for n in range(5, dim + 1):
             masks *= 2
             _join(masks, values[-1], n, f"level-{n} junction")
-            values.extend(map(or_, values[::-1], repeat(1 << (n - 1))))
+            values.frombytes(_doubled_half(values, n - 1))
         if member._closed and dim > 4:
             _join(masks, values[0], dim, "closing edge")
         walk = member.__new__(member)

@@ -158,12 +158,14 @@ def _labels(dim: int, values: Iterable[int]) -> Iterator[NodeLabel]:
 def _hold(dim: int, values: Sequence[int], labels: Sequence[NodeLabel]) -> None:
     """Make `labels`, a walk's labels of `values`, the new `_CUBE`, scattered
     by value, when it holds no dim-cube and the scatter proves the values
-    0 .. 2**dim - 1, each once, so that no tampered walk is held."""
+    0 .. 2**dim - 1, each once, so that no tampered walk is held. Only a
+    `memoryview` of format "I" is scattered: its entries are non-negative
+    ints, so no bool or negative index reaches the scatter."""
     global _CUBE
     size = 1 << dim
     if len(values) != size or _CUBE and _CUBE[0][0] == dim:
         return
-    if set(map(type, values)) != {int} or min(values) < 0:
+    if type(values) is not memoryview or values.format != "I":
         return
     cube = [None] * size
     try:

@@ -1,7 +1,9 @@
 import copy
 import pickle
+from array import array
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, repeat
+from operator import or_
 
 import pytest
 from hypothesis import given
@@ -289,6 +291,13 @@ class TestValidateOnce:
         with pytest.raises(LtqError):
             build(6)
 
+    def test_two_builds_share_no_array(self):
+        # the seeds are validated once, but every build copies them into its own arrays
+        a, b = edh_cycles(6), edh_cycles(6)
+        assert a == b
+        for x, y in zip(a.members, b.members):
+            assert x.values.obj is not y.values.obj and x._masks() is not y._masks()
+
     @pytest.mark.parametrize("build", [edh_paths, edh_cycles])
     def test_dim_above_max_refused_before_building(self, build):
         with pytest.raises(DimensionError):
@@ -394,7 +403,7 @@ class TestGrayCodeReading:
     def gray(h):
         return h ^ (h >> 1)
 
-    @pytest.mark.parametrize("dim", range(4, 17))
+    @pytest.mark.parametrize("dim", range(4, 19))  # bits 16 and 17 sit in the third byte
     def test_both_members(self, dim):
         pair = edh_paths(dim)
         for member, seed in zip(pair.members, (FIRST_SEED, SECOND_SEED)):
@@ -453,21 +462,44 @@ class TestHamiltonianPairType:
 
     @pytest.mark.parametrize("build", [edh_paths, edh_cycles])
     def test_keeps_the_masks_it_validated(self, build):
-        # each member keeps the masks the pair checked; a copied walk computes its own
+        # each member keeps the masks the pair checked; an unpickled or deep-copied
+        # walk computes its own, and a shallow copy shares the view and its masks
         pair = build(6)
         for member in pair.members:
             kept = member._masks()
             assert member._masks() is kept and len(kept) == 64
-            for c in (pickle.loads(pickle.dumps(member)), copy.copy(member), copy.deepcopy(member)):
+            copies = {"pickle": pickle.loads(pickle.dumps(member)), "copy": copy.copy(member),
+                      "deepcopy": copy.deepcopy(member)}
+            for how, c in copies.items():
                 assert c == member and hash(c) == hash(member) and repr(c) == repr(member)
-                assert c._masks() == kept and c._masks() is not kept
-                assert c._masks() is c._masks()
+                shared = how == "copy"
+                assert (c.values is member.values) == shared and (c._masks() is kept) == shared
+                assert c._masks() == kept and c._masks() is c._masks()
         for other in (pickle.loads(pickle.dumps(pair)), copy.copy(pair), copy.deepcopy(pair)):
             assert other == pair and repr(other) == repr(pair)
             for c, member in zip(other.members, pair.members):
                 # a shallow copy of the pair holds the same members, so the same masks
                 assert c._masks() == member._masks()
                 assert (c._masks() is member._masks()) == (c is member)
+
+    def test_a_copy_made_before_the_masks_computes_them(self):
+        walk = Path.from_values(6, edh_paths(6).first.values)
+        shallow = copy.copy(walk)
+        assert shallow.values is walk.values and shallow._masks() == edh_paths(6).first._masks()
+
+
+class TestDoubledHalf:
+    """`_doubled_half` sets the doubling's bit in one byte column: it gives the
+    bytes of the per-entry OR for every bit a constructed level can set."""
+
+    @pytest.mark.parametrize("bit", range(4, MAX_DIM))
+    def test_equals_the_entrywise_or(self, bit):
+        top = (1 << bit) - 1
+        values = array("I", [0, 1, 2, top, top >> 1, 1 << (bit - 1)])
+        values.extend([0x5A5A5A5A & top, 0xA5A5A5A5 & top])
+        expected = array("I", map(or_, values[::-1], repeat(1 << bit)))
+        half = construction._doubled_half(values, bit)
+        assert half == expected.tobytes() and len(values) == 8
 
 
 class TestHeldCubeNeedsAPermutation:
