@@ -6,20 +6,27 @@ class _Record:
     """A frozen record over the slots named in `_fields`, in constructor
     order. It equals only a record of its own class with an equal `_key()`,
     hashes as that key, pickles as its fields (`__getstate__`) and shows
-    them as `Name(field=value, ...)`; setting or deleting an attribute raises
-    AttributeError."""
+    them as `Name(field=value, ...)`; setting or deleting an attribute
+    raises AttributeError. Every record passed its constructor's checks:
+    loading one (`pickle`, `copy.deepcopy`) runs `__init__` on its fields,
+    and `copy.copy` returns the record itself, as for a tuple."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
-    def _set(self, values: tuple) -> None:  # the only write: constructors and unpickling
+    def _set(self, values: tuple) -> None:  # the only write, from a constructor
         for name, value in zip(self._fields, values):
             object.__setattr__(self, name, value)
 
     def __getstate__(self) -> tuple:
         return tuple(map(self.__getattribute__, self._fields))
 
-    __setstate__ = _set
+    def __setstate__(self, state: tuple) -> None:
+        self.__init__(*state)
+
+    def __copy__(self) -> "_Record":
+        return self
+
     _key = __getstate__  # every field; a record may leave some out of == and hash
 
     def __eq__(self, other: object) -> bool:

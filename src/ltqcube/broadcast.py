@@ -21,7 +21,7 @@ doubling derived, and a user-built ring computes its own on first use.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping, Sequence, ValuesView
+from collections.abc import Iterable, Iterator, Mapping, Sequence, ValuesView
 from itertools import chain, repeat
 
 from ._record import _Record
@@ -97,7 +97,7 @@ class _Loads(ValuesView):
         return any(load == self._mapping._steps * rings for rings in self._mapping._sharing)
 
 
-def simulate_schedules(rings: Sequence[Cycle]) -> TrafficReport:
+def simulate_schedules(rings: Iterable[Cycle]) -> TrafficReport:
     """Run any number of equal-length ring broadcasts concurrently.
 
     Each ring stays saturated: all of its edges carry one message at every
@@ -109,6 +109,7 @@ def simulate_schedules(rings: Sequence[Cycle]) -> TrafficReport:
     grows with that label, not with 2**dim. Delivery is asserted, not
     simulated (see TrafficReport).
     """
+    rings = tuple(rings)  # read once: every check below reads them again
     if not rings:
         raise LtqError("need at least one ring")
     if not all(isinstance(ring, Cycle) for ring in rings):

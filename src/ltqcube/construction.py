@@ -36,7 +36,7 @@ their label values in an `array("I")`, shown as a read-only `memoryview`
 ascending order) from per-node edge masks, an `array("I")` as well;
 `nodes` makes the `NodeLabel`s only when it is read, and a whole read
 shares them with later reads of its cube (`topology._hold`). The masks
-have two sources. A walk built with `Path(nodes)` or `from_values` is
+have two sources. A walk from `Path(nodes)`, `from_values` or `pickle` is
 validated once and computes its masks on first use. A constructed pair is
 not validated node by node: the doubling carries the induction's proof.
 The seeds are validated as `from_values` would, each seed tuple once per
@@ -75,6 +75,7 @@ from .topology import (
     _hold,
     _labels,
     _mask_edges,
+    _need_labels,
     _node_masks,
     _sharing,
     _step_tops,
@@ -125,9 +126,10 @@ class _Walk(_Record):
     label values, kept in a 4-byte `array("I")` that `values` shows as a
     read-only `memoryview` (the array cannot be resized while it does).
     Equality and the hash read the dimension and the array's bytes; the
-    pickled state and the repr show the values as a tuple. NodeLabels are
-    made, or taken from the cube `topology._CUBE` holds, only when `nodes`,
-    iteration or `edge_set()` ask."""
+    pickled state and the repr show the values as a tuple, which loads
+    through the checks of `from_values`. NodeLabels are made, or taken from
+    the cube `topology._CUBE` holds, only when `nodes`, iteration or
+    `edge_set()` ask."""
 
     __slots__ = ("dim", "values", "_kept_masks")
     _fields = ("dim", "values")
@@ -135,15 +137,22 @@ class _Walk(_Record):
 
     def __init__(self, nodes: Iterable[NodeLabel]) -> None:
         nodes = tuple(nodes)
+        _need_labels(self.__class__.__name__, nodes)
         self._store(None, [node.value for node in nodes], nodes)
 
     @classmethod
     def from_values(cls, dim: int, values: Iterable[int]) -> Path | Cycle:
         """Build from plain label values; the validation is that of `cls(nodes)`."""
-        check_dim(dim)
         walk = cls.__new__(cls)
-        walk._store(dim, list(values), ())
+        walk.__setstate__((dim, values))
         return walk
+
+    def __setstate__(self, state: tuple[int, Iterable[int]]) -> None:
+        """The body of `from_values`, so that unpickling and `copy.deepcopy`
+        validate `(dim, values)` and raise what it raises on a bad state."""
+        dim, values = state
+        check_dim(dim)
+        self._store(dim, list(values), ())
 
     def _store(self, dim: int | None, values: list[int], nodes: tuple[NodeLabel, ...]) -> None:
         """Validate and keep `values`; a `dim` of None is the first node's."""
@@ -171,39 +180,8 @@ class _Walk(_Record):
     def __getstate__(self) -> tuple[int, tuple[int, ...]]:
         return self.dim, tuple(self.values)
 
-    def __setstate__(self, state: tuple[int, Sequence[int]]) -> None:
-        """Unpickle `(dim, values)`, values into a 4-byte array. A state that
-        no such array holds as it is is kept as given, so that no check reads
-        another walk: a bool, which a walk validated before values were
-        arrays kept as given, or a negative value or one past 32 bits, which
-        only a tampered walk holds."""
-        dim, values = state
-        if set(map(type, values)) == {int}:  # no bool, which the array would take as an int
-            try:
-                values = memoryview(array("I", values)).toreadonly()
-            except OverflowError:  # a negative value, or one past 32 bits
-                pass
-        self._set((dim, values))
-
-    def __copy__(self) -> Path | Cycle:
-        """A walk that shares this one's read-only `values` view, and with it
-        the masks kept for that view: no value is read or copied."""
-        walk = self.__class__.__new__(self.__class__)
-        walk._set((self.dim, self.values))
-        object.__setattr__(walk, "_kept_masks", getattr(self, "_kept_masks", (None, None)))
-        return walk
-
-    def _key(self) -> tuple[int, bytes | tuple]:
-        """The dimension and the values' bytes in a 4-byte array, so that a
-        walk unpickled with bools equals the walk of the ints they equal; a
-        state that no such array takes keys as its tuple."""
-        values = self.values
-        if type(values) is not memoryview:
-            try:
-                values = array("I", values)
-            except OverflowError:  # a negative value, or one past 32 bits
-                return self.dim, tuple(values)
-        return self.dim, values.tobytes()
+    def _key(self) -> tuple[int, bytes]:
+        return self.dim, self.values.tobytes()
 
     def __len__(self) -> int:
         return len(self.values)
@@ -231,9 +209,9 @@ class _Walk(_Record):
     def _masks(self) -> Sequence[int]:
         """The edge masks by node value (`topology._node_masks`), derived by
         the doubling for a constructed member, else computed on first use,
-        and kept while `values` is the very view they came from: a copied,
-        unpickled or tampered walk recomputes."""
-        values, masks = getattr(self, "_kept_masks", (None, None))
+        and kept while `values` is the very view they came from: a walk
+        whose `values` were replaced in place recomputes."""
+        values, masks = self._kept_masks
         if values is not self.values:
             values = list(self.values)  # one read of the view for both helpers
             masks = _node_masks(values, _step_tops(values, closed=self._closed))
@@ -271,14 +249,15 @@ class Cycle(_Walk):
 class HamiltonianPair(_Record):
     """Two Hamiltonian paths (or cycles) over the same cube, sharing no edge.
 
-    The invariants are enforced at construction, so holding a pair is proof
-    it was verified: both members visit all 2**dim nodes exactly once and
-    their edge sets are disjoint, which `topology._sharing` checks on the
-    edge masks each member keeps (`_Walk._masks`). A mask bit names an edge
-    only for a step that is one: a member's own validation proves that, or,
-    for `edh_paths` and `edh_cycles`, the seed check and the parity of each
-    level's junction from which their masks are derived. The residual and
-    the broadcast model read the same masks.
+    The invariants are enforced at construction, and again when a pair is
+    unpickled or deep-copied, so holding a pair is proof it was verified:
+    both members visit all 2**dim nodes exactly once and their edge sets are
+    disjoint, which `topology._sharing` checks on the edge masks each member
+    keeps (`_Walk._masks`). A mask bit names an edge only for a step that is
+    one: a member's own validation proves that, or, for `edh_paths` and
+    `edh_cycles`, the seed check and the parity of each level's junction
+    from which their masks are derived. The residual and the broadcast model
+    read the same masks.
     """
 
     __slots__ = _fields = ("first", "second", "dim")

@@ -94,6 +94,9 @@ class _Value(tuple):
     def __getnewargs__(self) -> tuple:
         return tuple(self)
 
+    def __copy__(self) -> _Value:  # immutable, as a plain tuple is
+        return self
+
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
             return tuple.__eq__(self, other)
@@ -235,14 +238,20 @@ def _adjacent_values(dim: int, u: int, v: int) -> bool:
     return 0 < d < 1 << dim and d == _FLIPS[u & 1][d.bit_length() - 1]
 
 
+def _need_labels(what: str, labels: Sequence[object]) -> None:
+    """Raise TypeError naming the type of the first of `labels` that is no NodeLabel."""
+    if not all(map(isinstance, labels, repeat(NodeLabel))):
+        bad = next(label for label in labels if not isinstance(label, NodeLabel))
+        raise TypeError(f"{what} needs a NodeLabel, got {type(bad).__name__}")
+
+
 def neighbors(x: NodeLabel) -> set[NodeLabel]:
     """All `dim` neighbors of `x`, by the closed-form rule.
 
     For dim 2 the rule degenerates to flipping either bit, which is exactly
     the four-cycle adjacency of LTQ_2.
     """
-    if not isinstance(x, NodeLabel):  # a plain tuple was never validated
-        raise TypeError(f"neighbors needs a NodeLabel, got {type(x).__name__}")
+    _need_labels("neighbors", (x,))  # a plain tuple was never validated
     dim, value = x
     return set(_labels(dim, _neighbor_values(dim, value)))
 
@@ -293,6 +302,7 @@ def neighbors_recursive(x: NodeLabel) -> set[NodeLabel]:
 
 def is_adjacent(x: NodeLabel, y: NodeLabel) -> bool:
     """True iff `x` and `y` are joined by an edge."""
+    _need_labels("is_adjacent", (x, y))
     if x.dim != y.dim:
         raise DimensionError(f"cannot compare labels of dim {x.dim} and {y.dim}")
     return _adjacent_values(x.dim, x.value, y.value)

@@ -129,7 +129,9 @@ def _sequence_checks(
     if closed:
         closes = len(values) >= 3 and _adjacent_values(dim, values[-1], values[0])
         detail = "" if closes else "an empty walk has no closing edge"
-        if values and not closes:
+        if 0 < len(values) < 3:  # the words of `Cycle.from_values`
+            detail = f"a cycle needs at least 3 nodes, got {len(values)}"
+        elif values and not closes:
             detail = f"{values[-1]:{bits}} .. {values[0]:{bits}} is not an edge"
         checks.append(CheckResult("closing edge", closes, detail))
     return checks

@@ -140,6 +140,11 @@ class TestScheduleEngine:
         assert set(report.per_edge_load.values()) == {30}
         assert report.completed
 
+    def test_takes_a_one_shot_iterable(self):
+        pair = edh_cycles(5)
+        report = simulate_schedules(ring for ring in pair.members)
+        assert report == simulate_split_broadcast(pair)
+
     def test_rejects_empty(self):
         with pytest.raises(LtqError):
             simulate_schedules([])

@@ -57,6 +57,13 @@ class TestPathType:
         with pytest.raises(DimensionError):
             Path((make_label(4, "0000"), make_label(5, "00001")))
 
+    @pytest.mark.parametrize(
+        "nodes, kind", [([0, 1], "int"), ([make_label(4, "0000"), (4, 1)], "tuple")]
+    )
+    def test_rejects_what_is_no_label(self, nodes, kind):
+        with pytest.raises(TypeError, match=f"^Path needs a NodeLabel, got {kind}$"):
+            Path(nodes)
+
     def test_accessors(self):
         p = path_of(4, "0010", "0000", "0001")
         assert p.start == make_label(4, "0010")
@@ -86,6 +93,10 @@ class TestCycleType:
     def test_rejects_short_cycle(self):
         with pytest.raises(LtqError):
             Cycle((make_label(2, "00"), make_label(2, "01")))
+
+    def test_rejects_what_is_no_label(self):
+        with pytest.raises(TypeError, match="^Cycle needs a NodeLabel, got tuple$"):
+            Cycle([(4, 0), (4, 1), (4, 3), (4, 2)])
 
     def test_rejects_broken_closure(self):
         # 0000..0100 is a fine open path but 0100 is not adjacent to 0001
@@ -487,6 +498,20 @@ class TestHamiltonianPairType:
         shallow = copy.copy(walk)
         assert shallow.values is walk.values and shallow._masks() == edh_paths(6).first._masks()
 
+    @pytest.mark.parametrize("build", [edh_paths, edh_cycles])
+    def test_a_loaded_pair_that_shares_an_edge_is_refused(self, build):
+        # loading runs the pair's checks: one member twice, or a member whose
+        # values were replaced in place by the other's, never loads
+        same = build(6)
+        object.__setattr__(same, "second", same.first)
+        replaced = build(6)
+        object.__setattr__(replaced.second, "values", replaced.first.values)
+        for pair in (same, replaced):
+            with pytest.raises(InvalidPairError, match="^pair members share an edge$"):
+                pickle.loads(pickle.dumps(pair))
+            with pytest.raises(InvalidPairError, match="^pair members share an edge$"):
+                copy.deepcopy(pair)
+
 
 class TestDoubledHalf:
     """`_doubled_half` sets the doubling's bit in one byte column: it gives the
@@ -512,25 +537,29 @@ class TestHeldCubeNeedsAPermutation:
 
     @staticmethod
     def tampered(values):
-        """Walks of dim 6 whose state holds `values`, set in place or unpickled."""
+        """A walk of dim 6 whose values were set in place to `values`, and the
+        error that unpickling it raises, since loading runs its checks."""
         walk = edh_cycles(6).first
         object.__setattr__(walk, "values", tuple(values))
-        return walk, pickle.loads(pickle.dumps(walk))
+        with pytest.raises(LtqError) as refused:
+            pickle.loads(pickle.dumps(walk))
+        return walk, refused.value
 
     @pytest.mark.parametrize(
-        "change",
+        "change, refusal",
         [
-            {63: 0},  # a repeat, so some node is missing
-            {63: 64},  # past the cube
-            {63: -1},  # indexes the last slot from the end
-            {0: False, 1: True},  # equal to 0 and 1, but not an int
+            ({63: 0}, OverlapError),  # a repeat, so some node is missing
+            ({63: 64}, LabelFormatError),  # past the cube
+            ({63: -1}, LabelFormatError),  # indexes the last slot from the end
+            ({0: False, 1: True}, AdjacencyError),  # equal to 0 and 1, but not an int
         ],
     )
-    def test_tampered_values_keep_no_table(self, change):
+    def test_tampered_values_keep_no_table(self, change, refusal):
         values = [change.get(v, v) for v in range(64)]
-        for walk in self.tampered(values):
-            assert [label.value for label in walk.nodes] == values
-            assert topology._CUBE == ()
+        walk, refused = self.tampered(values)
+        assert [label.value for label in walk.nodes] == values
+        assert topology._CUBE == ()
+        assert type(refused) is refusal
 
     def test_a_validated_walk_of_bools_holds_ints(self):
         # validation takes False and True as the ints they equal, and the walk
@@ -541,10 +570,11 @@ class TestHeldCubeNeedsAPermutation:
         assert {type(label.value) for label in topology._CUBE} == {int}
 
     def test_a_held_table_stays_after_a_tampered_read(self):
-        walk, unpickled = self.tampered([v % 63 for v in range(64)])  # 0 twice, no 63
+        walk, refused = self.tampered([v % 63 for v in range(64)])  # 0 twice, no 63
+        assert type(refused) is OverlapError
         edh_cycles(6).second.nodes
         held = topology._CUBE
-        for other in (walk, unpickled, Path.from_values(6, range(1))):
+        for other in (walk, Path.from_values(6, range(1))):
             other.nodes
             assert topology._CUBE is held
 

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ltqcube import Cycle, MAX_DIM, NodeLabel, OverlapError, Path, edh_cycles, edh_paths
+from ltqcube import AdjacencyError, Cycle, LabelFormatError, MAX_DIM, NodeLabel, OverlapError, Path
+from ltqcube import edh_cycles, edh_paths
 from ltqcube import topology, verify_pair
 from ltqcube.verify import _distinct, _no_shared_step
 
@@ -72,8 +73,10 @@ class TestValues:
         assert back == walk and hash(back) == hash(walk)
 
 
-class TestStatesNoArrayHolds:
-    """A state kept as given, not as a 4-byte array, still equals and hashes."""
+class TestUnpicklingValidates:
+    """A pickled state loads through the checks of `from_values`: it raises
+    what `from_values` raises on the same values, and a state that passes
+    loads as a 4-byte array."""
 
     @staticmethod
     def unpickled(dim, values):
@@ -82,24 +85,33 @@ class TestStatesNoArrayHolds:
         object.__setattr__(walk, "values", tuple(values))
         return pickle.loads(pickle.dumps(walk))
 
-    def test_a_walk_of_bools_equals_the_walk_of_ints(self):
+    def test_a_repeated_node_raises_overlap(self):
+        values = list(edh_cycles(6).first.values)
+        with pytest.raises(OverlapError, match="more than once"):
+            self.unpickled(6, values[:-1] + values[:1])
+
+    def test_a_step_that_is_no_edge_raises_adjacency_not_key_error(self):
+        values = list(edh_cycles(6).first.values)
+        values[1], values[2] = values[2], values[1]
+        with pytest.raises(AdjacencyError, match="not adjacent"):
+            self.unpickled(6, values)
+        with pytest.raises(AdjacencyError):
+            Cycle.from_values(6, values)
+
+    @pytest.mark.parametrize("bad", [-1, 64, 1 << 32])
+    def test_a_value_outside_the_cube_raises_label_format(self, bad):
+        values = [bad if v == 63 else v for v in edh_cycles(6).first.values]
+        with pytest.raises(LabelFormatError, match="out of range for dim 6"):
+            self.unpickled(6, values)
+
+    def test_a_walk_of_bools_loads_as_the_walk_of_ints(self):
         # a walk validated from bools before values were arrays pickled them as given
         cycle = edh_cycles(6).first
         back = self.unpickled(6, [{0: False, 1: True}.get(v, v) for v in cycle.values])
-        assert type(back.values) is tuple and False in back.values
+        assert type(back.values) is memoryview and back.values.format == "I"
+        assert {type(v) for v in back.values} == {int}
         assert back == cycle and hash(back) == hash(cycle)
         assert len({back, cycle}) == 1
-
-    @pytest.mark.parametrize(
-        "change", [{63: 0}, {63: 64}, {63: -1}, {63: 1 << 32}, {0: False, 1: True}]
-    )
-    def test_tampered_states_compare_and_hash(self, change):
-        values = [change.get(v, v) for v in range(64)]
-        back = self.unpickled(6, values)
-        twin = self.unpickled(6, values)
-        assert back == twin and hash(back) == hash(twin)
-        assert back != edh_cycles(6).first
-        assert {back: 1}[twin] == 1
 
 
 class TestBoundedMemory:

@@ -337,6 +337,13 @@ class TestIsAdjacent:
         with pytest.raises(DimensionError):
             is_adjacent(make_label(4, "0000"), make_label(5, "00000"))
 
+    @pytest.mark.parametrize(
+        "x, y, kind", [((4, 0), (4, 1), "tuple"), (NodeLabel(4, 0), 1, "int")]
+    )
+    def test_rejects_what_is_no_label(self, x, y, kind):
+        with pytest.raises(TypeError, match=f"^is_adjacent needs a NodeLabel, got {kind}$"):
+            is_adjacent(x, y)
+
 
 class TestEdges:
     @pytest.mark.parametrize("dim,count", [(2, 4), (4, 32), (5, 80)])

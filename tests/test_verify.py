@@ -890,6 +890,15 @@ class TestVerifyPairDetails:
             f"{short[-1]:06b} .. {short[0]:06b} is not an edge"
         )
 
+    @pytest.mark.parametrize("values", [[0, 1], [1]], ids=["two", "one"])
+    def test_closing_edge_of_fewer_than_three_nodes(self, values):
+        # 0001 .. 0000 is an edge: what is missing is a third node
+        details = self.details(values, edh_cycles(4).second.values, dim=4)
+        detail = f"a cycle needs at least 3 nodes, got {len(values)}"
+        assert details["first: closing edge"] == detail
+        with pytest.raises(LtqError, match=f"^{detail}$"):
+            Cycle.from_values(4, values)
+
     def test_shared_edges(self, pair):
         first, _ = pair
         details = self.details(first, first[::-1])
