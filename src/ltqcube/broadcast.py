@@ -27,7 +27,7 @@ from itertools import chain, repeat
 from ._record import _Record
 from .construction import Cycle, HamiltonianPair
 from .errors import InvalidPairError, LtqError
-from .topology import Edge, _edges_of, _holds, _mask_edges, _sharing, _union
+from .topology import Edge, _edges_of, _holds, _mask_edges, _need, _sharing, _union
 
 
 class TrafficReport(_Record):
@@ -139,6 +139,7 @@ def simulate_split_broadcast(pair: HamiltonianPair) -> TrafficReport:
     read the edge masks each ring keeps: derived by the doubling for a
     constructed pair, computed on first use for user-built rings.
     """
+    _need("simulate_split_broadcast", HamiltonianPair, (pair,))
     if pair.kind != "cycles":
         raise InvalidPairError("split broadcast needs a pair of cycles")
     return simulate_schedules(pair.members)

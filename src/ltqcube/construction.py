@@ -30,21 +30,21 @@ edge.
 The doubling runs on plain integer labels, in 4-byte arrays, and makes no
 Python int per node: each level's reversed half is copied as bytes, and the
 new high bit is set in the one byte column that holds it, by one table
-lookup per entry (`_doubled_half`). `Path` and `Cycle` hold the dimension plus
-their label values in an `array("I")`, shown as a read-only `memoryview`
-(`values`), and read their edges as value pairs (`edge_pairs()`, in
-ascending order) from per-node edge masks, an `array("I")` as well;
-`nodes` makes the `NodeLabel`s only when it is read, and a whole read
-shares them with later reads of its cube (`topology._hold`). The masks
-have two sources. A walk from `Path(nodes)`, `from_values` or `pickle` is
-validated once and computes its masks on first use. A constructed pair is
-not validated node by node: the doubling carries the induction's proof.
-The seeds are validated as `from_values` would, each seed tuple once per
-process (`_seed`); each level doubles the mask array (each half holds a
-copy of the old path) and adds its junction edge after checking that the
-old end is even, and a cycle's closing edge is checked the same way at
-its start. So these masks are *derived*, and `HamiltonianPair` checks on
-them that the members share no edge.
+lookup per entry (`_doubled_half`). `Path` and `Cycle` hold the dimension
+plus their label values in immutable `bytes`, four a value, shown as a
+read-only `memoryview` of format "I" (`values`), and read their edges as
+value pairs (`edge_pairs()`, in ascending order) from per-node edge masks,
+an `array("I")`; `nodes` makes the `NodeLabel`s only when it is read, and a
+whole read shares them with later reads of its cube (`topology._hold`). The
+masks have two sources. A walk from `Path(nodes)`, `from_values` or `pickle`
+is validated once and computes its masks on first use. A constructed pair is
+not validated node by node: the doubling carries the induction's proof. The
+seeds are validated as `from_values` would, each seed tuple once per process
+(`_seed`); each level doubles the mask array (each half holds a copy of the
+old path) and adds its junction edge after checking that the old end is
+even, and a cycle's closing edge is checked the same way at its start. So
+these masks are *derived*, and `HamiltonianPair` checks on them that the
+members share no edge.
 `verify.verify_pair` and the CLI `verify` stay the *measured* check: they
 re-derive every verdict from the node sequences and the adjacency rule,
 with none of the mask helpers.
@@ -75,7 +75,7 @@ from .topology import (
     _hold,
     _labels,
     _mask_edges,
-    _need_labels,
+    _need,
     _node_masks,
     _sharing,
     _step_tops,
@@ -123,9 +123,9 @@ def _check_values(dim: int, values: Sequence[int], *, closed: bool) -> tuple[int
 
 class _Walk(_Record):
     """What Path and Cycle share: a dimension and a non-empty sequence of
-    label values, kept in a 4-byte `array("I")` that `values` shows as a
-    read-only `memoryview` (the array cannot be resized while it does).
-    Equality and the hash read the dimension and the array's bytes; the
+    label values, kept in immutable `bytes`, four a value, that `values`
+    shows as a read-only `memoryview` of format "I", so nothing writes them
+    once checked. Equality and the hash read the dimension and the bytes; the
     pickled state and the repr show the values as a tuple, which loads
     through the checks of `from_values`. NodeLabels are made, or taken from
     the cube `topology._CUBE` holds, only when `nodes`, iteration or
@@ -137,7 +137,7 @@ class _Walk(_Record):
 
     def __init__(self, nodes: Iterable[NodeLabel]) -> None:
         nodes = tuple(nodes)
-        _need_labels(self.__class__.__name__, nodes)
+        _need(self.__class__.__name__, NodeLabel, nodes)
         self._store(None, [node.value for node in nodes], nodes)
 
     @classmethod
@@ -167,21 +167,25 @@ class _Walk(_Record):
         self._keep(dim, array("I", values), low, None)
 
     def _keep(self, dim: int, values: array, low: int, masks: Sequence[int] | None) -> None:
-        """Store proven `values`, least value `low`, with the edge masks proven
-        for them (None: computed on first use)."""
+        """Store proven `values`, least value `low`, as bytes, with the edge
+        masks proven for them (None: computed on first use). The caller gives
+        `values` up: a cycle is reversed in place when the neighbor before
+        `low` is the smaller, and one copy makes the rotated bytes."""
+        at = 0
         if self._closed:  # rotate after validating, so errors name input positions
             at = values.index(low)
-            values = values[at:] + values[:at]
-            if values[-1] < values[1]:
-                values = values[:1] + values[:0:-1]
-        self._set((dim, memoryview(values).toreadonly()))
+            if values[at - 1] < values[at + 1 - len(values)]:
+                values.reverse()
+                at = len(values) - 1 - at
+        view = memoryview(values)
+        self._set((dim, memoryview(b"".join((view[at:], view[:at]))).cast("I")))
         object.__setattr__(self, "_kept_masks", (None if masks is None else self.values, masks))
 
     def __getstate__(self) -> tuple[int, tuple[int, ...]]:
         return self.dim, tuple(self.values)
 
     def _key(self) -> tuple[int, bytes]:
-        return self.dim, self.values.tobytes()
+        return self.dim, self.values.obj
 
     def __len__(self) -> int:
         return len(self.values)
@@ -264,6 +268,7 @@ class HamiltonianPair(_Record):
 
     def __init__(self, first: Path | Cycle, second: Path | Cycle, dim: int) -> None:
         check_dim(dim)
+        _need("HamiltonianPair", (Path, Cycle), (first, second))
         if type(first) is not type(second):
             raise InvalidPairError("pair members must both be paths or both be cycles")
         for member in (first, second):

@@ -9,15 +9,17 @@ bit 1, joined by a twist edge from each node 0 b_{n-2} .. b_0 to
 1 (b_{n-2} xor b_0) b_{n-3} .. b_0.
 
 A node is a `NodeLabel`, the tuple `(dim, value)` of the bit width and the
-label read as an unsigned integer; an edge is an `Edge`, the tuple `(a, b)`
-of its two labels, smaller value first. Both equal and order only against
-their own class. `NodeLabel(dim, value)`, `make_label(dim, bits)` and
-`Edge(a, b)` validate once; where the parts are already proven, the package
-builds labels and edges with no further check. The first whole read of a
-walk's `.nodes` over every node of a cube keeps its labels, indexed by value,
-as `_CUBE`, and every later label of that cube the package returns is one of
-them: one NodeLabel per node. At most one cube's labels are kept (about 56
-bytes a node); a whole read of another cube replaces them.
+label read as an unsigned integer (an int, never a bool); an edge is an
+`Edge`, the tuple `(a, b)` of its two labels, smaller value first. Both
+equal and order only against their own class. `NodeLabel(dim, value)`,
+`make_label(dim, bits)` and `Edge(a, b)` validate once; where the parts are
+already proven, the package builds labels and edges with no further check.
+An entry point handed an object of the wrong type raises TypeError naming
+that type (`_need`). The first whole read of a walk's `.nodes` over every
+node of a cube keeps its labels, indexed by value, as `_CUBE`, and every
+later label of that cube the package returns is one of them: one NodeLabel
+per node. At most one cube's labels are kept (about 56 bytes a node); a
+whole read of another cube replaces them.
 
 Two neighbor routines are provided. `neighbors` applies the closed-form
 rule the recursion unfolds to: flip bit 0, flip bit 1, or, for any
@@ -34,7 +36,9 @@ Walks and edge sets are read in bulk as edge masks, one 4-byte `array("I")`
 entry per node indexed by value (`MAX_DIM` is 30, so every label and mask
 fits in 32 bits): bit k marks the node's edge of dimension k, the top set
 bit of `u ^ v` for an edge u .. v. `_node_masks` makes a walk's masks and
-`EdgeSet._without` removes them from the cube. The one writer outside this
+`EdgeSet._without` removes them from the cube; an `EdgeSet` is a frozen
+`_record._Record`, copied as itself and loaded through its constructor's
+checks, like every result of the package. The one writer outside this
 module is the construction, which derives its members' masks from the
 seeds': `construction._constructed_pair` doubles the array at each level
 and `construction._join` ORs in each junction's bits. `_mask_edges` is the
@@ -51,6 +55,7 @@ from functools import partial, reduce
 from itertools import chain, repeat
 from operator import and_, is_, itemgetter, lshift, or_, setitem, xor
 
+from ._record import _Record
 from .errors import AdjacencyError, DimensionError, LabelFormatError
 
 #: Largest supported dimension. Keeps exhaustive edge sets addressable, and
@@ -123,7 +128,7 @@ class NodeLabel(_Value):
 
     def __new__(cls, dim: int, value: int) -> NodeLabel:
         check_dim(dim)
-        if not isinstance(value, int):
+        if isinstance(value, bool) or not isinstance(value, int):
             raise LabelFormatError(f"value must be an integer, got {value!r}")
         if not 0 <= value < 1 << dim:
             raise LabelFormatError(f"value {value} out of range for dim {dim}")
@@ -186,6 +191,7 @@ class Edge(_Value):
     __slots__ = ()
 
     def __new__(cls, a: NodeLabel, b: NodeLabel) -> Edge:
+        _need("Edge", NodeLabel, (a, b))
         if a.dim != b.dim:
             raise DimensionError(f"edge endpoints differ in dim: {a.dim} vs {b.dim}")
         if a.value > b.value:
@@ -238,11 +244,14 @@ def _adjacent_values(dim: int, u: int, v: int) -> bool:
     return 0 < d < 1 << dim and d == _FLIPS[u & 1][d.bit_length() - 1]
 
 
-def _need_labels(what: str, labels: Sequence[object]) -> None:
-    """Raise TypeError naming the type of the first of `labels` that is no NodeLabel."""
-    if not all(map(isinstance, labels, repeat(NodeLabel))):
-        bad = next(label for label in labels if not isinstance(label, NodeLabel))
-        raise TypeError(f"{what} needs a NodeLabel, got {type(bad).__name__}")
+def _need(what: str, kind: type | tuple[type, ...], items: Sequence[object]) -> None:
+    """Raise TypeError naming the type of the first of `items` that is no
+    `kind`, a class or a tuple of classes, in one C-level pass when all are."""
+    if not all(map(isinstance, items, repeat(kind))):
+        bad = next(item for item in items if not isinstance(item, kind))
+        names = " or ".join(k.__name__ for k in kind) if isinstance(kind, tuple) else kind.__name__
+        article = "an" if names[0] in "AEIOU" else "a"
+        raise TypeError(f"{what} needs {article} {names}, got {type(bad).__name__}")
 
 
 def neighbors(x: NodeLabel) -> set[NodeLabel]:
@@ -251,7 +260,7 @@ def neighbors(x: NodeLabel) -> set[NodeLabel]:
     For dim 2 the rule degenerates to flipping either bit, which is exactly
     the four-cycle adjacency of LTQ_2.
     """
-    _need_labels("neighbors", (x,))  # a plain tuple was never validated
+    _need("neighbors", NodeLabel, (x,))  # a plain tuple was never validated
     dim, value = x
     return set(_labels(dim, _neighbor_values(dim, value)))
 
@@ -292,6 +301,7 @@ def neighbors_recursive(x: NodeLabel) -> set[NodeLabel]:
     is `dim` characters long. Agrees with `neighbors` everywhere; kept
     deliberately independent of the bitwise closed form.
     """
+    _need("neighbors_recursive", NodeLabel, (x,))
     dim = x.dim
     found = _recursive_neighbor_strings("", x.bits)
     lengths = set(map(len, found))
@@ -302,7 +312,7 @@ def neighbors_recursive(x: NodeLabel) -> set[NodeLabel]:
 
 def is_adjacent(x: NodeLabel, y: NodeLabel) -> bool:
     """True iff `x` and `y` are joined by an edge."""
-    _need_labels("is_adjacent", (x, y))
+    _need("is_adjacent", NodeLabel, (x, y))
     if x.dim != y.dim:
         raise DimensionError(f"cannot compare labels of dim {x.dim} and {y.dim}")
     return _adjacent_values(x.dim, x.value, y.value)
@@ -380,7 +390,7 @@ def edge_pairs(dim: int) -> Iterator[tuple[int, int]]:
     return _mask_edges(repeat((1 << dim) - 1, 1 << dim))
 
 
-class EdgeSet(Set):
+class EdgeSet(_Record, Set):
     """A read-only set of edges of one cube: every edge of the dim-cube
     except some removed ones, held as one edge mask per node (bit k set when
     the node's edge of dimension k is removed; no array when none is). `len`
@@ -390,35 +400,31 @@ class EdgeSet(Set):
     ascending order. It equals and hashes like the frozenset of the same
     edges, hashing once; `-`, `&` and `|` return frozensets of `Edge`.
     `EdgeSet(dim)` is the whole cube, and `EdgeSet._without(dim, masks)` the
-    cube minus the edges of some walks, read from their mask arrays.
+    cube minus the edges of some walks, read from their mask arrays. As a
+    record it is frozen, `copy.copy` returns it, and a load runs `__init__`.
     """
 
     __slots__ = ("dim", "_removed", "_popcounts", "_hash_cache")
+    _fields = ("dim", "_removed")
 
-    def __init__(self, dim: int) -> None:
-        """Every edge of the dim-cube, with no mask array."""
+    def __init__(self, dim: int, _removed: Sequence[int] = ()) -> None:
+        """Every edge of the dim-cube but those the per-node masks `_removed`
+        mark: none, or one mask for each of the 2**dim nodes."""
         check_dim(dim)
-        self.__setstate__((dim, ()))
+        if _removed and len(_removed) != 1 << dim:
+            raise DimensionError(f"dim {dim} needs {1 << dim} removed masks, got {len(_removed)}")
+        self._set((dim, _removed if any(_removed) else ()))
+        # how many nodes have each number of removed edges
+        counts = Counter(map(int.bit_count, _removed)) if self._removed else {0: 1 << dim}
+        object.__setattr__(self, "_popcounts", counts)
+        object.__setattr__(self, "_hash_cache", None)
 
     @classmethod
     def _without(cls, dim: int, masks: Sequence[array]) -> EdgeSet:
         """The proven dim-cube minus every edge the mask arrays hold, such as
         those each `Path` or `Cycle` keeps; none may reach past node 2**dim.
         With no arrays it is the whole cube."""
-        unused = cls.__new__(cls)
-        unused.__setstate__((dim, _union(masks, 1 << dim) if masks else ()))
-        return unused
-
-    def __getstate__(self) -> tuple[int, Sequence[int]]:
-        """The dimension and the per-node removed masks (pickle and copy)."""
-        return self.dim, self._removed
-
-    def __setstate__(self, state: tuple[int, Sequence[int]]) -> None:
-        self.dim, masks = state
-        self._removed = masks if any(masks) else ()
-        #: how many nodes have each number of removed edges
-        self._popcounts = Counter(map(int.bit_count, masks)) if self._removed else {0: 1 << self.dim}
-        self._hash_cache: int | None = None
+        return cls(dim, _union(masks, 1 << dim) if masks else ())
 
     def _degree_histogram(self) -> dict[int, int]:
         """Node count by degree in this set: dim minus a mask's popcount."""
@@ -474,7 +480,7 @@ class EdgeSet(Set):
         if self._hash_cache is None:
             pairs = self.pairs
             ends = (zip(repeat(self.dim), map(itemgetter(k), pairs)) for k in (0, 1))
-            self._hash_cache = hash(frozenset(zip(*ends)))
+            object.__setattr__(self, "_hash_cache", hash(frozenset(zip(*ends))))
         return self._hash_cache
 
     def __repr__(self) -> str:

@@ -27,6 +27,7 @@ from .topology import (
     EdgeSet,
     NodeLabel,
     _adjacent_values,
+    _need,
     _neighbor_values,
     check_dim,
 )
@@ -75,13 +76,18 @@ class VerificationReport(_Record):
         }
 
 
-def _raw(obj: Path | Cycle | Sequence[NodeLabel]) -> tuple[Mapping[int, int], Sequence[int]]:
+def _raw(
+    obj: Path | Cycle | Sequence[NodeLabel], what: str
+) -> tuple[Mapping[int, int], Sequence[int]]:
     """Label counts by dimension, and values in walk order: a walk's own
     4-byte view, which each check below reads once, as a list it drops when
-    done, so that at most one walk's values are Python ints at a time."""
+    done, so that at most one walk's values are Python ints at a time. Any
+    other item than a NodeLabel raises TypeError for the checker `what`, so
+    every value read is an int in [0, 2**MAX_DIM)."""
     if isinstance(obj, (Path, Cycle)):
         return {obj.dim: len(obj)}, obj.values
     nodes = obj if isinstance(obj, (list, tuple)) else tuple(obj)
+    _need(what, NodeLabel, nodes)
     return Counter(map(itemgetter(0), nodes)), list(map(itemgetter(1), nodes))
 
 
@@ -140,16 +146,13 @@ def _sequence_checks(
 def _distinct(values: Sequence[int]) -> bool:
     """True when the values are shown distinct: each marks its byte of a
     table that ends at the largest value, and no two mark the same one.
-    False when two do, or when the walk is too sparse for the table or
-    holds a value that indexes past it; `Counter` then decides."""
+    False when two do, or when the walk is too sparse for the table;
+    `Counter` then decides."""
     size = max(values, default=-1) + 1
     if size > len(values) << 5:  # a byte per value up to the largest would cost more
         return False
     marks = bytearray(size)
-    try:
-        any(map(setitem, repeat(marks), values, repeat(1)))  # C-level stores
-    except IndexError:
-        return False
+    any(map(setitem, repeat(marks), values, repeat(1)))  # C-level stores
     return marks.count(1) == len(values)
 
 
@@ -200,7 +203,7 @@ def _no_shared_step(
         b_next = _successors(b, b_closed)
         found = any(map(eq, map(getitem, repeat(after), b), b_next))
         return not (found or any(map(eq, map(getitem, repeat(after), b_next), b)))
-    except (IndexError, OverflowError):
+    except IndexError:  # `b` holds a value past `a`'s largest
         return False
 
 
@@ -228,15 +231,17 @@ def _shared_edges(
 def is_hamiltonian_path(dim: int, p: Path | Sequence[NodeLabel]) -> bool:
     """True iff `p` visits every node of the dim-cube exactly once along edges.
 
-    Raises DimensionError on a dim outside [2, MAX_DIM], and otherwise never
-    on well-typed input; broken sequences, empty ones too, simply fail.
+    Raises DimensionError on a dim outside [2, MAX_DIM] and TypeError on an
+    item that is no NodeLabel; broken sequences, empty ones too, simply fail.
     """
-    return all(c.passed for c in _sequence_checks(dim, *_raw(p), closed=False))
+    checks = _sequence_checks(dim, *_raw(p, "is_hamiltonian_path"), closed=False)
+    return all(check.passed for check in checks)
 
 
 def is_hamiltonian_cycle(dim: int, c: Cycle | Sequence[NodeLabel]) -> bool:
     """As `is_hamiltonian_path`, plus the closing edge back to the start."""
-    return all(c.passed for c in _sequence_checks(dim, *_raw(c), closed=True))
+    checks = _sequence_checks(dim, *_raw(c, "is_hamiltonian_cycle"), closed=True)
+    return all(check.passed for check in checks)
 
 
 def are_edge_disjoint(
@@ -247,7 +252,7 @@ def are_edge_disjoint(
     Only a `Cycle` counts its closing edge: a plain sequence of labels, or a
     `Path`, is an open walk. Wrap a sequence in `Cycle` to count it closed.
     """
-    (dims_a, values_a), (dims_b, values_b) = _raw(a), _raw(b)
+    (dims_a, values_a), (dims_b, values_b) = (_raw(w, "are_edge_disjoint") for w in (a, b))
     if len(dims_a.keys() | dims_b.keys()) > 1:
         raise DimensionError("cannot compare walks of different dimensions")
     return not _shared_edges(values_a, isinstance(a, Cycle), values_b, isinstance(b, Cycle))
@@ -262,7 +267,8 @@ def verify_pair(
     """Run every checker over a claimed Hamiltonian pair and report by name."""
     if kind not in ("paths", "cycles"):
         raise LtqError(f"kind must be 'paths' or 'cycles', got {kind!r}")
-    return _verify_members(dim, kind, [(*_raw(m), isinstance(m, Cycle)) for m in (first, second)])
+    members = [(*_raw(m, "verify_pair"), isinstance(m, Cycle)) for m in (first, second)]
+    return _verify_members(dim, kind, members)
 
 
 def _verify_values(
@@ -532,6 +538,7 @@ def residual_analysis(
     check_dim(dim)
     if search_budget is not None:
         _check_count("budget", search_budget)
+    _need("residual_analysis", HamiltonianPair, (pair,))
     if pair.kind != "cycles":
         raise InvalidPairError("residual analysis needs a pair of cycles")
     if pair.dim != dim:
@@ -590,6 +597,8 @@ def search_third_cycle(
         if residual.dim != dim:
             raise DimensionError(f"residual edge of dim {residual.dim} in a dim-{dim} search")
         return _bounded_cycle_search(dim, residual, budget)[0]
+    residual = tuple(residual)
+    _need("search_third_cycle", Edge, residual)
     pairs: set[tuple[int, int]] = set()
     for e in residual:
         if e.dim != dim:

@@ -4,6 +4,9 @@ Each is compared against the eager frozenset of `Edge` objects the library
 built before, kept here as the reference.
 """
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +14,7 @@ from hypothesis import strategies as st
 import ltqcube.topology as topology_module
 from ltqcube import (
     Cycle,
+    DimensionError,
     Edge,
     InvalidPairError,
     NodeLabel,
@@ -257,6 +261,54 @@ class TestNoEnumeration:
             residual_analysis(6, edh_cycles(6)).unused_edges.pairs
         with pytest.raises(AssertionError, match="enumerated"):
             list(edges(4))
+
+
+class TestFrozenRecord:
+    """An edge set is a record: frozen, copied as itself, and loaded through
+    its constructor's checks."""
+
+    @staticmethod
+    def sets():
+        return [edges(5), edges(8), residual_analysis(8, edh_cycles(8)).unused_edges]
+
+    @pytest.mark.parametrize("field", ["dim", "_removed", "_popcounts", "_hash_cache"])
+    def test_setting_a_field_raises(self, field):
+        for es in self.sets():
+            size = len(es)
+            with pytest.raises(AttributeError):
+                setattr(es, field, 7)
+            with pytest.raises(AttributeError):
+                delattr(es, field)
+            assert len(es) == size
+
+    def test_a_shallow_copy_is_the_set(self):
+        for es in self.sets():
+            assert copy.copy(es) is es
+
+    @pytest.mark.parametrize("state,error", [
+        ((31, ()), "dim must be an integer"),
+        ((6, (1, 2, 3)), "needs 64 removed masks, got 3"),
+    ])
+    def test_a_bad_state_raises_on_load(self, state, error):
+        loaded = EdgeSet.__new__(EdgeSet)
+        with pytest.raises(DimensionError, match=error):
+            loaded.__setstate__(state)
+        # as `pickle` and `copy.deepcopy` call it, through `__reduce_ex__`
+        tampered = edges(6)
+        object.__setattr__(tampered, "_removed", state[1])
+        object.__setattr__(tampered, "dim", state[0])
+        for load in (lambda: pickle.loads(pickle.dumps(tampered)), lambda: copy.deepcopy(tampered)):
+            with pytest.raises(DimensionError, match=error):
+                load()
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_round_trips_equal(self, protocol):
+        for es in self.sets():
+            for back in (pickle.loads(pickle.dumps(es, protocol)), copy.deepcopy(es)):
+                assert type(back) is EdgeSet and back is not es
+                assert back == es and hash(back) == hash(es) and len(back) == len(es)
+                assert back._degree_histogram() == es._degree_histogram()
+                assert back.pairs == es.pairs
 
 
 class TestDerivedCountIsACheck:

@@ -1,6 +1,7 @@
 """Four bytes a node: a walk's values and edge masks live in `array("I")`,
 and the checkers mark bytes instead of building a Python object per node."""
 
+import copy
 import gc
 import pickle
 import tracemalloc
@@ -54,11 +55,15 @@ class TestValues:
         assert tuple(walk.values) == (0, 1, 3)
 
     def test_the_array_cannot_be_resized(self):
+        # the view's buffer is immutable bytes, however the walk was made, so
+        # nothing can change a pair's values in place after it was checked
         walk = Cycle.from_values(4, [0, 1, 3, 2])
-        with pytest.raises(BufferError):
-            walk.values.obj.append(6)
-        with pytest.raises(BufferError):
-            del walk.values.obj[0]
+        made = [walk, Path(walk.nodes), pickle.loads(pickle.dumps(walk)), copy.deepcopy(walk)]
+        for pair in (edh_paths(5), edh_cycles(5)):
+            made += pair.members
+        for each in made:
+            assert type(each.values.obj) is bytes and each.values.nbytes == len(each.values.obj)
+            assert memoryview(each.values.obj).readonly
         assert len(walk) == 4
 
     def test_a_view_equals_no_tuple(self):
@@ -193,4 +198,13 @@ def test_a_signed_view_in_place_of_the_values_keeps_no_table(monkeypatch, typeco
     walk = edh_cycles(6).first
     values = [-1 if v == 63 else v for v in range(64)]
     object.__setattr__(walk, "values", memoryview(array(typecode, values)).toreadonly())
+    assert [label.value for label in walk.nodes] == values and topology._CUBE == ()
+
+
+def test_a_value_past_the_cube_in_place_of_the_values_keeps_no_table(monkeypatch):
+    # 64 entries of format "I", one of them 64: the scatter indexes past the cube
+    monkeypatch.setattr(topology, "_CUBE", ())
+    walk = edh_cycles(6).first
+    values = [64 if v == 63 else v for v in range(64)]
+    object.__setattr__(walk, "values", memoryview(array("I", values)).toreadonly())
     assert [label.value for label in walk.nodes] == values and topology._CUBE == ()
