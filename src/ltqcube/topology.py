@@ -36,13 +36,17 @@ Walks and edge sets are read in bulk as edge masks, one 4-byte `array("I")`
 entry per node indexed by value (`MAX_DIM` is 30, so every label and mask
 fits in 32 bits): bit k marks the node's edge of dimension k, the top set
 bit of `u ^ v` for an edge u .. v. `_node_masks` makes a walk's masks and
-`EdgeSet._without` removes them from the cube; an `EdgeSet` is a frozen
-`_record._Record`, copied as itself and loaded through its constructor's
-checks, like every result of the package. The one writer outside this
-module is the construction, which derives its members' masks from the
-seeds': `construction._constructed_pair` doubles the array at each level
-and `construction._join` ORs in each junction's bits. `_mask_edges` is the
-one edge enumerator: every edge list of the package comes out of it, in
+`EdgeSet._without` removes them from the cube. An `EdgeSet` is a plain
+frozen `_record._Record`, like every result of the package: it keeps its
+masks in immutable bytes, equals and hashes by its dim and those bytes (not
+as a set of `Edge`; `frozenset(es)` is one), is copied as itself, and is
+loaded through its constructor's checks, which refuse a mask bit at or
+above `dim`; `_without` stores the union of proven walks' masks without
+that pass. The one writer of masks outside this module is the
+construction, which derives its members' masks from the seeds':
+`construction._constructed_pair` doubles the array at each level and
+`construction._join` ORs in each junction's bits. `_mask_edges` is the one
+edge enumerator: every edge list of the package comes out of it, in
 ascending order.
 """
 
@@ -50,7 +54,7 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
-from collections.abc import Iterable, Iterator, Sequence, Set
+from collections.abc import Iterable, Iterator, Sequence
 from functools import partial, reduce
 from itertools import chain, repeat
 from operator import and_, is_, itemgetter, lshift, or_, setitem, xor
@@ -390,41 +394,58 @@ def edge_pairs(dim: int) -> Iterator[tuple[int, int]]:
     return _mask_edges(repeat((1 << dim) - 1, 1 << dim))
 
 
-class EdgeSet(_Record, Set):
+class EdgeSet(_Record):
     """A read-only set of edges of one cube: every edge of the dim-cube
     except some removed ones, held as one edge mask per node (bit k set when
-    the node's edge of dimension k is removed; no array when none is). `len`
-    and `in` are answered from the masks alone, two `EdgeSet`s compare them,
-    and `_fixed_bits` proves some sets disconnected from them. `.pairs` (a
-    tuple of value pairs) and iteration (an `Edge` each) list the members in
-    ascending order. It equals and hashes like the frozenset of the same
-    edges, hashing once; `-`, `&` and `|` return frozensets of `Edge`.
-    `EdgeSet(dim)` is the whole cube, and `EdgeSet._without(dim, masks)` the
-    cube minus the edges of some walks, read from their mask arrays. As a
-    record it is frozen, `copy.copy` returns it, and a load runs `__init__`.
+    the node's edge of dimension k is removed), in immutable `bytes` that
+    `_removed` shows as a read-only `memoryview` of format "I", empty when
+    none is removed. `len` and `in` are answered from the masks alone, and
+    `_fixed_bits` proves some sets disconnected from them. `.pairs` (a tuple
+    of value pairs) and iteration (an `Edge` each) list the members in
+    ascending order; `frozenset(es)` is the set for set algebra. As a record
+    it equals and hashes by its dim and mask bytes, is frozen, `copy.copy`
+    returns it, and a load runs `__init__`. `EdgeSet(dim)` is the whole cube,
+    and `EdgeSet._without(dim, masks)` the cube minus the edges of some
+    walks, read from their mask arrays.
     """
 
-    __slots__ = ("dim", "_removed", "_popcounts", "_hash_cache")
+    __slots__ = ("dim", "_removed", "_popcounts")
     _fields = ("dim", "_removed")
 
     def __init__(self, dim: int, _removed: Sequence[int] = ()) -> None:
         """Every edge of the dim-cube but those the per-node masks `_removed`
-        mark: none, or one mask for each of the 2**dim nodes."""
+        mark: none, or one mask below bit `dim` for each of the 2**dim nodes."""
         check_dim(dim)
-        if _removed and len(_removed) != 1 << dim:
-            raise DimensionError(f"dim {dim} needs {1 << dim} removed masks, got {len(_removed)}")
-        self._set((dim, _removed if any(_removed) else ()))
-        # how many nodes have each number of removed edges
-        counts = Counter(map(int.bit_count, _removed)) if self._removed else {0: 1 << dim}
-        object.__setattr__(self, "_popcounts", counts)
-        object.__setattr__(self, "_hash_cache", None)
+        masks = array("I", _removed)
+        if masks and len(masks) != 1 << dim:
+            raise DimensionError(f"dim {dim} needs {1 << dim} removed masks, got {len(masks)}")
+        if max(masks, default=0) >> dim:
+            raise DimensionError(f"a removed mask sets bit {max(masks).bit_length() - 1}, past dim {dim}")
+        self._keep(dim, masks)
 
     @classmethod
     def _without(cls, dim: int, masks: Sequence[array]) -> EdgeSet:
         """The proven dim-cube minus every edge the mask arrays hold, such as
         those each `Path` or `Cycle` keeps; none may reach past node 2**dim.
-        With no arrays it is the whole cube."""
-        return cls(dim, _union(masks, 1 << dim) if masks else ())
+        With no arrays it is the whole cube. The union of proven masks is
+        stored with no bound check."""
+        edge_set = cls.__new__(cls)
+        edge_set._keep(dim, _union(masks, 1 << dim) if masks else array("I"))
+        return edge_set
+
+    def _keep(self, dim: int, masks: array) -> None:
+        """Store proven `masks` as bytes, and count the nodes by removed edges."""
+        removed = masks.tobytes() if any(masks) else b""
+        self._set((dim, memoryview(removed).cast("I")))
+        counts = Counter(map(int.bit_count, masks)) if removed else {0: 1 << dim}
+        object.__setattr__(self, "_popcounts", counts)
+
+    def __getstate__(self) -> tuple[int, array]:
+        # an array pickles portably, and `__init__` loads it as it loads any sequence
+        return self.dim, array("I", self._removed.obj)
+
+    def _key(self) -> tuple[int, bytes]:
+        return self.dim, self._removed.obj
 
     def _degree_histogram(self) -> dict[int, int]:
         """Node count by degree in this set: dim minus a mask's popcount."""
@@ -440,7 +461,7 @@ class EdgeSet(_Record, Set):
         """
         flipped = 0
         for parity in (0, 1):
-            gone = reduce(and_, self._removed[parity::2] or [0])  # `()` when none is removed
+            gone = reduce(and_, self._removed[parity::2] or [0])  # empty when none is removed
             kept = (f for k, f in enumerate(_FLIPS[parity][: self.dim]) if not gone >> k & 1)
             flipped = reduce(or_, kept, flipped)
         return ~flipped & (1 << self.dim) - 1
@@ -463,26 +484,6 @@ class EdgeSet(_Record, Set):
     def __iter__(self) -> Iterator[Edge]:
         return _edges_of(self.dim, self.pairs)
 
-    @classmethod
-    def _from_iterable(cls, it: Iterable[Edge]) -> frozenset[Edge]:
-        return frozenset(it)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, EdgeSet):
-            return Set.__eq__(self, other)
-        if self.dim == other.dim:
-            return self._removed == other._removed
-        return len(self) == len(other) == 0  # no edge of one dim is in another
-
-    def __hash__(self) -> int:
-        # the frozenset's hash with no Edge built: an Edge is the tuple
-        # ((dim, u), (dim, v)) by construction, and hashes as it
-        if self._hash_cache is None:
-            pairs = self.pairs
-            ends = (zip(repeat(self.dim), map(itemgetter(k), pairs)) for k in (0, 1))
-            object.__setattr__(self, "_hash_cache", hash(frozenset(zip(*ends))))
-        return self._hash_cache
-
     def __repr__(self) -> str:
         return f"EdgeSet(dim={self.dim}, {len(self)} edges)"
 
@@ -497,7 +498,7 @@ def _edges_of(dim: int, pairs: Iterable[tuple[int, int]]) -> Iterator[Edge]:
     return map(Edge._trusted, zip(smaller, larger))
 
 
-def edges(dim: int) -> Set[Edge]:
+def edges(dim: int) -> EdgeSet:
     """Every edge of the dim-dimensional cube, each stored smaller value
     first: an `EdgeSet` of dim * 2**(dim-1) members that removes none."""
     return EdgeSet(dim)

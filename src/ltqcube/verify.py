@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
-from collections.abc import Iterable, Iterator, Mapping, Sequence, Set
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from itertools import chain, combinations, repeat
-from operator import and_, eq, getitem, itemgetter, lshift, or_, setitem, xor
+from operator import and_, countOf, eq, getitem, itemgetter, lshift, or_, setitem, xor
 
 from ._record import _Record
 from .construction import Cycle, HamiltonianPair, Path, edh_cycles
@@ -81,21 +81,25 @@ def _raw(
 ) -> tuple[Mapping[int, int], Sequence[int]]:
     """Label counts by dimension, and values in walk order: a walk's own
     4-byte view, which each check below reads once, as a list it drops when
-    done, so that at most one walk's values are Python ints at a time. Any
-    other item than a NodeLabel raises TypeError for the checker `what`, so
-    every value read is an int in [0, 2**MAX_DIM)."""
+    done, so that at most one walk's values are Python ints at a time; or a
+    label list's values as a list, which no check copies again, with its
+    dims counted in one C-level `countOf` (a Counter only when they differ).
+    Any other item than a NodeLabel raises TypeError for the checker `what`,
+    so every value read is an int in [0, 2**MAX_DIM)."""
     if isinstance(obj, (Path, Cycle)):
         return {obj.dim: len(obj)}, obj.values
     nodes = obj if isinstance(obj, (list, tuple)) else tuple(obj)
     _need(what, NodeLabel, nodes)
-    return Counter(map(itemgetter(0), nodes)), list(map(itemgetter(1), nodes))
+    one = nodes and countOf(map(itemgetter(0), nodes), nodes[0][0]) == len(nodes)
+    dims = {nodes[0][0]: len(nodes)} if one else Counter(map(itemgetter(0), nodes))
+    return dims, list(map(itemgetter(1), nodes))
 
 
 def _sequence_checks(
     dim: int, dims: Mapping[int, int], values: Sequence[int], *, closed: bool
 ) -> list[CheckResult]:
     check_dim(dim)
-    values = list(values)  # one read of a walk's view, dropped on return
+    values = values if type(values) is list else list(values)  # a walk's view, read once
     checks = []
     expected = 1 << dim
     checks.append(
@@ -188,7 +192,7 @@ def _no_shared_step(
     way round. Each walk is read once, as a list, one after the other.
     False when some step of `b` is found, or when `a` leaves some value
     twice or is too sparse for the array, or `b` holds a value past it."""
-    a = list(a)
+    a = a if type(a) is list else list(a)
     a_next = _successors(a, a_closed)
     size, steps = max(a, default=-1) + 1, len(a_next)
     if size > len(a) << 5:  # four bytes per value up to the largest would cost more
@@ -199,7 +203,7 @@ def _no_shared_step(
         del a, a_next
         if after.count(-1) != size - steps:  # a step overwrote another
             return False
-        b = list(b)
+        b = b if type(b) is list else list(b)
         b_next = _successors(b, b_closed)
         found = any(map(eq, map(getitem, repeat(after), b), b_next))
         return not (found or any(map(eq, map(getitem, repeat(after), b_next), b)))
@@ -494,7 +498,9 @@ class ResidualAnalysis(_Record):
     counts the nodes the search expanded.
 
     `unused_edges` is an `EdgeSet` of the cube minus the edges the rings'
-    kept masks hold (see `HamiltonianPair`). `degree_histogram` is *measured*
+    kept masks hold (see `HamiltonianPair`); any other collection raises
+    TypeError. It equals and hashes by its removed masks, so comparing or
+    hashing two analyses lists no edge. `degree_histogram` is *measured*
     at every node as dim minus its mask's popcount; the residual's size is
     *derived* from the same popcounts (the cube's edges minus half their
     sum). A pair sharing an edge leaves one bit fewer at both ends, so it
@@ -507,10 +513,11 @@ class ResidualAnalysis(_Record):
     )
 
     def __init__(
-        self, dim: int, unused_edges: Set[Edge], degree_histogram: dict[int, int],
+        self, dim: int, unused_edges: EdgeSet, degree_histogram: dict[int, int],
         third_cycle_found: Cycle | None = None, search_budget: int | None = None,
         search_verdict: str | None = None, search_expansions: int | None = None,
     ) -> None:
+        _need("ResidualAnalysis", EdgeSet, (unused_edges,))
         expected = (dim << (dim - 1)) - (1 << (dim + 1))
         if len(unused_edges) != expected:
             raise InvalidPairError(f"residual has {len(unused_edges)} edges, expected {expected}")

@@ -48,7 +48,7 @@ class TestSingleRing:
 
     def test_loads_attach_to_real_edges(self):
         report = simulate_ring_broadcast(edh_cycles(5).first)
-        assert set(report.per_edge_load) <= edges(5)
+        assert set(report.per_edge_load) <= frozenset(edges(5))
 
     def test_short_ring_costs_its_largest_label_not_the_cube(self):
         # the mask array ends at label 3, not at 2**24

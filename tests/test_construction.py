@@ -396,7 +396,7 @@ class TestConstructedCycles:
         union = pair.first.edge_set() | pair.second.edge_set()
         assert len(pair.first) == len(pair.second) == 1 << dim
         assert len(union) == 2 << dim
-        assert union <= edges(dim)
+        assert union <= frozenset(edges(dim))
 
     def test_canonical_form(self):
         pair = edh_cycles(6)

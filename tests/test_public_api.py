@@ -95,6 +95,8 @@ WRONG_TYPES = [
     pytest.param(lambda: ltqcube.are_edge_disjoint([ltqcube.NodeLabel(4, 0)], [(4, 1)]),
                  TypeError, "^are_edge_disjoint needs a NodeLabel, got tuple$",
                  id="are_edge_disjoint"),
+    pytest.param(lambda: ltqcube.ResidualAnalysis(4, frozenset(), {0: 16}), TypeError,
+                 "^ResidualAnalysis needs an EdgeSet, got frozenset$", id="ResidualAnalysis"),
 ]
 
 

@@ -45,7 +45,7 @@ SIGNATURES = {
         " certificates: 'tuple[str, ...]')"
     ),
     ResidualAnalysis: (
-        "(dim: 'int', unused_edges: 'Set[Edge]', degree_histogram: 'dict[int, int]',"
+        "(dim: 'int', unused_edges: 'EdgeSet', degree_histogram: 'dict[int, int]',"
         " third_cycle_found: 'Cycle | None' = None, search_budget: 'int | None' = None,"
         " search_verdict: 'str | None' = None, search_expansions: 'int | None' = None)"
     ),
