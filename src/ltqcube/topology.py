@@ -416,29 +416,25 @@ class EdgeSet(_Record):
         """Every edge of the dim-cube but those the per-node masks `_removed`
         mark: none, or one mask below bit `dim` for each of the 2**dim nodes."""
         check_dim(dim)
-        masks = array("I", _removed)
+        try:  # a list first, so that bytes are read as masks, not as machine words
+            masks = array("I", _removed if isinstance(_removed, array) else list(_removed))
+        except OverflowError:
+            raise DimensionError(f"a removed mask is negative or past bit 31, dim {dim}") from None
         if masks and len(masks) != 1 << dim:
             raise DimensionError(f"dim {dim} needs {1 << dim} removed masks, got {len(masks)}")
         if max(masks, default=0) >> dim:
             raise DimensionError(f"a removed mask sets bit {max(masks).bit_length() - 1}, past dim {dim}")
-        self._keep(dim, masks)
-
-    @classmethod
-    def _without(cls, dim: int, masks: Sequence[array]) -> EdgeSet:
-        """The proven dim-cube minus every edge the mask arrays hold, such as
-        those each `Path` or `Cycle` keeps; none may reach past node 2**dim.
-        With no arrays it is the whole cube. The union of proven masks is
-        stored with no bound check."""
-        edge_set = cls.__new__(cls)
-        edge_set._keep(dim, _union(masks, 1 << dim) if masks else array("I"))
-        return edge_set
-
-    def _keep(self, dim: int, masks: array) -> None:
-        """Store proven `masks` as bytes, and count the nodes by removed edges."""
         removed = masks.tobytes() if any(masks) else b""
         self._set((dim, memoryview(removed).cast("I")))
         counts = Counter(map(int.bit_count, masks)) if removed else {0: 1 << dim}
         object.__setattr__(self, "_popcounts", counts)
+
+    @classmethod
+    def _without(cls, dim: int, masks: Sequence[array]) -> EdgeSet:
+        """The dim-cube minus every edge the mask arrays hold, such as those
+        each `Path` or `Cycle` keeps; none may reach past node 2**dim. With
+        no arrays it is the whole cube."""
+        return cls(dim, _union(masks, 1 << dim) if masks else ())
 
     def __getstate__(self) -> tuple[int, array]:
         # an array pickles portably, and `__init__` loads it as it loads any sequence

@@ -17,7 +17,7 @@ from array import array
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from itertools import chain, combinations, repeat
-from operator import and_, countOf, eq, getitem, itemgetter, lshift, or_, setitem, xor
+from operator import and_, eq, getitem, itemgetter, lshift, or_, setitem, xor
 
 from ._record import _Record
 from .construction import Cycle, HamiltonianPair, Path, edh_cycles
@@ -82,17 +82,14 @@ def _raw(
     """Label counts by dimension, and values in walk order: a walk's own
     4-byte view, which each check below reads once, as a list it drops when
     done, so that at most one walk's values are Python ints at a time; or a
-    label list's values as a list, which no check copies again, with its
-    dims counted in one C-level `countOf` (a Counter only when they differ).
-    Any other item than a NodeLabel raises TypeError for the checker `what`,
-    so every value read is an int in [0, 2**MAX_DIM)."""
+    label list's values as a list, which no check copies again. Any other
+    item than a NodeLabel raises TypeError for the checker `what`, so every
+    value read is an int in [0, 2**MAX_DIM)."""
     if isinstance(obj, (Path, Cycle)):
         return {obj.dim: len(obj)}, obj.values
     nodes = obj if isinstance(obj, (list, tuple)) else tuple(obj)
     _need(what, NodeLabel, nodes)
-    one = nodes and countOf(map(itemgetter(0), nodes), nodes[0][0]) == len(nodes)
-    dims = {nodes[0][0]: len(nodes)} if one else Counter(map(itemgetter(0), nodes))
-    return dims, list(map(itemgetter(1), nodes))
+    return Counter(map(itemgetter(0), nodes)), list(map(itemgetter(1), nodes))
 
 
 def _sequence_checks(

@@ -284,6 +284,24 @@ class TestFrozenRecord:
         full = array("I", [(1 << dim) - 1]) * (1 << dim)
         assert len(EdgeSet(dim, full)) == 0 == len(EdgeSet(dim, full).pairs)
 
+    @pytest.mark.parametrize("mask", [-1, 1 << 32])
+    def test_a_mask_outside_32_bits_is_refused(self, mask):
+        masks = [0] * 63 + [mask]
+        error = "^a removed mask is negative or past bit 31, dim 6$"
+        with pytest.raises(DimensionError, match=error):
+            EdgeSet(6, masks)
+        loaded = EdgeSet.__new__(EdgeSet)
+        with pytest.raises(DimensionError, match=error):
+            loaded.__setstate__((6, tuple(masks)))
+
+    @pytest.mark.parametrize("kind", [bytes, bytearray])
+    def test_bytes_are_read_as_masks(self, kind):
+        assert EdgeSet(2, kind(4)) == edges(2)
+        masks = [0] * 64
+        masks[0] = masks[1] = 1  # the edge 0 .. 1, of dimension 0
+        es = EdgeSet(6, kind(masks))
+        assert len(es) == len(edges(6)) - 1 and es.pairs == edges(6).pairs[1:]
+
     def test_the_masks_are_read_only(self):
         for es in self.sets():
             assert type(es._removed.obj) is bytes and es._removed.readonly
