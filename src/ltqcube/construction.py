@@ -35,16 +35,16 @@ plus their label values in immutable `bytes`, four a value, shown as a
 read-only `memoryview` of format "I" (`values`), and read their edges as
 value pairs (`edge_pairs()`, in ascending order) from per-node edge masks,
 an `array("I")`; `nodes` makes the `NodeLabel`s only when it is read, and a
-whole read shares them with later reads of its cube (`topology._hold`). The
-masks have two sources. A walk from `Path(nodes)`, `from_values` or `pickle`
-is validated once and computes its masks on first use. A constructed pair is
-not validated node by node: the doubling carries the induction's proof. The
-seeds are validated as `from_values` would, each seed tuple once per process
-(`_seed`); each level doubles the mask array (each half holds a copy of the
-old path) and adds its junction edge after checking that the old end is
-even, and a cycle's closing edge is checked the same way at its start. So
-these masks are *derived*, and `HamiltonianPair` checks on them that the
-members share no edge.
+whole read builds its cube's labels from the cube, which later reads of that
+cube share (`topology._hold`). The masks have two sources. A walk from
+`Path(nodes)`, `from_values` or `pickle` is validated once and computes its
+masks on first use. A constructed pair is not validated node by node: the
+doubling carries the induction's proof. The seeds are validated as
+`from_values` would, each seed tuple once per process (`_seed`); each level
+doubles the mask array (each half holds a copy of the old path) and adds its
+junction edge after checking that the old end is even, and a cycle's closing
+edge is checked the same way at its start. So these masks are *derived*, and
+`HamiltonianPair` checks on them that the members share no edge.
 `verify.verify_pair` and the CLI `verify` stay the *measured* check: they
 re-derive every verdict from the node sequences and the adjacency rule,
 with none of the mask helpers.
@@ -128,8 +128,8 @@ class _Walk(_Record):
     once checked. Equality and the hash read the dimension and the bytes; the
     pickled state and the repr show the values as a tuple, which loads
     through the checks of `from_values`. NodeLabels are made, or taken from
-    the cube `topology._CUBE` holds, only when `nodes`, iteration or
-    `edge_set()` ask."""
+    the cube's labels `topology._CUBE` holds, only when `nodes`, iteration
+    or `edge_set()` ask."""
 
     __slots__ = ("dim", "values", "_kept_masks")
     _fields = ("dim", "values")
@@ -195,12 +195,12 @@ class _Walk(_Record):
 
     @property
     def nodes(self) -> tuple[NodeLabel, ...]:
-        """The labels in order. The first whole read of a walk over every
-        node of a cube keeps its labels (`topology._hold`), and every label
-        read of that cube reuses them until a whole read of another cube."""
-        nodes = tuple(self)
-        _hold(self.dim, self.values, nodes)
-        return nodes
+        """The labels in order, read through the cube's labels: the first
+        whole read of a walk as long as its cube builds them from the cube
+        (`topology._hold`), and every label read of that cube reuses them
+        until a whole read of another cube."""
+        _hold(self.dim, self.values)
+        return tuple(self)
 
     def edge_pairs(self) -> tuple[tuple[int, int], ...]:
         """Every edge walked, as a (smaller, larger) label-value pair, in

@@ -15,11 +15,12 @@ equal and order only against their own class. `NodeLabel(dim, value)`,
 `make_label(dim, bits)` and `Edge(a, b)` validate once; where the parts are
 already proven, the package builds labels and edges with no further check.
 An entry point handed an object of the wrong type raises TypeError naming
-that type (`_need`). The first whole read of a walk's `.nodes` over every
-node of a cube keeps its labels, indexed by value, as `_CUBE`, and every
-later label of that cube the package returns is one of them: one NodeLabel
-per node. At most one cube's labels are kept (about 56 bytes a node); a
-whole read of another cube replaces them.
+that type (`_need`). The first whole read of a walk's `.nodes` as long as
+its cube builds the cube's labels from `range(2**dim)`, never from the
+walk, as `_CUBE` (`_hold`), and every later label of that cube the package
+returns is one of them: one NodeLabel per node. At most one cube's labels
+are kept (about 56 bytes a node); a whole read of another cube replaces
+them.
 
 Two neighbor routines are provided. `neighbors` applies the closed-form
 rule the recursion unfolds to: flip bit 0, flip bit 1, or, for any
@@ -41,8 +42,8 @@ frozen `_record._Record`, like every result of the package: it keeps its
 masks in immutable bytes, equals and hashes by its dim and those bytes (not
 as a set of `Edge`; `frozenset(es)` is one), is copied as itself, and is
 loaded through its constructor's checks, which refuse a mask bit at or
-above `dim`; `_without` stores the union of proven walks' masks without
-that pass. The one writer of masks outside this module is the
+above `dim`; `_without` builds the union of walks' masks through those
+same checks. The one writer of masks outside this module is the
 construction, which derives its members' masks from the seeds':
 `construction._constructed_pair` doubles the array at each level and
 `construction._join` ORs in each junction's bits. `_mask_edges` is the one
@@ -57,7 +58,7 @@ from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from functools import partial, reduce
 from itertools import chain, repeat
-from operator import and_, is_, itemgetter, lshift, or_, setitem, xor
+from operator import and_, itemgetter, lshift, or_, setitem, xor
 
 from ._record import _Record
 from .errors import AdjacencyError, DimensionError, LabelFormatError
@@ -167,25 +168,17 @@ def _labels(dim: int, values: Iterable[int]) -> Iterator[NodeLabel]:
     return map(NodeLabel._trusted, zip(repeat(dim), values))
 
 
-def _hold(dim: int, values: Sequence[int], labels: Sequence[NodeLabel]) -> None:
-    """Make `labels`, a walk's labels of `values`, the new `_CUBE`, scattered
-    by value, when it holds no dim-cube and the scatter proves the values
-    0 .. 2**dim - 1, each once, so that no tampered walk is held. Only a
-    `memoryview` of format "I" is scattered: its entries are non-negative
-    ints, so no bool or negative index reaches the scatter."""
+def _hold(dim: int, values: Sequence[int]) -> None:
+    """Make the dim-cube's labels, built from `range(2**dim)`, the new
+    `_CUBE` when a walk's `values` are a `memoryview` of format "I" as long
+    as the cube and no dim-cube is held. Nothing is read from the values:
+    a walk of the cube's length holding a value past it raises IndexError
+    on its read through the table."""
     global _CUBE
-    size = 1 << dim
-    if len(values) != size or _CUBE and _CUBE[0][0] == dim:
+    if len(values) != 1 << dim or type(values) is not memoryview or values.format != "I":
         return
-    if type(values) is not memoryview or values.format != "I":
-        return
-    cube = [None] * size
-    try:
-        any(map(setitem, repeat(cube), values, labels))  # C-level stores
-    except IndexError:  # a value past the cube
-        return
-    if not any(map(is_, cube, repeat(None))):  # `size` values fill `size` slots
-        _CUBE = tuple(cube)
+    if not (_CUBE and _CUBE[0][0] == dim):
+        _CUBE = tuple(map(NodeLabel._trusted, zip(repeat(dim), range(1 << dim))))
 
 
 class Edge(_Value):

@@ -17,7 +17,7 @@ from array import array
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from itertools import chain, combinations, repeat
-from operator import and_, eq, getitem, itemgetter, lshift, or_, setitem, xor
+from operator import and_, attrgetter, eq, getitem, itemgetter, lshift, or_, setitem, xor
 
 from ._record import _Record
 from .construction import Cycle, HamiltonianPair, Path, edh_cycles
@@ -497,35 +497,40 @@ class ResidualAnalysis(_Record):
     `unused_edges` is an `EdgeSet` of the cube minus the edges the rings'
     kept masks hold (see `HamiltonianPair`); any other collection raises
     TypeError. It equals and hashes by its removed masks, so comparing or
-    hashing two analyses lists no edge. `degree_histogram` is *measured*
-    at every node as dim minus its mask's popcount; the residual's size is
-    *derived* from the same popcounts (the cube's edges minus half their
-    sum). A pair sharing an edge leaves one bit fewer at both ends, so it
-    fails both checks below.
+    hashing two analyses lists no edge. `dim` and `degree_histogram` are
+    read off it, so they cannot disagree with it: the histogram is
+    *measured* at every node as dim minus its mask's popcount, and the
+    residual's size is *derived* from the same popcounts (the cube's edges
+    minus half their sum). A pair sharing an edge leaves one bit fewer at
+    both ends, so it fails both checks below.
     """
 
     __slots__ = _fields = (
-        "dim", "unused_edges", "degree_histogram", "third_cycle_found",
-        "search_budget", "search_verdict", "search_expansions",
+        "unused_edges", "third_cycle_found", "search_budget", "search_verdict",
+        "search_expansions",
     )
 
     def __init__(
-        self, dim: int, unused_edges: EdgeSet, degree_histogram: dict[int, int],
-        third_cycle_found: Cycle | None = None, search_budget: int | None = None,
-        search_verdict: str | None = None, search_expansions: int | None = None,
+        self, unused_edges: EdgeSet, third_cycle_found: Cycle | None = None,
+        search_budget: int | None = None, search_verdict: str | None = None,
+        search_expansions: int | None = None,
     ) -> None:
         _need("ResidualAnalysis", EdgeSet, (unused_edges,))
+        dim = unused_edges.dim
         expected = (dim << (dim - 1)) - (1 << (dim + 1))
         if len(unused_edges) != expected:
             raise InvalidPairError(f"residual has {len(unused_edges)} edges, expected {expected}")
-        if degree_histogram != {dim - 4: 1 << dim}:
+        if unused_edges._degree_histogram() != {dim - 4: 1 << dim}:
             raise InvalidPairError("residual graph is not uniformly (dim - 4)-regular")
-        self._set((dim, unused_edges, degree_histogram, third_cycle_found, search_budget,
-                   search_verdict, search_expansions))
+        self._set((unused_edges, third_cycle_found, search_budget, search_verdict,
+                   search_expansions))
 
-    def _key(self) -> tuple:
-        fields = self.__getstate__()
-        return fields[:2] + fields[3:]  # all but degree_histogram
+    dim = property(attrgetter("unused_edges.dim"), doc="The dimension of `unused_edges`.")
+
+    @property
+    def degree_histogram(self) -> dict[int, int]:
+        """Node count by degree in `unused_edges`, a new dict each read."""
+        return self.unused_edges._degree_histogram()
 
 
 def residual_analysis(
@@ -548,11 +553,10 @@ def residual_analysis(
     if pair.dim != dim:
         raise DimensionError(f"pair dim {pair.dim} does not match {dim}")
     unused = EdgeSet._without(dim, [member._masks() for member in pair.members])
-    histogram = unused._degree_histogram()
     if search_budget is None:
-        return ResidualAnalysis(dim, unused, histogram)
+        return ResidualAnalysis(unused)
     third, verdict, expansions = _bounded_cycle_search(dim, unused, search_budget)
-    return ResidualAnalysis(dim, unused, histogram, third, search_budget, verdict, expansions)
+    return ResidualAnalysis(unused, third, search_budget, verdict, expansions)
 
 
 def _bounded_cycle_search(

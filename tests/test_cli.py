@@ -581,9 +581,7 @@ class TestResidual:
         pair = edh_cycles(6)
         searched = residual_analysis(6, pair, search_budget=100)
         analysis = ResidualAnalysis(
-            dim=6,
             unused_edges=searched.unused_edges,
-            degree_histogram=searched.degree_histogram,
             third_cycle_found=pair.first,
             search_budget=100,
             search_verdict="found",
@@ -614,9 +612,7 @@ class TestResidual:
         )
         searched = residual_analysis(8, pair, search_budget=500)
         analysis = ResidualAnalysis(
-            dim=8,
             unused_edges=searched.unused_edges,
-            degree_histogram=searched.degree_histogram,
             third_cycle_found=searched.third_cycle_found,
             search_budget=500,
             search_verdict=verdict,

@@ -528,8 +528,10 @@ class TestDoubledHalf:
 
 
 class TestHeldCubeNeedsAPermutation:
-    """A whole `.nodes` read keeps its labels as the cube's only when its
-    values are exactly 0 .. 2**dim - 1, so no tampered walk is kept."""
+    """A whole `.nodes` read builds the cube's labels from the cube itself,
+    and only for values held as a view of format "I" as long as the cube:
+    a walk whose values were swapped for a tuple builds no table, so its
+    labels are read one by one, whatever it holds."""
 
     @pytest.fixture(autouse=True)
     def no_cube(self, monkeypatch):

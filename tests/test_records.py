@@ -28,6 +28,7 @@ from ltqcube import (
     simulate_split_broadcast,
     verify_pair,
 )
+from ltqcube.topology import EdgeSet
 
 SIGNATURES = {
     Edge: "(a: 'NodeLabel', b: 'NodeLabel')",
@@ -45,9 +46,9 @@ SIGNATURES = {
         " certificates: 'tuple[str, ...]')"
     ),
     ResidualAnalysis: (
-        "(dim: 'int', unused_edges: 'EdgeSet', degree_histogram: 'dict[int, int]',"
-        " third_cycle_found: 'Cycle | None' = None, search_budget: 'int | None' = None,"
-        " search_verdict: 'str | None' = None, search_expansions: 'int | None' = None)"
+        "(unused_edges: 'EdgeSet', third_cycle_found: 'Cycle | None' = None,"
+        " search_budget: 'int | None' = None, search_verdict: 'str | None' = None,"
+        " search_expansions: 'int | None' = None)"
     ),
 }
 
@@ -86,10 +87,10 @@ def records():
         (
             analysis,
             (
-                "dim", "unused_edges", "degree_histogram", "third_cycle_found",
-                "search_budget", "search_verdict", "search_expansions",
+                "unused_edges", "third_cycle_found", "search_budget", "search_verdict",
+                "search_expansions",
             ),
-            (5, analysis.unused_edges, None, None, None, None),
+            (analysis.unused_edges, None, None, None, None),
         ),
     ]
 
@@ -125,7 +126,7 @@ class TestConstructors:
     def test_defaults(self):
         assert CheckResult("x", True).detail == ""
         analysis = residual_analysis(6, edh_cycles(6))
-        built = ResidualAnalysis(6, analysis.unused_edges, {2: 64})
+        built = ResidualAnalysis(analysis.unused_edges)
         assert (
             built.third_cycle_found, built.search_budget, built.search_verdict,
             built.search_expansions,
@@ -144,8 +145,13 @@ class TestConstructors:
             edge(4, 0, 3)
         pair = edh_cycles(5)
         analysis = residual_analysis(5, pair)
-        with pytest.raises(ValueError):
-            ResidualAnalysis(5, analysis.unused_edges, {2: 32})
+        with pytest.raises(ValueError, match="residual has 64 edges, expected 16"):
+            ResidualAnalysis(EdgeSet(5, [1] * 32))
+        # 16 removed masks of popcount 3 and 16 of popcount 5: the count of a
+        # (dim - 4)-regular residual, but degrees 2 and 0, not 1
+        with pytest.raises(ValueError, match="not uniformly"):
+            ResidualAnalysis(EdgeSet(5, [0b111] * 16 + [0b11111] * 16))
+        assert ResidualAnalysis(EdgeSet(5, analysis.unused_edges._removed)) == analysis
         with pytest.raises(ValueError):
             HamiltonianPair(pair.first, pair.first, 5)
 
@@ -189,9 +195,8 @@ class TestRepr:
     def test_residual_analysis(self):
         analysis = residual_analysis(6, edh_cycles(6), search_budget=5)
         assert repr(analysis) == (
-            "ResidualAnalysis(dim=6, unused_edges=EdgeSet(dim=6, 64 edges),"
-            " degree_histogram={2: 64}, third_cycle_found=None, search_budget=5,"
-            " search_verdict='refuted', search_expansions=0)"
+            "ResidualAnalysis(unused_edges=EdgeSet(dim=6, 64 edges), third_cycle_found=None,"
+            " search_budget=5, search_verdict='refuted', search_expansions=0)"
         )
 
 
@@ -219,15 +224,6 @@ class TestEquality:
             __slots__ = ()
 
         assert CheckResult("x", True) != Special("x", True)
-
-    def test_residual_analysis_ignores_the_histogram(self):
-        analysis = residual_analysis(6, edh_cycles(6))
-        other = ResidualAnalysis(
-            dim=6, unused_edges=analysis.unused_edges, degree_histogram=analysis.degree_histogram
-        )
-        object.__setattr__(other, "degree_histogram", {0: 1})
-        assert other == analysis and hash(other) == hash(analysis)
-        assert "degree_histogram={0: 1}" in repr(other)
 
     def test_residual_analysis_compares_the_search(self):
         pair = edh_cycles(6)
@@ -322,6 +318,18 @@ class TestRoundTrips:
             b"K\x04K\x00K\x01K\x03\x87q\x02\x86q\x03b."
         )
         assert pickle.loads(old) == walk and pickle.dumps(walk, 2) == old
+
+    @pytest.mark.parametrize("protocol", range(0, pickle.HIGHEST_PROTOCOL + 1))
+    def test_a_residual_state_with_dim_and_histogram_fields_is_refused(self, monkeypatch, protocol):
+        # the 7-field state a ResidualAnalysis pickled while `dim` and
+        # `degree_histogram` were fields: loading runs `__init__` on it
+        analysis = residual_analysis(6, edh_cycles(6))
+        old = (6, analysis.unused_edges, {2: 64}, None, None, None, None)
+        monkeypatch.setattr(ResidualAnalysis, "__getstate__", lambda self: old)
+        state = pickle.dumps(analysis, protocol)
+        monkeypatch.undo()
+        with pytest.raises(TypeError):
+            pickle.loads(state)
 
     def test_copied_records_stay_frozen(self, record):
         rec, names, _ = record

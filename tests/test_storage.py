@@ -193,7 +193,7 @@ def test_distinct_leaves_sparse_walks_to_the_counter():
 
 @pytest.mark.parametrize("typecode", ["i", "l", "q"])
 def test_a_signed_view_in_place_of_the_values_keeps_no_table(monkeypatch, typecode):
-    # the permutation proof reads the values' types and signs, whatever holds them
+    # only a view of format "I" builds a table: a signed one is read label by label
     monkeypatch.setattr(topology, "_CUBE", ())
     walk = edh_cycles(6).first
     values = [-1 if v == 63 else v for v in range(64)]
@@ -201,10 +201,13 @@ def test_a_signed_view_in_place_of_the_values_keeps_no_table(monkeypatch, typeco
     assert [label.value for label in walk.nodes] == values and topology._CUBE == ()
 
 
-def test_a_value_past_the_cube_in_place_of_the_values_keeps_no_table(monkeypatch):
-    # 64 entries of format "I", one of them 64: the scatter indexes past the cube
+def test_a_value_past_the_cube_in_place_of_the_values_raises_index_error(monkeypatch):
+    # 64 entries of format "I", one of them 64: the table is built from the
+    # cube, not from the values, and the read through it indexes past the cube
     monkeypatch.setattr(topology, "_CUBE", ())
     walk = edh_cycles(6).first
     values = [64 if v == 63 else v for v in range(64)]
     object.__setattr__(walk, "values", memoryview(array("I", values)).toreadonly())
-    assert [label.value for label in walk.nodes] == values and topology._CUBE == ()
+    with pytest.raises(IndexError):
+        walk.nodes
+    assert topology._CUBE == tuple(NodeLabel(6, v) for v in range(64))

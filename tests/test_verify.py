@@ -20,6 +20,7 @@ from ltqcube import (
     LtqError,
     OracleScopeError,
     Path,
+    ResidualAnalysis,
     are_edge_disjoint,
     edges,
     edh_cycles,
@@ -343,6 +344,14 @@ class TestResidual:
         analysis = residual_analysis(dim, edh_cycles(dim))
         assert len(analysis.unused_edges) == dim * 2 ** (dim - 1) - 2 ** (dim + 1)
         assert analysis.degree_histogram == {dim - 4: 1 << dim}
+
+    @pytest.mark.parametrize("dim", range(4, 11))
+    def test_dim_and_histogram_are_the_sets(self, dim):
+        analysis = residual_analysis(dim, edh_cycles(dim))
+        unused = analysis.unused_edges
+        assert ResidualAnalysis(unused) == analysis
+        assert analysis.dim == unused.dim == dim
+        assert analysis.degree_histogram == unused._degree_histogram()
 
     def test_unused_edges_are_real_and_unused(self):
         pair = edh_cycles(6)
