@@ -13,15 +13,17 @@ broadcasts one half per ring, both rings running concurrently. A pair of
 contention event; with edge-disjoint rings there are none, which
 `simulate_split_broadcast` measures rather than assumes.
 
-The counts, and the per-edge loads' keys in ascending order, come from the
-edge masks by node value that `topology` reads, not from a walk over each
-ring. Each ring keeps its masks: the rings of `edh_cycles` hold those the
-doubling derived, and a user-built ring computes its own on first use.
+A `TrafficReport` holds only its rings and reads every count from them
+when it is built: the counts, and the per-edge loads' keys in ascending
+order, come from the edge masks by node value that `topology` reads, not
+from a walk over each ring. Each ring keeps its masks: the rings of
+`edh_cycles` hold those the doubling derived, and a user-built ring computes
+its own on first use. The three `simulate_*` calls only build the report.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping, Sequence, ValuesView
+from collections.abc import Iterable, Iterator, Mapping, ValuesView
 from itertools import chain, repeat
 
 from ._record import _Record
@@ -31,36 +33,53 @@ from .topology import Edge, _edges_of, _holds, _mask_edges, _need, _sharing, _un
 
 
 class TrafficReport(_Record):
-    """Outcome of one simulated broadcast.
+    """Outcome of one simulated broadcast, built from its one field, `rings`:
+    one or more `Cycle`s of equal length and dimension, checked by
+    `__init__`, which a load (`pickle`, `copy.deepcopy`) runs too. Every
+    count is read from the rings' edge masks when the report is built.
 
-    per_edge_load counts total traversals per undirected edge (only used
-    edges appear): a read-only mapping read from the rings' edge masks, whose
+    steps is len(rings[0]) - 1. per_edge_load counts total traversals per
+    undirected edge (only used edges appear): a read-only mapping whose
     `len`, `values()`, `in` and lookup build no `Edge`; iteration and
     `items()` build the keys, in ascending order. max_concurrent_per_edge is
     the peak number of messages crossing one edge in one step;
     contention_events counts (edge, step) pairs contested by different
     rings. completed, that every node ends holding every message of every
-    ring, is asserted rather than simulated: each ring is a Cycle, and m - 1
-    lock-step relays on a ring of m nodes deliver every message.
+    ring, is a class constant, asserted rather than simulated: each ring is
+    a Cycle, and m - 1 lock-step relays on a ring of m nodes deliver every
+    message. Equality and the hash read the rings in order, by their dims
+    and value bytes, so comparing two reports builds no `Edge`.
     """
 
-    __slots__ = _fields = (
-        "steps", "per_edge_load", "max_concurrent_per_edge", "contention_events", "completed"
-    )
+    __slots__ = ("rings", "per_edge_load", "steps", "max_concurrent_per_edge", "contention_events")
+    _fields = ("rings",)
+    completed = True
 
-    def __init__(
-        self, steps: int, per_edge_load: Mapping[Edge, int], max_concurrent_per_edge: int,
-        contention_events: int, completed: bool,
-    ) -> None:
-        self._set((steps, per_edge_load, max_concurrent_per_edge, contention_events, completed))
+    def __init__(self, rings: Iterable[Cycle]) -> None:
+        rings = tuple(rings)  # read once: every check below reads them again
+        if not rings:
+            raise LtqError("need at least one ring")
+        if not all(isinstance(ring, Cycle) for ring in rings):
+            raise LtqError("every ring must be a Cycle; an open path does not complete a broadcast")
+        lengths = {len(ring) for ring in rings}
+        if len(lengths) != 1:
+            raise LtqError(f"rings must have equal length, got {sorted(lengths)}")
+        dims = {ring.dim for ring in rings}
+        if len(dims) != 1:
+            raise LtqError(f"rings must have equal dimension, got {sorted(dims)}")
+        loads = _EdgeLoads(rings)
+        steps, sharing = loads._steps, loads._sharing
+        contested = steps * (len(loads) - sharing.get(1, 0))
+        for name, value in zip(self.__slots__, (rings, loads, steps, max(sharing), contested)):
+            object.__setattr__(self, name, value)  # the field, then what it determines
 
 
 class _EdgeLoads(Mapping):
     """`Edge` -> load: `steps` times the number of rings whose edge masks
     hold the edge. Iteration lists the edges of their OR, ascending."""
 
-    def __init__(self, rings: Sequence[Cycle]) -> None:
-        self._masks = [ring._masks() for ring in rings]
+    def __init__(self, rings: tuple[Cycle, ...]) -> None:
+        self._rings, self._masks = rings, [ring._masks() for ring in rings]
         self._sharing = _sharing(self._masks)
         self._dim, self._steps = rings[0].dim, len(rings[0]) - 1
 
@@ -81,8 +100,9 @@ class _EdgeLoads(Mapping):
     def values(self) -> ValuesView[int]:
         return _Loads(self)
 
-    def __repr__(self) -> str:
-        return f"<per-edge loads of {len(self)} dim-{self._dim} edges>"
+    def __reduce__(self) -> tuple:
+        # loaded as its report's loads, through the report's checks
+        return getattr, (TrafficReport(self._rings), "per_edge_load")
 
 
 class _Loads(ValuesView):
@@ -107,28 +127,14 @@ def simulate_schedules(rings: Iterable[Cycle]) -> TrafficReport:
     brings the last node's message to the others. The counts come from the
     edge masks each ring keeps, which end at its largest label, so memory
     grows with that label, not with 2**dim. Delivery is asserted, not
-    simulated (see TrafficReport).
+    simulated, and the rings are checked (see TrafficReport).
     """
-    rings = tuple(rings)  # read once: every check below reads them again
-    if not rings:
-        raise LtqError("need at least one ring")
-    if not all(isinstance(ring, Cycle) for ring in rings):
-        raise LtqError("every ring must be a Cycle; an open path does not complete a broadcast")
-    lengths = {len(ring) for ring in rings}
-    if len(lengths) != 1:
-        raise LtqError(f"rings must have equal length, got {sorted(lengths)}")
-    dims = {ring.dim for ring in rings}
-    if len(dims) != 1:
-        raise LtqError(f"rings must have equal dimension, got {sorted(dims)}")
-    loads = _EdgeLoads(rings)
-    steps, sharing = loads._steps, loads._sharing
-    contested = len(loads) - sharing.get(1, 0)
-    return TrafficReport(steps, loads, max(sharing), steps * contested, completed=True)
+    return TrafficReport(rings)
 
 
 def simulate_ring_broadcast(ring: Cycle) -> TrafficReport:
     """All-to-all broadcast on a single ring: len(ring) - 1 steps, even load."""
-    return simulate_schedules([ring])
+    return TrafficReport((ring,))
 
 
 def simulate_split_broadcast(pair: HamiltonianPair) -> TrafficReport:
@@ -142,4 +148,4 @@ def simulate_split_broadcast(pair: HamiltonianPair) -> TrafficReport:
     _need("simulate_split_broadcast", HamiltonianPair, (pair,))
     if pair.kind != "cycles":
         raise InvalidPairError("split broadcast needs a pair of cycles")
-    return simulate_schedules(pair.members)
+    return TrafficReport(pair.members)

@@ -253,33 +253,35 @@ class Cycle(_Walk):
 class HamiltonianPair(_Record):
     """Two Hamiltonian paths (or cycles) over the same cube, sharing no edge.
 
-    The invariants are enforced at construction, and again when a pair is
-    unpickled or deep-copied, so holding a pair is proof it was verified:
-    both members visit all 2**dim nodes exactly once and their edge sets are
-    disjoint, which `topology._sharing` checks on the edge masks each member
-    keeps (`_Walk._masks`). A mask bit names an edge only for a step that is
-    one: a member's own validation proves that, or, for `edh_paths` and
+    The pair holds its two members and nothing else: `dim` is read off the
+    first, and the second must share it. The invariants are enforced at
+    construction, and again when a pair is unpickled or deep-copied, so
+    holding a pair is proof it was verified: both members visit all 2**dim
+    nodes exactly once and their edge sets are disjoint, which
+    `topology._sharing` checks on the edge masks each member keeps
+    (`_Walk._masks`). A mask bit names an edge only for a step that is one:
+    a member's own validation proves that, or, for `edh_paths` and
     `edh_cycles`, the seed check and the parity of each level's junction
     from which their masks are derived. The residual and the broadcast model
     read the same masks.
     """
 
-    __slots__ = _fields = ("first", "second", "dim")
+    __slots__ = _fields = ("first", "second")
 
-    def __init__(self, first: Path | Cycle, second: Path | Cycle, dim: int) -> None:
-        check_dim(dim)
+    def __init__(self, first: Path | Cycle, second: Path | Cycle) -> None:
         _need("HamiltonianPair", (Path, Cycle), (first, second))
         if type(first) is not type(second):
             raise InvalidPairError("pair members must both be paths or both be cycles")
-        for member in (first, second):
-            if member.dim != dim:
-                raise DimensionError(f"member dim {member.dim} does not match pair dim {dim}")
-            # distinct valid labels, so full count means full coverage
-            if len(member) != 1 << dim:
-                raise InvalidPairError(f"member visits {len(member)} nodes, expected {1 << dim}")
+        if second.dim != first.dim:
+            raise DimensionError(f"member dim {second.dim} does not match pair dim {first.dim}")
+        visits = min(len(first), len(second))  # distinct valid labels: at most 2**dim
+        if visits != 1 << first.dim:  # so a full count is full coverage
+            raise InvalidPairError(f"member visits {visits} nodes, expected {1 << first.dim}")
         if 2 in _sharing((first._masks(), second._masks())):
             raise InvalidPairError("pair members share an edge")
-        self._set((first, second, dim))
+        self._set((first, second))
+
+    dim = property(lambda self: self.first.dim, doc="The dimension both members share.")
 
     @property
     def kind(self) -> str:
@@ -384,7 +386,7 @@ def _constructed_pair(member: type[Path] | type[Cycle], dim: int) -> Hamiltonian
         walk = member.__new__(member)
         walk._keep(dim, values, low, masks)
         members.append(walk)
-    return HamiltonianPair(members[0], members[1], dim)
+    return HamiltonianPair(members[0], members[1])
 
 
 def edh_paths(dim: int) -> HamiltonianPair:

@@ -56,7 +56,7 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
-from functools import partial, reduce
+from functools import reduce
 from itertools import chain, repeat
 from operator import and_, itemgetter, lshift, or_, setitem, xor
 
@@ -346,10 +346,11 @@ def _node_masks(values: Sequence[int], tops: list[int]) -> array:
 
 
 def _union(masks: Sequence[array], size: int) -> array:
-    """The entrywise OR of one or more mask arrays, `size` entries long, in
-    one C-level pass that builds no array but the result."""
-    padded = (chain(walk, repeat(0, size - len(walk))) for walk in masks)
-    return array("I", reduce(partial(map, or_), padded))
+    """The entrywise OR of one or more mask arrays, none past `size` entries,
+    as a new array of `size` entries: each array is read as one integer, as
+    `_sharing` reads them, and the OR is written back as bytes."""
+    union = reduce(or_, map(int.from_bytes, masks, repeat("little")))
+    return array("I", union.to_bytes(4 * size, "little"))
 
 
 def _sharing(masks: Sequence[array]) -> dict[int, int]:

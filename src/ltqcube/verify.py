@@ -431,14 +431,23 @@ def enumerate_hamiltonian_cycles(dim: int, limit: int | None = None) -> list[Cyc
 
 
 class PairExistence(_Record):
-    """Outcome of the exhaustive two-disjoint-cycles question at one dim."""
+    """Outcome of the exhaustive two-disjoint-cycles question at one dim.
 
-    __slots__ = _fields = ("dim", "exists", "witness", "certificates")
+    `exists` is read off `witness`: True exactly when one is held, and a
+    witness must be a `HamiltonianPair` of cycles of dimension `dim`.
+    """
+
+    __slots__ = _fields = ("dim", "witness", "certificates")
 
     def __init__(
-        self, dim: int, exists: bool, witness: HamiltonianPair | None, certificates: tuple[str, ...]
+        self, dim: int, witness: HamiltonianPair | None, certificates: tuple[str, ...]
     ) -> None:
-        self._set((dim, exists, witness, certificates))
+        _need("PairExistence", (HamiltonianPair, type(None)), (witness,))
+        if witness is not None and (witness.kind != "cycles" or witness.dim != dim):
+            raise InvalidPairError(f"a dim-{dim} witness must be a pair of dim-{dim} cycles")
+        self._set((dim, witness, certificates))
+
+    exists = property(lambda self: self.witness is not None, doc="Whether a witness is held.")
 
 
 def exists_two_edge_disjoint_hc(dim: int) -> PairExistence:
@@ -467,7 +476,7 @@ def exists_two_edge_disjoint_hc(dim: int) -> PairExistence:
             f"exhaustive scan: {len(cycles)} Hamiltonian cycles, "
             f"{disjoint} edge-disjoint pairs among {len(cycles) * (len(cycles) - 1) // 2}",
         )
-        return PairExistence(3, False, None, certificates)
+        return PairExistence(3, None, certificates)
 
     pair = edh_cycles(4)
     failed = [c.name for c in verify_pair(4, pair.first, pair.second).checks if not c.passed]
@@ -477,7 +486,7 @@ def exists_two_edge_disjoint_hc(dim: int) -> PairExistence:
         "constructive: the dimension-4 pair closes into two Hamiltonian cycles",
         "checkers: both members Hamiltonian, edge sets disjoint",
     )
-    return PairExistence(4, True, pair, certificates)
+    return PairExistence(4, pair, certificates)
 
 
 class ResidualAnalysis(_Record):
@@ -492,7 +501,11 @@ class ResidualAnalysis(_Record):
     (`EdgeSet._fixed_bits`), some node of degree < 2 or a split into
     components rules out; the constructed pair's residual keeps bits 0 and
     2 at every dim >= 5, so no edge list is built for it. `search_expansions`
-    counts the nodes the search expanded.
+    counts the nodes the search expanded. The three search fields are all
+    None (no search) or all set, with a positive budget and expansions in
+    [0, budget]; a third cycle is held exactly when the verdict is "found",
+    and it must be a Hamiltonian `Cycle` of `dim` whose every edge is in
+    `unused_edges`, which its masks and the removed masks show.
 
     `unused_edges` is an `EdgeSet` of the cube minus the edges the rings'
     kept masks hold (see `HamiltonianPair`); any other collection raises
@@ -516,12 +529,25 @@ class ResidualAnalysis(_Record):
         search_expansions: int | None = None,
     ) -> None:
         _need("ResidualAnalysis", EdgeSet, (unused_edges,))
-        dim = unused_edges.dim
+        dim, removed = unused_edges.dim, unused_edges._removed.obj
         expected = (dim << (dim - 1)) - (1 << (dim + 1))
         if len(unused_edges) != expected:
             raise InvalidPairError(f"residual has {len(unused_edges)} edges, expected {expected}")
         if unused_edges._degree_histogram() != {dim - 4: 1 << dim}:
             raise InvalidPairError("residual graph is not uniformly (dim - 4)-regular")
+        if (search_budget, search_verdict, search_expansions) != (None, None, None):
+            _check_count("budget", search_budget)
+            if search_verdict not in ("found", "refuted", "budget exhausted"):
+                raise LtqError(f"unknown search_verdict {search_verdict!r}")
+            if type(search_expansions) is not int or not 0 <= search_expansions <= search_budget:
+                raise LtqError(f"expansions {search_expansions!r} outside [0, {search_budget}]")
+        third = third_cycle_found
+        if third is not None or search_verdict == "found":  # "found" with None: TypeError
+            _need("ResidualAnalysis", Cycle, (third,))
+            clash = int.from_bytes(third._masks(), "little") & int.from_bytes(removed, "little")
+            if search_verdict != "found" or clash or (third.dim, len(third)) != (dim, 1 << dim):
+                raise InvalidPairError("a third cycle needs the verdict 'found' and must be"
+                                       " a Hamiltonian cycle of this residual")
         self._set((unused_edges, third_cycle_found, search_budget, search_verdict,
                    search_expansions))
 

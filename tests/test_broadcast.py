@@ -6,6 +6,7 @@ import tracemalloc
 import pytest
 from test_verify import LTQ6_DECOMPOSITION
 
+import ltqcube.broadcast as broadcast_module
 from ltqcube import (
     Cycle,
     Edge,
@@ -14,6 +15,7 @@ from ltqcube import (
     LtqError,
     NodeLabel,
     Path,
+    TrafficReport,
     edges,
     edh_cycles,
     edh_paths,
@@ -109,7 +111,7 @@ class TestSplitBroadcast:
     def test_overlapping_pair_cannot_be_built(self):
         cycle = edh_cycles(4).first
         with pytest.raises(InvalidPairError):
-            HamiltonianPair(cycle, cycle, 4)
+            HamiltonianPair(cycle, cycle)
 
     @pytest.mark.parametrize("dim", range(4, 9))
     def test_tampered_pair_is_measured_not_assumed(self, dim):
@@ -129,6 +131,71 @@ class TestSplitBroadcast:
         assert simulate_split_broadcast(other) == simulate_split_broadcast(pair)
         assert residual_analysis(7, other) == residual_analysis(7, pair)
         assert residual_analysis(7, other).degree_histogram == {3: 128}
+
+
+class TestReportFromItsRings:
+    """A report holds only its rings and reads every count off them: the
+    values the report held as five given fields, matched against a dict of
+    one Edge per ring step."""
+
+    @pytest.mark.parametrize("case", ["single", "split", "tampered"])
+    @pytest.mark.parametrize("dim", range(4, 13))
+    def test_every_count_matches_the_stepwise_reference(self, dim, case):
+        pair = edh_cycles(dim)
+        if case == "tampered":  # built and validated, then its second ring replaced
+            object.__setattr__(pair.second, "values", pair.first.values)
+        single = case == "single"
+        report = simulate_ring_broadcast(pair.first) if single else simulate_split_broadcast(pair)
+        steps, shared = 2**dim - 1, case == "tampered"
+        assert report.rings == pair.members[: 1 if single else 2]
+        assert (report.steps, report.completed) == (steps, True)
+        assert report.max_concurrent_per_edge == (2 if shared else 1)
+        assert report.contention_events == (steps << dim if shared else 0)
+        loads = report.per_edge_load
+        expected = TestPerEdgeLoad.reference(report.rings, steps)
+        assert len(loads) == len(expected) == (2 << dim if case == "split" else 1 << dim)
+        assert list(loads.items()) == sorted(expected.items())
+        assert list(loads.values()) == [2 * steps if shared else steps] * len(expected)
+
+    def test_equality_and_hash_build_no_edge(self, monkeypatch):
+        a, b = (simulate_split_broadcast(edh_cycles(12)) for _ in range(2))
+
+        def refuse(*args):
+            raise AssertionError("an Edge was built")
+
+        monkeypatch.setattr(broadcast_module, "_edges_of", refuse)
+        monkeypatch.setattr(Edge, "_trusted", refuse)
+        assert a == b and not a != b and hash(a) == hash(b)
+        assert a != simulate_ring_broadcast(edh_cycles(12).first)
+        assert a != TrafficReport(reversed(a.rings))  # the rings' order counts
+
+    @pytest.mark.parametrize(
+        "rings",
+        [
+            lambda: (edh_cycles(4).first, small_ring()),
+            lambda: (),
+            lambda: (edh_paths(4).first,),
+            lambda: (small_ring(), Cycle.from_values(5, [0, 1, 3, 2])),
+        ],
+        ids=["unequal lengths", "no ring", "a path", "two dims"],
+    )
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_bad_rings_are_refused_on_load(self, monkeypatch, protocol, rings):
+        report = simulate_ring_broadcast(edh_cycles(4).first)
+        state = (rings(),)
+        with pytest.raises(LtqError):
+            TrafficReport(*state)
+        for what in (report, report.per_edge_load):  # the loads load as their report's
+            monkeypatch.setattr(TrafficReport, "__getstate__", lambda self: state)
+            data = pickle.dumps(what, protocol)
+            monkeypatch.undo()
+            with pytest.raises(LtqError):
+                pickle.loads(data)
+
+    def test_loads_round_trip_as_their_reports(self):
+        loads = simulate_split_broadcast(edh_cycles(5)).per_edge_load
+        for back in (pickle.loads(pickle.dumps(loads)), copy.deepcopy(loads), copy.copy(loads)):
+            assert dict(back) == dict(loads) and list(back) == list(loads)
 
 
 class TestScheduleEngine:

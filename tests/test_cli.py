@@ -10,6 +10,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_verify import LTQ6_DECOMPOSITION
 
 import ltqcube.topology as topology_module
 import ltqcube.verify as verify_module
@@ -23,7 +24,7 @@ from ltqcube.cli import (
     parse_document,
     render_document,
 )
-from ltqcube.construction import edh_cycles, edh_paths
+from ltqcube.construction import Cycle, HamiltonianPair, edh_cycles, edh_paths
 from ltqcube.topology import Edge, NodeLabel, edge_pairs, make_label
 from ltqcube.verify import ResidualAnalysis, _bounded_cycle_search, residual_analysis
 
@@ -576,23 +577,18 @@ class TestResidual:
         )
 
     def test_found_line_renders_the_cycle(self):
-        # no constructed residual is known to hold a third cycle, so stand
-        # one of the pair's own cycles in for a found one
-        pair = edh_cycles(6)
-        searched = residual_analysis(6, pair, search_budget=100)
-        analysis = ResidualAnalysis(
-            unused_edges=searched.unused_edges,
-            third_cycle_found=pair.first,
-            search_budget=100,
-            search_verdict="found",
-            search_expansions=63,
-        )
+        # two rings of a decomposition of LTQ_6 into three leave the third
+        # as their residual, which the search finds
+        first, second, third = (Cycle.from_values(6, values) for values in LTQ6_DECOMPOSITION)
+        analysis = residual_analysis(6, HamiltonianPair(first, second), search_budget=100)
+        found, expansions = analysis.third_cycle_found, analysis.search_expansions
+        assert (found, analysis.search_verdict) == (third, "found") and 0 < expansions <= 100
         payload, lines = _residual_payload(analysis)
-        assert lines[-1] == "third-cycle search: found (63 of 100 expansions) " + " -> ".join(
-            n.bits for n in pair.first.nodes
+        assert lines[-1] == f"third-cycle search: found ({expansions} of 100 expansions) " + (
+            " -> ".join(n.bits for n in third.nodes)
         )
         assert payload["search_verdict"] == "found"
-        assert payload["third_cycle"] == [n.bits for n in pair.first.nodes]
+        assert payload["third_cycle"] == [n.bits for n in third.nodes]
 
     def test_dim_8_refuted(self, capsys):
         code, out, _ = run(capsys, "residual", "--dim", "8", "--budget", "500")

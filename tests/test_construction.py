@@ -429,18 +429,18 @@ class TestHamiltonianPairType:
     def test_rejects_shared_edges(self):
         cycle = edh_cycles(4).first
         with pytest.raises(InvalidPairError):
-            HamiltonianPair(cycle, cycle, 4)
+            HamiltonianPair(cycle, cycle)
 
     def test_rejects_partial_coverage(self):
         a = Path(tuple(make_label(4, b) for b in ("0000", "0001")))
         b = Path(tuple(make_label(4, b) for b in ("0011", "0010")))
         with pytest.raises(InvalidPairError):
-            HamiltonianPair(a, b, 4)
+            HamiltonianPair(a, b)
 
     def test_rejects_mixed_kinds(self):
         pair = edh_paths(4)
         with pytest.raises(InvalidPairError):
-            HamiltonianPair(pair.first, Cycle(pair.second.nodes), 4)
+            HamiltonianPair(pair.first, Cycle(pair.second.nodes))
 
     def test_refuses_exactly_the_pairs_that_share_an_edge(self):
         # every disjoint pair of Hamiltonian cycles of LTQ_4 and every pair
@@ -456,16 +456,16 @@ class TestHamiltonianPairType:
             for a, b in ((cycles[i], cycles[j]), (cycles[j], cycles[i])):
                 if shared:
                     with pytest.raises(InvalidPairError, match="share an edge"):
-                        HamiltonianPair(a, b, 4)
+                        HamiltonianPair(a, b)
                 else:
-                    HamiltonianPair(a, b, 4)
-                    HamiltonianPair(Path.from_values(4, a.values), Path.from_values(4, b.values), 4)
+                    HamiltonianPair(a, b)
+                    HamiltonianPair(Path.from_values(4, a.values), Path.from_values(4, b.values))
         assert tried[0] == 240 and tried[2] > 0 and tried[1] == 0
 
     def test_rejects_a_member_of_another_dim(self):
         first, other = edh_cycles(4).first, edh_cycles(5).second
         with pytest.raises(DimensionError, match="^member dim 5 does not match pair dim 4$"):
-            HamiltonianPair(first, other, 4)
+            HamiltonianPair(first, other)
 
     def test_kind_reporting(self):
         assert edh_paths(4).kind == "paths"

@@ -75,7 +75,7 @@ WRONG_TYPES = [
                  "^neighbors_recursive needs a NodeLabel, got tuple$", id="neighbors_recursive"),
     pytest.param(lambda: ltqcube.Edge((4, 0), (4, 1)), TypeError,
                  "^Edge needs a NodeLabel, got tuple$", id="Edge"),
-    pytest.param(lambda: ltqcube.HamiltonianPair(1, 2, 4), TypeError,
+    pytest.param(lambda: ltqcube.HamiltonianPair(1, 2), TypeError,
                  "^HamiltonianPair needs a Path or Cycle, got int$", id="HamiltonianPair"),
     pytest.param(lambda: ltqcube.residual_analysis(4, 3), TypeError,
                  "^residual_analysis needs a HamiltonianPair, got int$", id="residual_analysis"),

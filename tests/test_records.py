@@ -34,16 +34,12 @@ SIGNATURES = {
     Edge: "(a: 'NodeLabel', b: 'NodeLabel')",
     Path: "(nodes: 'Iterable[NodeLabel]')",
     Cycle: "(nodes: 'Iterable[NodeLabel]')",
-    HamiltonianPair: "(first: 'Path | Cycle', second: 'Path | Cycle', dim: 'int')",
-    TrafficReport: (
-        "(steps: 'int', per_edge_load: 'Mapping[Edge, int]', max_concurrent_per_edge: 'int',"
-        " contention_events: 'int', completed: 'bool')"
-    ),
+    HamiltonianPair: "(first: 'Path | Cycle', second: 'Path | Cycle')",
+    TrafficReport: "(rings: 'Iterable[Cycle]')",
     CheckResult: "(name: 'str', passed: 'bool', detail: 'str' = '')",
     VerificationReport: "(subject: 'str', checks: 'tuple[CheckResult, ...]')",
     PairExistence: (
-        "(dim: 'int', exists: 'bool', witness: 'HamiltonianPair | None',"
-        " certificates: 'tuple[str, ...]')"
+        "(dim: 'int', witness: 'HamiltonianPair | None', certificates: 'tuple[str, ...]')"
     ),
     ResidualAnalysis: (
         "(unused_edges: 'EdgeSet', third_cycle_found: 'Cycle | None' = None,"
@@ -66,24 +62,20 @@ def records():
     nope = exists_two_edge_disjoint_hc(3)
     a, b = NodeLabel(4, 0), NodeLabel(4, 1)
     path, cycle = pair.first, edh_cycles(4).first
-    loads = frozenset({(0, 1)})
+    report = simulate_split_broadcast(edh_cycles(4))
     return [
         (Edge(a, b), ("a", "b"), (a, b)),
         (path, ("dim", "values"), (4, path.values.tobytes())),
         (cycle, ("dim", "values"), (4, cycle.values.tobytes())),
-        (pair, ("first", "second", "dim"), (pair.first, pair.second, 4)),
-        (
-            TrafficReport(15, loads, 1, 0, True),
-            ("steps", "per_edge_load", "max_concurrent_per_edge", "contention_events", "completed"),
-            (15, loads, 1, 0, True),
-        ),
+        (pair, ("first", "second"), (pair.first, pair.second)),
+        (report, ("rings",), (report.rings,)),
         (check, ("name", "passed", "detail"), ("node count", True, "16 of 16")),
         (
             VerificationReport("cycles pair, dim 4", (check,)),
             ("subject", "checks"),
             ("cycles pair, dim 4", (check,)),
         ),
-        (nope, ("dim", "exists", "witness", "certificates"), (3, False, None, nope.certificates)),
+        (nope, ("dim", "witness", "certificates"), (3, None, nope.certificates)),
         (
             analysis,
             (
@@ -111,17 +103,11 @@ class TestConstructors:
         a, b = NodeLabel(4, 0), NodeLabel(4, 1)
         assert Edge(b=b, a=a) == Edge(a, b)
         first, second = edh_cycles(4).members
-        assert HamiltonianPair(dim=4, second=second, first=first) == edh_cycles(4)
+        assert HamiltonianPair(second=second, first=first) == edh_cycles(4)
         assert CheckResult(name="x", passed=False) == CheckResult("x", False, "")
         assert VerificationReport(checks=(), subject="s") == VerificationReport("s", ())
-        assert PairExistence(dim=3, exists=False, witness=None, certificates=()) == (
-            PairExistence(3, False, None, ())
-        )
-        report = TrafficReport(
-            steps=1, per_edge_load={}, max_concurrent_per_edge=0, contention_events=0,
-            completed=True,
-        )
-        assert report == TrafficReport(1, {}, 0, 0, True)
+        assert PairExistence(dim=3, witness=None, certificates=()) == PairExistence(3, None, ())
+        assert TrafficReport(rings=(first, second)) == TrafficReport((first, second))
 
     def test_defaults(self):
         assert CheckResult("x", True).detail == ""
@@ -133,7 +119,9 @@ class TestConstructors:
         ) == (None, None, None, None)
         assert built == analysis
 
-    @pytest.mark.parametrize("cls", [Edge, HamiltonianPair, CheckResult, ResidualAnalysis])
+    @pytest.mark.parametrize(
+        "cls", [Edge, HamiltonianPair, CheckResult, ResidualAnalysis, TrafficReport, PairExistence]
+    )
     def test_missing_and_unknown_arguments(self, cls):
         with pytest.raises(TypeError):
             cls()
@@ -153,7 +141,7 @@ class TestConstructors:
             ResidualAnalysis(EdgeSet(5, [0b111] * 16 + [0b11111] * 16))
         assert ResidualAnalysis(EdgeSet(5, analysis.unused_edges._removed)) == analysis
         with pytest.raises(ValueError):
-            HamiltonianPair(pair.first, pair.first, 5)
+            HamiltonianPair(pair.first, pair.first)
 
     def test_edge_stores_the_smaller_value_first(self):
         swapped = edge(4, 1, 0)
@@ -172,7 +160,7 @@ class TestRepr:
 
     def test_pair(self):
         pair = edh_cycles(4)
-        assert repr(pair) == f"HamiltonianPair(first={pair.first!r}, second={pair.second!r}, dim=4)"
+        assert repr(pair) == f"HamiltonianPair(first={pair.first!r}, second={pair.second!r})"
 
     def test_reports(self):
         check = CheckResult("pair: edge-disjoint", True)
@@ -182,15 +170,13 @@ class TestRepr:
         )
         nope = exists_two_edge_disjoint_hc(3)
         assert repr(nope) == (
-            f"PairExistence(dim=3, exists=False, witness=None, certificates={nope.certificates!r})"
+            f"PairExistence(dim=3, witness=None, certificates={nope.certificates!r})"
         )
 
     def test_traffic_report(self):
-        report = simulate_split_broadcast(edh_cycles(4))
-        assert repr(report) == (
-            "TrafficReport(steps=15, per_edge_load=<per-edge loads of 32 dim-4 edges>,"
-            " max_concurrent_per_edge=1, contention_events=0, completed=True)"
-        )
+        pair = edh_cycles(4)
+        report = simulate_split_broadcast(pair)
+        assert repr(report) == f"TrafficReport(rings=({pair.first!r}, {pair.second!r}))"
 
     def test_residual_analysis(self):
         analysis = residual_analysis(6, edh_cycles(6), search_budget=5)
@@ -244,9 +230,13 @@ class TestHash:
         assert hash(edh_cycles(5)) == hash(edh_cycles(5))
         assert hash(edge(5, 1, 0)) == hash(edge(5, 0, 1))
 
-    def test_traffic_report_with_a_mapping_is_unhashable(self):
-        with pytest.raises(TypeError):
-            hash(simulate_split_broadcast(edh_cycles(4)))
+    def test_traffic_report_hashes_by_its_rings_in_order(self):
+        pair = edh_cycles(5)
+        report = simulate_split_broadcast(pair)
+        assert hash(report) == hash(simulate_split_broadcast(pair)) == hash((pair.members,))
+        swapped = TrafficReport((pair.second, pair.first))
+        assert swapped != report and hash(swapped) == hash(((pair.second, pair.first),))
+        assert {report, simulate_split_broadcast(edh_cycles(5))} == {report}
 
 
 class TestEdgeOrdering:
@@ -282,6 +272,41 @@ class TestFrozen:
             with pytest.raises(AttributeError):
                 delattr(rec, name)
             assert getattr(rec, name) is before
+
+
+class TestDerivedFields:
+    """What a record reads off its fields is no field: not settable, and
+    the same however the record was built or loaded."""
+
+    def test_a_pair_reads_its_dim_off_its_first_member(self):
+        pair = edh_paths(6)
+        assert pair.dim == pair.first.dim == pair.second.dim == 6
+        with pytest.raises(AttributeError):
+            pair.dim = 5
+        assert pair.__getstate__() == (pair.first, pair.second)
+
+    def test_existence_is_whether_a_witness_is_held(self):
+        yes, no = exists_two_edge_disjoint_hc(4), exists_two_edge_disjoint_hc(3)
+        assert (yes.exists, no.exists) == (True, False)
+        assert PairExistence(5, None, ()).exists is False
+        assert PairExistence(4, edh_cycles(4), ()).exists is True
+        with pytest.raises(AttributeError):
+            yes.exists = False
+
+    def test_a_report_reads_its_counts_off_its_rings(self):
+        report = simulate_split_broadcast(edh_cycles(5))
+        assert report.completed is TrafficReport.completed is True
+        for name in ("steps", "per_edge_load", "max_concurrent_per_edge", "contention_events",
+                     "completed"):
+            before = getattr(report, name)
+            with pytest.raises(AttributeError):
+                setattr(report, name, None)
+            with pytest.raises(AttributeError):
+                delattr(report, name)
+            assert getattr(report, name) is before
+        back = pickle.loads(pickle.dumps(report))
+        assert (back.steps, back.max_concurrent_per_edge, back.contention_events) == (31, 1, 0)
+        assert dict(back.per_edge_load) == dict(report.per_edge_load)
 
 
 class TestRoundTrips:
@@ -331,12 +356,68 @@ class TestRoundTrips:
         with pytest.raises(TypeError):
             pickle.loads(state)
 
+    @staticmethod
+    def pickled_as(record, state, protocol):
+        """The bytes `pickle.dumps` would write for `record` had its state been `state`."""
+        cls = type(record)
+        saved = cls.__getstate__
+        cls.__getstate__ = lambda self: state
+        try:
+            return pickle.dumps(record, protocol)
+        finally:
+            cls.__getstate__ = saved
+
+    @pytest.mark.parametrize("protocol", range(0, pickle.HIGHEST_PROTOCOL + 1))
+    def test_states_with_the_old_fields_are_refused(self, protocol):
+        # the states these records pickled while `dim`, `exists` and the five
+        # broadcast counts were fields: loading runs `__init__` on them
+        pair = edh_cycles(4)
+        report, witness = simulate_split_broadcast(pair), exists_two_edge_disjoint_hc(4)
+        old = [
+            (pair, (pair.first, pair.second, 4)),
+            (witness, (4, True, pair, witness.certificates)),
+            (report, (15, dict(report.per_edge_load), 1, 0, True)),
+        ]
+        for record, state in old:
+            with pytest.raises(TypeError):
+                pickle.loads(self.pickled_as(record, state, protocol))
+
+    def test_calls_with_the_old_fields_are_refused(self):
+        pair = edh_cycles(4)
+        for call in (
+            lambda: HamiltonianPair(pair.first, pair.second, 4),
+            lambda: HamiltonianPair(pair.first, pair.second, dim=4),
+            lambda: PairExistence(4, True, pair, ()),
+            lambda: PairExistence(5, True, None, ()),
+            lambda: PairExistence(4, exists=True, witness=pair, certificates=()),
+            lambda: TrafficReport(15, {}, 1, 0, True),
+            lambda: TrafficReport(5, {}, 99, -3, False),
+        ):
+            with pytest.raises(TypeError):
+                call()
+
+    @pytest.mark.parametrize("protocol", range(0, pickle.HIGHEST_PROTOCOL + 1))
+    def test_contradictions_are_refused_directly_and_on_load(self, protocol):
+        cycles4, cycles5, paths4 = edh_cycles(4), edh_cycles(5), edh_paths(4)
+        witness = exists_two_edge_disjoint_hc(4)
+        bad = [
+            (cycles4, (cycles4.first, cycles5.second), ValueError),  # members of two dims
+            (witness, (5, cycles4, ()), ValueError),  # a witness of another dim
+            (witness, (4, paths4, ()), ValueError),  # a witness of paths
+            (witness, (4, "pair", ()), TypeError),  # no pair at all
+        ]
+        for record, state, error in bad:
+            with pytest.raises(error):
+                type(record)(*state)
+            with pytest.raises(error):
+                pickle.loads(self.pickled_as(record, state, protocol))
+
     def test_copied_records_stay_frozen(self, record):
         rec, names, _ = record
         with pytest.raises(AttributeError):
             setattr(pickle.loads(pickle.dumps(rec)), names[0], None)
 
-    def test_unhashable_reports(self):
+    def test_reports_round_trip(self):
         report = simulate_split_broadcast(edh_cycles(4))
         for back in (pickle.loads(pickle.dumps(report)), copy.deepcopy(report)):
             assert back == report and dict(back.per_edge_load) == dict(report.per_edge_load)

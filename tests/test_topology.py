@@ -1,7 +1,9 @@
 import copy
 import operator
 import pickle
-from functools import partial
+import random
+from array import array
+from functools import partial, reduce
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +31,7 @@ from ltqcube.topology import (
     _neighbor_values,
     _node_masks,
     _step_tops,
+    _union,
     edge_pairs,
 )
 from ltqcube.verify import enumerate_hamiltonian_cycles, residual_analysis
@@ -522,6 +525,24 @@ class TestBulkStepHelpers:
         values = values[:-1]
         assert self.steps_are_edges(values, closed=False)
         assert not self.steps_are_edges(values, closed=True)
+
+    @pytest.mark.parametrize("dim", range(4, 13))
+    def test_union_is_the_entrywise_or(self, dim):
+        # arrays of unequal lengths, each shorter ones padded with zeros
+        rng = random.Random(dim)
+        size = 1 << dim
+        lengths = [size, rng.randrange(1, size), 4, rng.randrange(1, size)]
+        walks = [array("I", [rng.randrange(size) for _ in range(n)]) for n in lengths]
+        walks.append(Cycle.from_values(dim, [0, 1, 3, 2])._masks())
+        for count in range(1, len(walks) + 1):
+            masks = walks[:count]
+            union = _union(masks, size)
+            assert type(union) is array and union.typecode == "I"
+            assert list(union) == [
+                reduce(operator.or_, (walk[i] for walk in masks if i < len(walk)), 0)
+                for i in range(size)
+            ]
+        assert list(_union(walks[2:3], 6)) == list(walks[2]) + [0, 0]
 
     def test_short_walks(self):
         assert _step_tops([], closed=False) == [] == list(_node_masks([], []))

@@ -1,4 +1,5 @@
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -582,7 +583,6 @@ ENTRY_DIM_CHECKS = {
         for kind, residual in (("list", []), ("EdgeSet", edges(4)))
     },
     "residual_analysis(4.0)": lambda: residual_analysis(4.0, edh_cycles(4)),
-    "HamiltonianPair(4.0)": lambda: HamiltonianPair(*edh_cycles(4).members, 4.0),
 }
 
 
@@ -720,6 +720,73 @@ class TestSearchVerdict:
             search_third_cycle(6, unused, budget=budget)
         with pytest.raises(LtqError, match=f"^budget must be an integer, got {budget!r}$"):
             search_third_cycle(4, edges(4), budget=budget)
+
+
+class TestSearchOutcomeIsConsistent:
+    """A `ResidualAnalysis` holds only a search outcome that could have
+    happened: the three search fields together, a positive budget, a known
+    verdict, expansions within the budget, and a third cycle exactly when
+    the verdict is "found", walking only the residual's edges."""
+
+    @staticmethod
+    def found():
+        # two rings of a decomposition of LTQ_6 leave the third as their residual
+        first, second, third = (Cycle.from_values(6, values) for values in LTQ6_DECOMPOSITION)
+        analysis = residual_analysis(6, HamiltonianPair(first, second), search_budget=100)
+        assert (analysis.third_cycle_found, analysis.search_verdict) == (third, "found")
+        return analysis, first, third
+
+    def test_a_real_outcome_is_kept_and_loads(self):
+        analysis, _, _ = self.found()
+        fields = analysis.__getstate__()
+        assert ResidualAnalysis(*fields) == analysis
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(analysis, protocol)) == analysis
+        refuted = residual_analysis(8, edh_cycles(8), search_budget=5)
+        assert ResidualAnalysis(*refuted.__getstate__()) == refuted
+        unused = refuted.unused_edges
+        assert ResidualAnalysis(unused, None, 500, "budget exhausted", 500).search_expansions == 500
+
+    def contradictions(self):
+        analysis, first, third = self.found()
+        unused = analysis.unused_edges
+        path = Path.from_values(6, third.values)
+        return [
+            ((unused, first, 100, "found", 63), InvalidPairError),  # a ring of the pair itself
+            ((unused, third, 100, "refuted", 63), InvalidPairError),  # a cycle, yet not found
+            ((unused, third, None, None, None), InvalidPairError),  # a cycle, yet no search
+            ((unused, None, 100, "found", 63), TypeError),  # found, yet no cycle
+            ((unused, path, 100, "found", 63), TypeError),  # an open path
+            ((unused, Cycle.from_values(7, third.values), 100, "found", 63), InvalidPairError),
+            ((unused, Cycle.from_values(6, [0, 1, 3, 2]), 100, "found", 63), InvalidPairError),
+            ((unused, None, 100, None, None), LtqError),  # a budget alone
+            ((unused, None, None, "refuted", 0), LtqError),  # a verdict alone
+            ((unused, None, 100, "refuted", None), LtqError),
+            ((unused, None, None, None, 0), LtqError),
+            ((unused, None, 0, "refuted", 0), LtqError),
+            ((unused, None, True, "refuted", 0), LtqError),
+            ((unused, None, 2.5, "refuted", 0), LtqError),
+            ((unused, None, 100, "maybe", 0), LtqError),
+            ((unused, None, 100, "refuted", -1), LtqError),
+            ((unused, None, 100, "refuted", 101), LtqError),
+            ((unused, None, 100, "refuted", True), LtqError),
+            ((unused, None, 100, "refuted", 2.0), LtqError),
+        ]
+
+    def test_each_contradiction_is_refused(self):
+        for state, error in self.contradictions():
+            with pytest.raises(error):
+                ResidualAnalysis(*state)
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_each_contradiction_is_refused_on_load(self, monkeypatch, protocol):
+        analysis, _, _ = self.found()
+        for state, error in self.contradictions():
+            monkeypatch.setattr(ResidualAnalysis, "__getstate__", lambda self: state)
+            data = pickle.dumps(analysis, protocol)
+            monkeypatch.undo()
+            with pytest.raises(error):
+                pickle.loads(data)
 
 
 class TestFixedBitsCertificate:
@@ -998,7 +1065,7 @@ class TestLtq6HasThreeDisjointCycles:
     def test_each_pair_is_edge_disjoint(self):
         for a, b in combinations(self.cycles(), 2):
             assert are_edge_disjoint(a, b)
-            assert HamiltonianPair(a, b, 6).kind == "cycles"
+            assert HamiltonianPair(a, b).kind == "cycles"
 
     def test_together_they_use_every_edge(self):
         masks = [Cycle.from_values(6, c)._masks() for c in LTQ6_DECOMPOSITION]
